@@ -13,14 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .flow import VectorFieldSpec
+from .flow import VectorFieldSpec, _escape_event, coord_difference
 
 __all__ = [
     "ChainGraph",
@@ -91,6 +91,9 @@ def build_chain_graph(
     region = np.asarray(region, dtype=float)
     if region.shape != (spec.dim, 2):
         raise ValueError(f"region must have shape ({spec.dim}, 2)")
+    for i, (a, b) in enumerate(region):
+        if not a < b:
+            raise ValueError(f"region axis {i} is inverted: lo {a:g} is not below hi {b:g}")
     if hgrid <= 0 or delta <= 0:
         raise ValueError("hgrid and delta must be positive")
     if t_max < 1.0:
@@ -110,82 +113,46 @@ def build_chain_graph(
     if norm_bound is None:
         norm_bound = max(1e3, 100.0 * float(np.max(np.abs(region))))
 
-    # Wrap axes whose region spans one full period of an angle coordinate.
-    periods = spec.periods
-    wrap_axis = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if not np.isnan(periods[i]) and abs(extents[i] - periods[i]) < 1e-9:
-            wrap_axis[i] = True
+    # Wrap axes whose region spans one full period of an angle coordinate
+    # (NaN periods of linear axes compare false).
+    wrap_axis = np.abs(extents - spec.periods) < 1e-9
 
     # Integer offsets that can reach any point within `reach` of a cell.
     span = int(math.ceil(reach / hgrid + 0.5))
-    offsets = []
-    for off in itertools.product(range(-span, span + 1), repeat=n):
-        off = np.asarray(off)
-        if (np.linalg.norm(off) - 0.5 * math.sqrt(n)) * hgrid < reach:
-            offsets.append(off)
-    offsets = np.asarray(offsets)
+    offsets = np.array(list(itertools.product(range(-span, span + 1), repeat=n)))
+    offsets = offsets[(np.linalg.norm(offsets, axis=1) - 0.5 * math.sqrt(n)) * hgrid < reach]
 
-    def rhs(t, y):
-        return np.asarray(spec.field(y), dtype=float)
-
-    def escape(t, y):
-        return norm_bound - float(np.linalg.norm(y))
-
-    escape.terminal = True
-    escape.direction = -1
-
+    escape = [_escape_event(norm_bound, n)]
     rows, cols = [], []
-    counts_arr = np.asarray(shape)
     for flat in range(n_cells):
         idx = np.unravel_index(flat, shape)
         center = lo + (np.asarray(idx, dtype=float) + 0.5) * hgrid
         sol = solve_ivp(
-            rhs,
+            lambda t, y: spec.field_at(y),
             (0.0, float(ts[-1])),
             center,
             method="RK45",
             t_eval=ts,
             rtol=tol,
             atol=tol / 100.0,
-            events=[escape],
+            events=escape,
         )
         if sol.status == -1:
             raise RuntimeError(f"integration failed at cell {flat}: {sol.message}")
-        images = sol.y.T
-        if images.shape[0] == 0:
-            continue
-        for p in images:
-            base = np.floor((p - lo) / hgrid).astype(int)
-            cand = base[None, :] + offsets
-            ok = np.ones(len(cand), dtype=bool)
-            for i in range(n):
-                if wrap_axis[i]:
-                    cand[:, i] %= counts_arr[i]
-                else:
-                    ok &= (cand[:, i] >= 0) & (cand[:, i] < counts_arr[i])
-            cand = cand[ok]
-            if len(cand) == 0:
-                continue
-            centers = lo + (cand + 0.5) * hgrid
-            diff = p - centers
-            for i in range(n):
-                if wrap_axis[i]:
-                    per = periods[i]
-                    diff[:, i] = (diff[:, i] + per / 2.0) % per - per / 2.0
-            close = np.linalg.norm(diff, axis=1) < reach
-            hits = cand[close]
-            if len(hits) == 0:
-                continue
-            flats = np.ravel_multi_index(hits.T, shape)
-            for f in np.unique(flats):
-                rows.append(flat)
-                cols.append(int(f))
+        targets = set()
+        for p in sol.y.T:
+            cand = np.floor((p - lo) / hgrid).astype(int) + offsets
+            cand[:, wrap_axis] %= counts[wrap_axis]
+            cand = cand[np.all((cand >= 0) & (cand < counts), axis=1)]
+            diff = coord_difference(spec, p, lo + (cand + 0.5) * hgrid)
+            hits = cand[np.linalg.norm(diff, axis=1) < reach]
+            targets.update(np.ravel_multi_index(hits.T, shape).tolist())
+        rows.extend([flat] * len(targets))
+        cols.extend(targets)
 
     data = np.ones(len(rows), dtype=np.int8)
     adjacency = csr_matrix((data, (rows, cols)), shape=(n_cells, n_cells))
     adjacency.sum_duplicates()
-    adjacency.data[:] = 1
     return ChainGraph(
         spec_name=spec.name,
         region=region,

@@ -7,7 +7,8 @@ below (unknown keys are rejected), runs the pipeline, and writes
 same config and seed) plus ``meta.json`` (versions, timings, seed).
 
 Exit codes: 0 when the analysis verdict is positive, 2 when it is negative
-(refuted, nothing found, non-hyperbolic, a failed check), 1 on errors.
+(refuted, nothing found, non-hyperbolic, a failed check), 1 on errors,
+including bad configs and bad command lines.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +54,7 @@ class ConfigError(ValueError):
     """A config file failed validation."""
 
 
+# Keys of the pipelines that build a chain and judge it against ``epsilon``.
 _CHAIN_KEYS = {
     "chain": ("choice", ("noisy", "equilibrium_segment", "periodic_family")),
     "x0": ("floats",),
@@ -65,70 +68,15 @@ _CHAIN_KEYS = {
     "v": ("floats",),
     "n_points": ("int", 2, 100000),
     "period_hint": ("float", 1e-3, 1e4),
-}
-
-PIPELINE_PARAMS = {
-    "shadow-search": {
-        **_CHAIN_KEYS,
-        "epsilon": ("float", 1e-12, 100.0),
-        "candidates": ("int", 1, 10_000_000),
-        "refine_evals": ("int", 0, 10_000_000),
-        "settle": ("float", 0.0, 1000.0),
-        "seed_halfwidth": ("float", 1e-12, 100.0),
-        "chain_samples": ("int", 3, 1_000_000),
-        "orbit_samples": ("int", 3, 1_000_000),
-    },
-    "refute": {**_CHAIN_KEYS, "epsilon": ("float", 1e-12, 100.0)},
-    "classify": {},
-    "splitting": {
-        "anchor": ("choice", ("cycle", "point")),
-        "x0": ("floats",),
-        "p": ("int", 1, 16),
-        "dt": ("float", 1e-4, 1.0),
-        "window": ("float", 0.1, 100.0),
-        "total": ("float", 0.5, 10000.0),
-        "l": ("float", 1e-3, 1000.0),
-    },
-    "quasi-hyperbolic": {
-        "x0": ("floats",),
-        "tau": ("float", 1e-3, 1e6),
-        "eta": ("float", 1e-9, 100.0),
-        "big_t": ("float", 1e-3, 1e4),
-        "p": ("int", 1, 16),
-        "dt": ("float", 1e-4, 1.0),
-        "window": ("float", 0.1, 100.0),
-    },
-    "chain-graph": {
-        "region": ("floats",),
-        "hgrid": ("float", 1e-6, 100.0),
-        "delta": ("float", 1e-12, 10.0),
-        "t_max": ("float", 1.0, 1e4),
-        "t_samples": ("int", 1, 10000),
-    },
-}
-
-PIPELINE_SUMMARY = {
-    "chain-graph": "cell-transition graph, strong components, recurrent cover",
-    "classify": "spectra and hyperbolicity of the scenario's critical elements",
-    "quasi-hyperbolic": "partitioned log-norm inequalities along one arc",
-    "refute": "conserved-quantity lower bound against shadowing",
-    "shadow-search": "search a seed box for a reparametrized shadowing orbit",
-    "splitting": "dominated splitting check and hyperbolicity fit on an orbit",
+    "epsilon": ("float", 1e-12, 100.0),
 }
 
 
 def _parse_value(key, raw, spec):
     kind = spec[0]
     try:
-        if kind == "float":
-            value = float(raw)
-            if not spec[1] <= value <= spec[2]:
-                raise ConfigError(
-                    f"{key} = {raw} outside the allowed range [{spec[1]}, {spec[2]}]"
-                )
-            return value
-        if kind == "int":
-            value = int(raw)
+        if kind in ("float", "int"):
+            value = float(raw) if kind == "float" else int(raw)
             if not spec[1] <= value <= spec[2]:
                 raise ConfigError(
                     f"{key} = {raw} outside the allowed range [{spec[1]}, {spec[2]}]"
@@ -140,10 +88,9 @@ def _parse_value(key, raw, spec):
                     f"{key} = {raw!r} is not one of: {', '.join(spec[1])}"
                 )
             return raw
-        if kind == "floats":
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        if kind == "ints":
-            return [int(tok) for tok in raw.replace(",", " ").split()]
+        if kind in ("floats", "ints"):
+            convert = float if kind == "floats" else int
+            return [convert(tok) for tok in raw.replace(",", " ").split()]
     except ConfigError:
         raise
     except ValueError:
@@ -168,40 +115,32 @@ def load_config(path):
             parts.append(f"unknown section(s): {', '.join(extra)}")
         raise ConfigError("; ".join(parts))
 
-    sc = dict(cp.items("scenario"))
-    if "name" not in sc:
-        raise ConfigError("[scenario] needs a 'name' key")
-    sc_name = sc.pop("name")
-    if sc_name not in SCENARIO_PARAMS:
-        raise ConfigError(
-            f"unknown scenario {sc_name!r}; available: {', '.join(scenario_names())}"
-        )
-    sc_params = {}
-    for key, raw in sc.items():
-        if key not in SCENARIO_PARAMS[sc_name]:
-            allowed = ", ".join(sorted(SCENARIO_PARAMS[sc_name])) or "(none)"
-            raise ConfigError(
-                f"[scenario] unknown key {key!r} for {sc_name}; allowed: {allowed}"
-            )
-        sc_params[key] = _parse_value(key, raw, SCENARIO_PARAMS[sc_name][key])
-
-    pl = dict(cp.items("pipeline"))
-    if "name" not in pl:
-        raise ConfigError("[pipeline] needs a 'name' key")
-    pl_name = pl.pop("name")
-    if pl_name not in PIPELINE_PARAMS:
-        raise ConfigError(
-            f"unknown pipeline {pl_name!r}; available: {', '.join(sorted(PIPELINE_PARAMS))}"
-        )
-    pl_params = {}
-    for key, raw in pl.items():
-        if key not in PIPELINE_PARAMS[pl_name]:
-            allowed = ", ".join(sorted(PIPELINE_PARAMS[pl_name])) or "(none)"
-            raise ConfigError(
-                f"[pipeline] unknown key {key!r} for {pl_name}; allowed: {allowed}"
-            )
-        pl_params[key] = _parse_value(key, raw, PIPELINE_PARAMS[pl_name][key])
+    sc_name, sc_params = _parse_section(cp, "scenario", SCENARIO_PARAMS)
+    pl_specs = {name: pipe.params for name, pipe in PIPELINES.items()}
+    pl_name, pl_params = _parse_section(cp, "pipeline", pl_specs)
     return sc_name, sc_params, pl_name, pl_params
+
+
+def _parse_section(cp, section, specs):
+    """The ``name`` of one config section and its other keys, parsed against
+    ``specs[name]``."""
+    entries = dict(cp.items(section))
+    if "name" not in entries:
+        raise ConfigError(f"[{section}] needs a 'name' key")
+    name = entries.pop("name")
+    if name not in specs:
+        raise ConfigError(
+            f"unknown {section} {name!r}; available: {', '.join(sorted(specs))}"
+        )
+    params = {}
+    for key, raw in entries.items():
+        if key not in specs[name]:
+            allowed = ", ".join(sorted(specs[name])) or "(none)"
+            raise ConfigError(
+                f"[{section}] unknown key {key!r} for {name}; allowed: {allowed}"
+            )
+        params[key] = _parse_value(key, raw, specs[name][key])
+    return name, params
 
 
 def _require(params, pipeline, *keys):
@@ -219,10 +158,6 @@ def _point(params, key, dim, default=None):
     if value.shape != (dim,):
         raise ConfigError(f"{key} must have {dim} components")
     return value
-
-
-def _complex_pairs(values):
-    return [[float(z.real), float(z.imag)] for z in values]
 
 
 def _build_chain(scenario, params, pipeline, seed):
@@ -270,20 +205,29 @@ def _build_chain(scenario, params, pipeline, seed):
     )
 
 
-def _chain_series(po, check):
-    rows = []
-    bt = po.boundary_times
-    for i, (label, gap) in enumerate(check.gaps):
-        t = bt[min(i, len(bt) - 1)]
-        rows.append(("chain_gap", i, float(t), float(gap)))
-    return rows
-
-
-def _run_shadow_search(scenario, params, seed, threads, outdir):
-    spec = scenario.spec
-    po = _build_chain(scenario, params, "shadow-search", seed)
-    _require(params, "shadow-search", "epsilon")
+def _checked_chain(scenario, params, pipeline, seed):
+    """Build and verify the configured chain (``epsilon`` is required too);
+    returns the chain, its ``"chain"`` report summary and ``chain_gap`` rows."""
+    po = _build_chain(scenario, params, pipeline, seed)
+    _require(params, pipeline, "epsilon")
     check = verify_chain(po)
+    summary = {
+        "size": po.size,
+        "delta": po.delta,
+        "verified": bool(check.ok),
+        "max_gap": check.max_gap,
+    }
+    bt = po.boundary_times
+    rows = [
+        ("chain_gap", i, float(bt[min(i, len(bt) - 1)]), float(gap))
+        for i, (_, gap) in enumerate(check.gaps)
+    ]
+    return po, summary, rows
+
+
+def _run_shadow_search(scenario, params, seed, outdir):
+    spec = scenario.spec
+    po, chain, rows = _checked_chain(scenario, params, "shadow-search", seed)
     budget = SearchBudget(
         candidates=int(params.get("candidates", 1000)),
         refine_evals=int(params.get("refine_evals", 200)),
@@ -294,42 +238,23 @@ def _run_shadow_search(scenario, params, seed, threads, outdir):
     half = float(params.get("seed_halfwidth", 0.1))
     center = po.points[0]
     seed_region = np.column_stack([center - half, center + half])
-    report = search_shadowing(
-        spec, po, params["epsilon"], seed_region, budget=budget, threads=threads
-    )
-    result = {
-        "chain": {
-            "size": po.size,
-            "delta": po.delta,
-            "verified": bool(check.ok),
-            "max_gap": check.max_gap,
-        },
-        "search": report.to_dict(),
-    }
-    rows = _chain_series(po, check)
+    report = search_shadowing(spec, po, params["epsilon"], seed_region, budget=budget)
+    result = {"chain": chain, "search": report.to_dict()}
     if report.reparam_knots_t is not None:
         for i, (kt, ku) in enumerate(zip(report.reparam_knots_t, report.reparam_knots_u)):
             rows.append(("reparam_knot", i, float(kt), float(ku)))
     return (0 if report.verdict == "shadowed" else 2), result, rows
 
 
-def _run_refute(scenario, params, seed, threads, outdir):
+def _run_refute(scenario, params, seed, outdir):
     spec = scenario.spec
-    po = _build_chain(scenario, params, "refute", seed)
-    _require(params, "refute", "epsilon")
-    check = verify_chain(po)
+    po, chain, rows = _checked_chain(scenario, params, "refute", seed)
     cert = refute_by_conservation(spec, po, params["epsilon"])
     result = {
-        "chain": {
-            "size": po.size,
-            "delta": po.delta,
-            "verified": bool(check.ok),
-            "max_gap": check.max_gap,
-        },
+        "chain": chain,
         "refuted": cert is not None,
         "certificate": cert.to_dict() if cert is not None else None,
     }
-    rows = _chain_series(po, check)
     bt = po.boundary_times
     for i in range(po.size):
         rows.append(
@@ -338,7 +263,7 @@ def _run_refute(scenario, params, seed, threads, outdir):
     return (2 if cert is not None else 0), result, rows
 
 
-def _run_classify(scenario, params, seed, threads, outdir):
+def _run_classify(scenario, params, seed, outdir):
     spec = scenario.spec
     reports = []
     for fact in scenario.facts.singularities:
@@ -359,7 +284,7 @@ def _run_classify(scenario, params, seed, threads, outdir):
                 "kind": rep.kind,
                 "point": [float(c) for c in rep.point],
                 "period": rep.period,
-                "spectrum": _complex_pairs(rep.spectrum),
+                "spectrum": [[float(z.real), float(z.imag)] for z in rep.spectrum],
                 "margins": list(rep.margins),
                 "hyperbolic": rep.hyperbolic,
                 "index": rep.index,
@@ -383,21 +308,25 @@ def _splitting_anchor(scenario, params, pipeline):
     return _point(params, "x0", spec.dim)
 
 
-def _run_splitting(scenario, params, seed, threads, outdir):
-    spec = scenario.spec
+def _padded_estimate(spec, params, x0, span_key):
+    """Splitting estimate on the orbit of ``x0`` over ``[0, params[span_key]]``
+    (four windows by default), its cocycle padded by one window each side."""
+    window = float(params.get("window", 3.0))
+    span = float(params.get(span_key, 4.0 * window))
+    dt = float(params.get("dt", 0.02))
+    cocycle = build_cocycle(spec, x0, span + 2.0 * window, dt, t_start=-window)
+    return estimate_splitting(cocycle, int(params.get("p", 1)), window)
+
+
+def _run_splitting(scenario, params, seed, outdir):
     x0 = _splitting_anchor(scenario, params, "splitting")
     _require(params, "splitting", "l")
-    p = int(params.get("p", 1))
-    dt = float(params.get("dt", 0.02))
-    window = float(params.get("window", 3.0))
-    total = float(params.get("total", 4.0 * window))
-    cocycle = build_cocycle(spec, x0, total + 2.0 * window, dt, t_start=-window)
-    est = estimate_splitting(cocycle, p, window)
+    est = _padded_estimate(scenario.spec, params, x0, "total")
     dom = check_domination(est, params["l"])
     fit = fit_hyperbolic(est)
     result = {
         "anchor": [float(c) for c in x0],
-        "stable_rank": p,
+        "stable_rank": est.p,
         "gap_ratio_min": est.gap_ratio_min,
         "invariance_residual": est.residual,
         "domination": {
@@ -425,17 +354,14 @@ def _run_splitting(scenario, params, seed, threads, outdir):
     return (0 if (dom.ok and fit.ok) else 2), result, rows
 
 
-def _run_quasi_hyperbolic(scenario, params, seed, threads, outdir):
+def _run_quasi_hyperbolic(scenario, params, seed, outdir):
     spec = scenario.spec
     _require(params, "quasi-hyperbolic", "x0", "tau", "eta", "big_t")
     x0 = _point(params, "x0", spec.dim)
-    tau = float(params["tau"])
-    p = int(params.get("p", 1))
-    dt = float(params.get("dt", 0.02))
-    window = float(params.get("window", 3.0))
-    cocycle = build_cocycle(spec, x0, tau + 2.0 * window, dt, t_start=-window)
-    est = estimate_splitting(cocycle, p, window)
-    cert = check_quasi_hyperbolic(spec, x0, tau, est, params["eta"], params["big_t"])
+    est = _padded_estimate(spec, params, x0, "tau")
+    cert = check_quasi_hyperbolic(
+        spec, x0, float(params["tau"]), est, params["eta"], params["big_t"]
+    )
     result = {
         "arc_start": [float(c) for c in x0],
         "tau": cert.tau,
@@ -455,7 +381,7 @@ def _run_quasi_hyperbolic(scenario, params, seed, threads, outdir):
     return (0 if cert.ok else 2), result, rows
 
 
-def _run_chain_graph(scenario, params, seed, threads, outdir):
+def _run_chain_graph(scenario, params, seed, outdir):
     spec = scenario.spec
     _require(params, "chain-graph", "region", "hgrid", "delta", "t_max")
     region = np.asarray(params["region"], dtype=float)
@@ -492,19 +418,98 @@ def _run_chain_graph(scenario, params, seed, threads, outdir):
     return (0 if len(recurrent) else 2), result, rows
 
 
-_PIPELINES = {
-    "shadow-search": _run_shadow_search,
-    "refute": _run_refute,
-    "classify": _run_classify,
-    "splitting": _run_splitting,
-    "quasi-hyperbolic": _run_quasi_hyperbolic,
-    "chain-graph": _run_chain_graph,
+class _Pipeline(NamedTuple):
+    """Summary, ``[pipeline]`` key specs, and runner
+    ``(scenario, params, seed, outdir) -> (code, result, rows)``."""
+
+    summary: str
+    params: dict
+    run: Callable
+
+
+PIPELINES = {
+    "shadow-search": _Pipeline(
+        "search a seed box for a reparametrized shadowing orbit",
+        {
+            **_CHAIN_KEYS,
+            "candidates": ("int", 1, 10_000_000),
+            "refine_evals": ("int", 0, 10_000_000),
+            "settle": ("float", 0.0, 1000.0),
+            "seed_halfwidth": ("float", 1e-12, 100.0),
+            "chain_samples": ("int", 3, 1_000_000),
+            "orbit_samples": ("int", 3, 1_000_000),
+        },
+        _run_shadow_search,
+    ),
+    "refute": _Pipeline(
+        "conserved-quantity lower bound against shadowing", _CHAIN_KEYS, _run_refute
+    ),
+    "classify": _Pipeline(
+        "spectra and hyperbolicity of the scenario's critical elements", {}, _run_classify
+    ),
+    "splitting": _Pipeline(
+        "dominated splitting check and hyperbolicity fit on an orbit",
+        {
+            "anchor": ("choice", ("cycle", "point")),
+            "x0": ("floats",),
+            "p": ("int", 1, 16),
+            "dt": ("float", 1e-4, 1.0),
+            "window": ("float", 0.1, 100.0),
+            "total": ("float", 0.5, 10000.0),
+            "l": ("float", 1e-3, 1000.0),
+        },
+        _run_splitting,
+    ),
+    "quasi-hyperbolic": _Pipeline(
+        "partitioned log-norm inequalities along one arc",
+        {
+            "x0": ("floats",),
+            "tau": ("float", 1e-3, 1e6),
+            "eta": ("float", 1e-9, 100.0),
+            "big_t": ("float", 1e-3, 1e4),
+            "p": ("int", 1, 16),
+            "dt": ("float", 1e-4, 1.0),
+            "window": ("float", 0.1, 100.0),
+        },
+        _run_quasi_hyperbolic,
+    ),
+    "chain-graph": _Pipeline(
+        "cell-transition graph, strong components, recurrent cover",
+        {
+            "region": ("floats",),
+            "hgrid": ("float", 1e-6, 100.0),
+            "delta": ("float", 1e-12, 10.0),
+            "t_max": ("float", 1.0, 1e4),
+            "t_samples": ("int", 1, 10000),
+        },
+        _run_chain_graph,
+    ),
 }
 
 
-def _write_outputs(outdir, sc_name, sc_params, pl_name, code, result, rows, meta):
+def run_config(config_path, outdir, seed=0) -> int:
+    sc_name, sc_params, pl_name, pl_params = load_config(config_path)
+    scenario = builtin(sc_name, **sc_params)
+    # pipelines may drop artifacts of their own into outdir
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    code, result, rows = PIPELINES[pl_name].run(scenario, pl_params, seed, outdir)
+    elapsed = time.perf_counter() - t0
+    import scipy
+
+    meta = {
+        "flowlab": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": sys.version.split()[0],
+        "seed": seed,
+        "config": {
+            "scenario": {"name": sc_name, **sc_params},
+            "pipeline": {"name": pl_name, **pl_params},
+        },
+        "elapsed_seconds": elapsed,
+    }
     report = {
         "schema": "flowlab.report/1",
         "scenario": {"name": sc_name, "params": sc_params},
@@ -520,37 +525,19 @@ def _write_outputs(outdir, sc_name, sc_params, pl_name, code, result, rows, meta
         for series, index, t, value in rows:
             fh.write(f"{series},{index},{t!r},{value!r}\n")
     (outdir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def run_config(config_path, outdir, seed=0, threads=1) -> int:
-    sc_name, sc_params, pl_name, pl_params = load_config(config_path)
-    scenario = builtin(sc_name, **sc_params)
-    # pipelines may drop artifacts of their own into outdir
-    Path(outdir).mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    code, result, rows = _PIPELINES[pl_name](scenario, pl_params, seed, threads, outdir)
-    elapsed = time.perf_counter() - t0
-    import scipy
-
-    meta = {
-        "flowlab": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": sys.version.split()[0],
-        "seed": seed,
-        "threads": threads,
-        "config": {
-            "scenario": {"name": sc_name, **sc_params},
-            "pipeline": {"name": pl_name, **pl_params},
-        },
-        "elapsed_seconds": elapsed,
-    }
-    _write_outputs(outdir, sc_name, sc_params, pl_name, code, result, rows, meta)
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on usage errors instead of exiting with code 2, which flowlab
+    reserves for negative verdicts."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowlab",
         description="Pseudo-orbit, shadowing, and hyperbolicity pipelines for built-in flows.",
     )
@@ -559,23 +546,26 @@ def main(argv=None) -> int:
     run_p.add_argument("config", help="path to the config file")
     run_p.add_argument("--out", default="flowlab-out", help="output directory")
     run_p.add_argument("--seed", type=int, default=0, help="seed for stochastic chains")
-    run_p.add_argument("--threads", type=int, default=1, help="worker threads for searches")
     list_p = sub.add_parser("list", help="list available scenarios or pipelines")
     list_p.add_argument("what", choices=["scenarios", "pipelines"])
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "list":
         if args.what == "scenarios":
             for name in scenario_names():
                 keys = ", ".join(sorted(SCENARIO_PARAMS[name])) or "no parameters"
                 print(f"{name}: {keys}")
         else:
-            for name in sorted(PIPELINE_PARAMS):
-                print(f"{name}: {PIPELINE_SUMMARY[name]}")
+            for name in sorted(PIPELINES):
+                print(f"{name}: {PIPELINES[name].summary}")
         return 0
 
     try:
-        return run_config(args.config, args.out, seed=args.seed, threads=args.threads)
+        return run_config(args.config, args.out, seed=args.seed)
     except (ConfigError, ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

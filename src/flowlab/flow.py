@@ -9,7 +9,7 @@ universal cover (never wrapped mid-integration); wrapping happens only in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -213,13 +213,32 @@ class Trajectory:
         return self.at_many(ts)
 
 
-def _escape_event(norm_bound: float):
+def _escape_event(norm_bound: float, dim: int):
+    """Terminal event: the norm of the first ``dim`` entries reaches ``norm_bound``."""
+
     def ev(t, y):
-        return norm_bound - float(np.linalg.norm(y))
+        return norm_bound - float(np.linalg.norm(y[:dim]))
 
     ev.terminal = True
     ev.direction = -1
     return ev
+
+
+def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False):
+    """DOP853 solve with the divergence guard; returns ``(sol, escaped)``."""
+    sol = solve_ivp(
+        rhs,
+        t_span,
+        y0,
+        method="DOP853",
+        dense_output=dense_output,
+        rtol=tol,
+        atol=tol / 100.0,
+        events=[_escape_event(norm_bound, spec.dim)],
+    )
+    if sol.status == -1:
+        raise RuntimeError(f"{what} failed: {sol.message}")
+    return sol, sol.status == 1
 
 
 def integrate(
@@ -256,19 +275,9 @@ def integrate(
     def rhs(t, y):
         return np.asarray(spec.field(y), dtype=float)
 
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        x0,
-        method="DOP853",
-        dense_output=True,
-        rtol=tol,
-        atol=tol / 100.0,
-        events=[_escape_event(norm_bound)],
+    sol, escaped = _solve(
+        spec, rhs, (t0, t1), x0, tol, norm_bound, "integration", dense_output=True
     )
-    if sol.status == -1:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    escaped = sol.status == 1
     if escaped and on_escape == "raise":
         raise FlowDivergenceError(
             f"{spec.name}: orbit from {x0} crossed norm {norm_bound:.3g} "
@@ -323,17 +332,9 @@ def tangent_flow(
             [np.asarray(spec.field(base), dtype=float), (spec.jacobian_at(base) @ v).ravel()]
         )
 
-    def ev(s, y):
-        return norm_bound - float(np.linalg.norm(y[:n]))
-
-    ev.terminal = True
-    ev.direction = -1
-
     y0 = np.concatenate([x, np.eye(n).ravel()])
-    sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=tol, atol=tol / 100.0, events=[ev])
-    if sol.status == -1:
-        raise RuntimeError(f"variational integration failed: {sol.message}")
-    if sol.status == 1:
+    sol, escaped = _solve(spec, rhs, (0.0, t), y0, tol, norm_bound, "variational integration")
+    if escaped:
         raise FlowDivergenceError(
             f"{spec.name}: orbit from {x} crossed norm {norm_bound:.3g} during tangent flow"
         )

@@ -9,9 +9,8 @@ steps, never inverted across long spans.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -140,6 +139,19 @@ def normal_frame(spec: VectorFieldSpec, x, min_speed: float = 1e-12) -> np.ndarr
     return np.column_stack(cols)
 
 
+def _checked_tangent_flow(spec, x, t, tol, where):
+    """:func:`tangent_flow` with the flow-direction transport
+    ``DX_t X(x) = X(X_t x)`` checked to 1e-5 relative accuracy; ``where``
+    ends the error message."""
+    x_end, deriv = tangent_flow(spec, x, t, tol=tol)
+    v0 = spec.field_at(x)
+    v1 = spec.field_at(x_end)
+    drift = np.linalg.norm(deriv @ v0 - v1) / (1.0 + np.linalg.norm(v1))
+    if drift > 1e-5:
+        raise ConsistencyError(f"flow-direction transport off by {drift:.3g} {where}")
+    return x_end, deriv
+
+
 def linear_poincare(
     spec: VectorFieldSpec, x, t: float, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
@@ -151,15 +163,9 @@ def linear_poincare(
     relative accuracy as a guard against integration drift.
     """
     x = np.asarray(x, dtype=float)
-    x_end, deriv = tangent_flow(spec, x, t, tol=tol)
-    v0 = spec.field_at(x)
-    v1 = spec.field_at(x_end)
-    drift = np.linalg.norm(deriv @ v0 - v1) / (1.0 + np.linalg.norm(v1))
-    if drift > 1e-5:
-        raise ConsistencyError(
-            f"flow-direction transport off by {drift:.3g} over t={t:.6g}; "
-            "tighten tol or shorten the span"
-        )
+    x_end, deriv = _checked_tangent_flow(
+        spec, x, t, tol, f"over t={t:.6g}; tighten tol or shorten the span"
+    )
     f0 = normal_frame(spec, x)
     f1 = normal_frame(spec, x_end)
     return f1.T @ deriv @ f0
@@ -239,14 +245,7 @@ def build_cocycle(
     points[0] = start
     frames[0] = normal_frame(spec, start)
     for k in range(m):
-        x_next, deriv = tangent_flow(spec, points[k], dt, tol=tol)
-        v0 = spec.field_at(points[k])
-        v1 = spec.field_at(x_next)
-        drift = np.linalg.norm(deriv @ v0 - v1) / (1.0 + np.linalg.norm(v1))
-        if drift > 1e-5:
-            raise ConsistencyError(
-                f"flow-direction transport off by {drift:.3g} at step {k}"
-            )
+        x_next, deriv = _checked_tangent_flow(spec, points[k], dt, tol, f"at step {k}")
         points[k + 1] = x_next
         frames[k + 1] = normal_frame(spec, x_next)
         trans[k] = frames[k + 1].T @ deriv @ frames[k]
@@ -404,6 +403,21 @@ def _polish_singularity(spec: VectorFieldSpec, x: np.ndarray, max_iter: int = 30
     return x
 
 
+def _element_report(spec, kind, x, period, spectrum, margins, index) -> CriticalElementReport:
+    """Hyperbolic when every margin clears 1e-6; a periodic orbit's
+    ``index_with_flow`` also counts the flow direction."""
+    return CriticalElementReport(
+        kind=kind,
+        point=wrap_point(spec, x),
+        period=period,
+        spectrum=tuple(complex(z) for z in spectrum),
+        margins=tuple(float(m) for m in margins),
+        hyperbolic=bool(margins.min() > 1e-6),
+        index=index,
+        index_with_flow=index if period is None else index + 1,
+    )
+
+
 def classify_singularity(spec: VectorFieldSpec, x, tol: float = DEFAULT_TOL) -> CriticalElementReport:
     """Polish ``x`` to a nearby equilibrium and report its linearization.
 
@@ -418,18 +432,8 @@ def classify_singularity(spec: VectorFieldSpec, x, tol: float = DEFAULT_TOL) -> 
     eig = np.linalg.eigvals(spec.jacobian_at(x))
     order = np.lexsort((eig.imag, eig.real))
     eig = eig[order]
-    margins = np.abs(eig.real)
     index = int(np.sum(eig.real < 0.0))
-    return CriticalElementReport(
-        kind="singularity",
-        point=wrap_point(spec, x),
-        period=None,
-        spectrum=tuple(complex(z) for z in eig),
-        margins=tuple(float(m) for m in margins),
-        hyperbolic=bool(margins.min() > 1e-6),
-        index=index,
-        index_with_flow=index,
-    )
+    return _element_report(spec, "singularity", x, None, eig, np.abs(eig.real), index)
 
 
 def classify_periodic(
@@ -454,15 +458,5 @@ def classify_periodic(
     mult = np.linalg.eigvals(ret)
     order = np.lexsort((np.angle(mult), np.abs(mult)))
     mult = mult[order]
-    margins = np.abs(np.abs(mult) - 1.0)
     index = int(np.sum(np.abs(mult) < 1.0))
-    return CriticalElementReport(
-        kind="periodic",
-        point=wrap_point(spec, p),
-        period=period,
-        spectrum=tuple(complex(z) for z in mult),
-        margins=tuple(float(m) for m in margins),
-        hyperbolic=bool(margins.min() > 1e-6),
-        index=index,
-        index_with_flow=index + 1,
-    )
+    return _element_report(spec, "periodic", p, period, mult, np.abs(np.abs(mult) - 1.0), index)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -100,12 +99,7 @@ def pairwise_distances(spec: VectorFieldSpec, a_pts, b_pts) -> np.ndarray:
     """All distances between two point sets, wrapping angle coordinates."""
     a = np.asarray(a_pts, dtype=float)
     b = np.asarray(b_pts, dtype=float)
-    diff = a[:, None, :] - b[None, :, :]
-    mask = spec.angle_mask
-    if mask.any():
-        p = spec.periods[mask]
-        diff[..., mask] = (diff[..., mask] + p / 2.0) % p - p / 2.0
-    return np.linalg.norm(diff, axis=-1)
+    return np.linalg.norm(coord_difference(spec, a[:, None], b[None]), axis=-1)
 
 
 def frechet_match(dist_matrix) -> tuple:
@@ -157,14 +151,10 @@ def frechet_match(dist_matrix) -> tuple:
 def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND):
     u = np.asarray(u_values, dtype=float)
     out = np.empty((len(u), spec.dim))
-    pos = u > 0
-    neg = u < 0
-    if pos.any():
-        traj = integrate(spec, y, (0.0, float(u.max())), tol=tol, norm_bound=norm_bound)
-        out[pos] = traj.at_many(u[pos])
-    if neg.any():
-        traj = integrate(spec, y, (0.0, float(u.min())), tol=tol, norm_bound=norm_bound)
-        out[neg] = traj.at_many(u[neg])
+    for side, end in ((u > 0, u.max()), (u < 0, u.min())):
+        if side.any():
+            traj = integrate(spec, y, (0.0, float(end)), tol=tol, norm_bound=norm_bound)
+            out[side] = traj.at_many(u[side])
     zero = u == 0.0
     if zero.any():
         out[zero] = np.asarray(y, dtype=float)
@@ -297,7 +287,6 @@ class _MatchObjective:
         try:
             return self.fit(y).distance
         except FlowDivergenceError:
-            self.evaluations += 1
             return np.inf
 
 
@@ -411,7 +400,6 @@ def search_shadowing(
     budget: Optional[SearchBudget] = None,
     slope_bounds=(0.1, 10.0),
     tol: float = DEFAULT_TOL,
-    threads: int = 1,
 ) -> ShadowingReport:
     """Search the seed box for a point whose reparametrized orbit stays
     ``epsilon``-close to the chain.
@@ -443,11 +431,7 @@ def search_shadowing(
     )
 
     candidates = _coarse_grid(seed_region, max(1, budget.candidates - budget.refine_evals))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(obj, [c for c in candidates]))
-    else:
-        values = [obj(c) for c in candidates]
+    values = [obj(c) for c in candidates]
     best_idx = int(np.argmin(values))
     y_best = candidates[best_idx]
     f_best = values[best_idx]
@@ -499,11 +483,10 @@ def search_shadowing(
             samples=4 * budget.eval_samples + 1,
             tol=tol,
         )
+        achieved = dense
         if dense < epsilon:
             verdict = "shadowed"
-            achieved = dense
         else:
-            achieved = dense
             notes.append(
                 f"matched distance {fit.distance:.6g} was below epsilon but the dense "
                 f"verification gave {dense:.6g}"

@@ -328,6 +328,25 @@ class QuasiHyperbolicCertificate:
     worst_slack: float
 
 
+def _partition(cocycle: NormalCocycle, length: float, step: float) -> list:
+    """Cocycle indices of ``0, step, 2 step, ...`` up to ``length``; the last
+    step absorbs the remainder."""
+    n_full = int(math.floor(length / step + 1e-9))
+    return [cocycle.index_of_time(b) for b in [j * step for j in range(n_full)] + [length]]
+
+
+def _partition_log_norms(est: SplittingEstimate, idx) -> tuple:
+    """Per-step stable log-norm and unstable log-conorm of the window
+    products between consecutive cocycle indices ``idx``."""
+    a, b = [], []
+    for i, j in zip(idx, idx[1:]):
+        w = est.cocycle.window_product(i, j)
+        bs, bu = est.basis_at(i)
+        a.append(math.log(np.linalg.norm(w @ bs, 2)))
+        b.append(math.log(np.linalg.svd(w @ bu, compute_uv=False)[-1]))
+    return np.array(a), np.array(b)
+
+
 def check_quasi_hyperbolic(
     spec: VectorFieldSpec,
     x,
@@ -356,23 +375,14 @@ def check_quasi_hyperbolic(
             f"the splitting estimate is anchored {anchor_gap:.3g} away from the arc start"
         )
 
-    n_full = int(math.floor(tau / big_t + 1e-9))
-    bounds = [j * big_t for j in range(n_full)] + [tau]
-    idx = [cocycle.index_of_time(b) for b in bounds]
+    idx = _partition(cocycle, tau, big_t)
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError("big_t is too small for the cocycle sample grid")
     if idx[0] < est.k_lo or idx[-1] > est.k_hi:
         raise ValueError("the cocycle does not cover the arc plus one window; pad it")
 
     snapped = [float(cocycle.times[i]) for i in idx]
-    steps = len(idx) - 1
-    a = np.empty(steps)
-    b = np.empty(steps)
-    for j in range(steps):
-        w = cocycle.window_product(idx[j], idx[j + 1])
-        bs, bu = est.basis_at(idx[j])
-        a[j] = math.log(np.linalg.norm(w @ bs, 2))
-        b[j] = math.log(np.linalg.svd(w @ bu, compute_uv=False)[-1])
+    a, b = _partition_log_norms(est, idx)
     durations = np.diff(snapped)
     lead_t = np.cumsum(durations)
     lead = -eta - np.cumsum(a) / lead_t
@@ -462,15 +472,10 @@ def uniform_periodic_estimates(
             gap = (np.log(conorms) - np.log(norms)) / t - 2.0 * eta
             slack_gap = min(slack_gap, float(gap.min()))
 
-        n_full = int(math.floor(period / t_min + 1e-9))
-        bounds = [j * t_min for j in range(n_full)] + [period]
-        idx = [cocycle.index_of_time(b) for b in bounds]
-        a_sum = b_sum = 0.0
-        for j in range(len(idx) - 1):
-            w = cocycle.window_product(idx[j], idx[j + 1])
-            bs, bu = est.basis_at(idx[j])
-            a_sum += math.log(np.linalg.norm(w @ bs, 2))
-            b_sum += math.log(np.linalg.svd(w @ bu, compute_uv=False)[-1])
+        idx = _partition(cocycle, period, t_min)
+        a, b = _partition_log_norms(est, idx)
+        # built-in sum adds left to right, unlike np.sum's pairwise rounding
+        a_sum, b_sum = sum(a), sum(b)
         span = float(cocycle.times[idx[-1]] - cocycle.times[idx[0]])
         slack_stable = -eta - a_sum / span
         slack_unstable = b_sum / span - eta

@@ -165,6 +165,8 @@ def test_time_sample_grid(scenarios):
         ({"region": [[-0.25, 0.25]] * 2 + [[-0.23, 0.25]]},
          "integer multiple of hgrid"),
         ({"cell_cap": 10}, "125 cells exceed the cap 10"),
+        ({"region": [[-0.25, 0.25], [0.25, -0.25], [-0.25, 0.25]]},
+         "region axis 1 is inverted"),
     ],
 )
 def test_build_rejects_bad_arguments(scenarios, kwargs, message):

