@@ -4,7 +4,9 @@ All diagnostics run over a sampled :class:`~flowlab.poincare.NormalCocycle`.
 Stable bundles are recovered from backward window products, unstable ones
 from forward products; long products are composed from the per-step
 transitions (inverting only single steps), which keeps conditioning under
-control even along strongly hyperbolic orbits.
+control even along strongly hyperbolic orbits.  Window scans push the bundle
+bases forward rather than forming full products, and a rank-1 bundle's
+extreme singular value is in closed form: the column norm, with no SVD.
 """
 
 from __future__ import annotations
@@ -42,11 +44,6 @@ class DominationGapError(RuntimeError):
 
 class SplittingDegenerateError(RuntimeError):
     """Estimated stable and unstable bundles are nearly tangent somewhere."""
-
-
-def _orth(cols: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(cols)
-    return q
 
 
 class SplittingEstimate:
@@ -111,12 +108,12 @@ def estimate_splitting(
     w = cocycle.window_product(0, window)
     unstable[window] = np.linalg.svd(w)[0][:, :q]
     for k in range(window + 1, m + 1):
-        unstable[k] = _orth(cocycle.trans[k - 1] @ unstable[k - 1])
+        unstable[k] = np.linalg.qr(cocycle.trans[k - 1] @ unstable[k - 1])[0]
 
     w = cocycle.window_product(m - window, m)
     stable[m - window] = np.linalg.svd(w)[2].T[:, n1 - p :]
     for k in range(m - window - 1, -1, -1):
-        stable[k] = _orth(np.linalg.solve(cocycle.trans[k], stable[k + 1]))
+        stable[k] = np.linalg.qr(np.linalg.solve(cocycle.trans[k], stable[k + 1]))[0]
 
     gap_min = np.inf
     for k in np.unique(np.linspace(0, m - window, 8).astype(int)):
@@ -149,24 +146,30 @@ def estimate_splitting(
     return SplittingEstimate(cocycle, p, window, stable, unstable, gap_min, residual)
 
 
+def _extreme_singular_values(a: np.ndarray, largest: bool) -> np.ndarray:
+    """Largest (or smallest) singular value of each ``(n, r)`` matrix in ``a``;
+    for a single column (``r = 1``) both are its Euclidean norm."""
+    if a.shape[-1] == 1:
+        return np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    return np.linalg.svd(a, compute_uv=False)[..., 0 if largest else -1]
+
+
 def _batched_window_scan(est: SplittingEstimate, ks: np.ndarray, j_max: int):
     """Yield ``(j, norms, conorms)`` for window products of length ``j``.
 
     ``norms[k]`` is the largest singular value of the product restricted to
     the stable basis at base ``ks[k]``; ``conorms[k]`` the smallest singular
-    value restricted to the unstable basis.  Products grow incrementally,
-    one batched matrix multiply per step.
+    value restricted to the unstable basis.  The restricted products grow
+    incrementally: each step maps both bases forward by one batched
+    transition multiply, and the full product is never formed.
     """
     trans = est.cocycle.trans
-    n1 = trans.shape[1]
-    bs = est.stable[ks]
-    bu = est.unstable[ks]
-    w = np.broadcast_to(np.eye(n1), (len(ks), n1, n1)).copy()
+    vs, vu = est.stable[ks], est.unstable[ks]
     for j in range(1, j_max + 1):
-        w = trans[ks + (j - 1)] @ w
-        norms = np.linalg.svd(w @ bs, compute_uv=False)[:, 0]
-        conorms = np.linalg.svd(w @ bu, compute_uv=False)[:, -1]
-        yield j, norms, conorms
+        step = trans[ks + (j - 1)]
+        vs = step @ vs
+        vu = step @ vu
+        yield j, _extreme_singular_values(vs, True), _extreme_singular_values(vu, False)
 
 
 @dataclass(frozen=True)
@@ -272,9 +275,7 @@ def fit_hyperbolic(
         ts.extend([t] * len(ks))
         log_s.extend(np.log(norms))
         log_u.extend(np.log(1.0 / conorms))
-    ts = np.asarray(ts)
-    log_s = np.asarray(log_s)
-    log_u = np.asarray(log_u)
+    ts, log_s, log_u = np.asarray(ts), np.asarray(log_s), np.asarray(log_u)
 
     slope_s = np.polyfit(ts, log_s, 1)[0]
     slope_u = np.polyfit(ts, log_u, 1)[0]
@@ -330,8 +331,8 @@ class QuasiHyperbolicCertificate:
 
 def _partition(cocycle: NormalCocycle, length: float, step: float) -> list:
     """Cocycle indices of ``0, step, 2 step, ...`` up to ``length``; the last
-    step absorbs the remainder."""
-    n_full = int(math.floor(length / step + 1e-9))
+    step absorbs the remainder, and a ``length`` below ``step`` is one step."""
+    n_full = max(1, int(math.floor(length / step + 1e-9)))
     return [cocycle.index_of_time(b) for b in [j * step for j in range(n_full)] + [length]]
 
 
@@ -342,8 +343,8 @@ def _partition_log_norms(est: SplittingEstimate, idx) -> tuple:
     for i, j in zip(idx, idx[1:]):
         w = est.cocycle.window_product(i, j)
         bs, bu = est.basis_at(i)
-        a.append(math.log(np.linalg.norm(w @ bs, 2)))
-        b.append(math.log(np.linalg.svd(w @ bu, compute_uv=False)[-1]))
+        a.append(math.log(_extreme_singular_values(w @ bs, True)))
+        b.append(math.log(_extreme_singular_values(w @ bu, False)))
     return np.array(a), np.array(b)
 
 
@@ -430,8 +431,9 @@ def uniform_periodic_estimates(
     along the orbit and all grid times ``t in [t_min, 3 * period]``, that
     the conorm/norm rate gap ``(log conorm_u - log norm_s) / t`` clears
     ``2 * eta`` (slack ``slack_rate_gap``), and that the ``t_min``-step
-    partition of one period has averaged stable log-norms at most ``-eta``
-    and averaged unstable log-conorms at least ``eta``.
+    partition of one period (the whole period as one step when ``t_min``
+    exceeds it) has averaged stable log-norms at most ``-eta`` and averaged
+    unstable log-conorms at least ``eta``.
     """
     if t_min <= 0 or eta <= 0:
         raise ValueError("t_min and eta must be positive")
@@ -447,14 +449,13 @@ def uniform_periodic_estimates(
         period = float(rep.period)
         if 3.0 * period < t_min:
             raise ValueError(f"t_min={t_min:.6g} exceeds three periods of the orbit")
-        p_stable = rep.index if 1 <= rep.index <= spec.dim - 2 else None
-        if p_stable is None:
+        if not 1 <= rep.index <= spec.dim - 2:
             raise ValueError("orbit must have nontrivial stable and unstable parts")
         total = 4.0 * period + 2.0 * window_time
         cocycle = build_cocycle(
             spec, np.asarray(rep.point, dtype=float), total, dt, t_start=-window_time, tol=tol
         )
-        est = estimate_splitting(cocycle, p_stable, window_time)
+        est = estimate_splitting(cocycle, rep.index, window_time)
 
         base_times = np.linspace(0.0, period, 17)[:-1]
         ks = np.unique([cocycle.index_of_time(t) for t in base_times])
@@ -475,10 +476,9 @@ def uniform_periodic_estimates(
         idx = _partition(cocycle, period, t_min)
         a, b = _partition_log_norms(est, idx)
         # built-in sum adds left to right, unlike np.sum's pairwise rounding
-        a_sum, b_sum = sum(a), sum(b)
         span = float(cocycle.times[idx[-1]] - cocycle.times[idx[0]])
-        slack_stable = -eta - a_sum / span
-        slack_unstable = b_sum / span - eta
+        slack_stable = -eta - sum(a) / span
+        slack_unstable = sum(b) / span - eta
 
         orbit_ok = min(slack_gap, slack_stable, slack_unstable) >= -1e-12
         ok = ok and orbit_ok

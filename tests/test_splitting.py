@@ -19,6 +19,7 @@ from flowlab import (
     fit_hyperbolic,
     uniform_periodic_estimates,
 )
+from flowlab.splitting import _batched_window_scan
 
 # Normal rates on the r = 1 cycle of saddle_cycle: radial e^{-2t}, vertical e^{t}.
 RADIAL_RATE = -2.0
@@ -170,6 +171,60 @@ def test_check_domination_validation(saddle_est, l, message):
         check_domination(est, l)
 
 
+def _assert_scan_matches_svd(est, ks, js):
+    """The scan's norms/conorms equal direct SVDs of the restricted window
+    products ``window_product(k, k + j) @ basis`` to relative 1e-12."""
+    ks = np.asarray(ks)
+    scanned = {j: (n, c) for j, n, c in _batched_window_scan(est, ks, max(js)) if j in js}
+    for j in js:
+        norms, conorms = scanned[j]
+        for i, k in enumerate(ks):
+            w = est.cocycle.window_product(int(k), int(k) + j)
+            bs, bu = est.basis_at(int(k))
+            norm = np.linalg.svd(w @ bs, compute_uv=False)[0]
+            conorm = np.linalg.svd(w @ bu, compute_uv=False)[-1]
+            assert norms[i] == pytest.approx(norm, rel=1e-12)
+            assert conorms[i] == pytest.approx(conorm, rel=1e-12)
+
+
+def test_window_scan_matches_direct_svd_rank_one(saddle_est):
+    _, est = saddle_est
+    _assert_scan_matches_svd(est, [60, 77, 100], (1, 7, 40))
+
+
+@pytest.fixture(scope="module")
+def rotated_diagonal_cocycle():
+    """A constant normal cocycle with three normal directions and rates
+    -2, 1, 2, seen in a fixed random orthonormal frame."""
+    dt, m = 0.01, 700
+    q = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0]
+    step = q @ np.diag(np.exp(np.array([-2.0, 1.0, 2.0]) * dt)) @ q.T
+    times = -3.0 + dt * np.arange(m + 1)
+    points = np.zeros((m + 1, 4))
+    frames = np.broadcast_to(np.eye(4)[:, 1:], (m + 1, 4, 3))
+    trans = np.broadcast_to(step, (m, 3, 3)).copy()
+    return NormalCocycle(None, times, points, frames, trans, 1e-10)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_window_scan_matches_direct_svd_wide_bundles(rotated_diagonal_cocycle, p):
+    est = estimate_splitting(rotated_diagonal_cocycle, p)
+    assert est.stable.shape[2] == p and est.unstable.shape[2] == 3 - p
+    _assert_scan_matches_svd(est, [300, 333, 380], (1, 9, 50))
+
+
+def test_check_domination_flips_at_closed_form_with_wide_bundle(rotated_diagonal_cocycle):
+    """Stable rate -2 against the rank-2 unstable bundle's weakest rate 1:
+    the checked product is e^{-3t}, so the verdict flips at l = ln(2)/3."""
+    est = estimate_splitting(rotated_diagonal_cocycle, 1)
+    l_star = math.log(2.0) / 3.0
+    below = check_domination(est, l_star - 0.01)
+    above = check_domination(est, l_star + 0.01)
+    assert not below.ok and above.ok
+    for dom in (below, above):
+        assert dom.worst_product == pytest.approx(math.exp(-3.0 * dom.worst_t), rel=1e-9)
+
+
 def test_fit_recovers_cycle_rates(saddle_est):
     _, est = saddle_est
     fit = fit_hyperbolic(est)
@@ -310,6 +365,19 @@ def test_uniform_estimates_on_saddle_cycle(scenarios, cycle_report):
     assert orb["slack_rate_gap"] == pytest.approx(2.0, abs=0.05)
     assert orb["slack_stable_sum"] == pytest.approx(1.5, abs=0.02)
     assert orb["slack_unstable_sum"] == pytest.approx(0.5, abs=0.02)
+
+
+def test_uniform_estimates_t_min_beyond_one_period(scenarios, cycle_report):
+    """With t_min above the period, the period is partitioned as one step."""
+    spec = scenarios["saddle_cycle"].spec
+    eta = 0.5
+    out = uniform_periodic_estimates(spec, [cycle_report], t_min=7.0, eta=eta)
+    assert out.ok
+    orb = out.orbits[0]
+    assert orb["ok"]
+    assert orb["slack_rate_gap"] == pytest.approx(3.0 - 2.0 * eta, rel=1e-2)
+    assert orb["slack_stable_sum"] == pytest.approx(2.0 - eta, rel=1e-2)
+    assert orb["slack_unstable_sum"] == pytest.approx(1.0 - eta, rel=1e-2)
 
 
 def test_uniform_estimates_fail_beyond_gap(scenarios, cycle_report):
