@@ -72,9 +72,11 @@ class VectorFieldSpec:
     dim : int
         State dimension.
     field : callable
-        ``x -> dx/dt``, both of shape ``(dim,)``.
+        ``x -> dx/dt``, row by row: maps ``(..., dim)`` to ``(..., dim)``, so
+        one point ``(dim,)`` or a batch ``(N, dim)``.
     jacobian : callable
-        ``x -> (dim, dim)`` derivative of ``field``.
+        Derivative of ``field``: maps ``(..., dim)`` to an array that
+        broadcasts to ``(..., dim, dim)``.
     coord_kinds : sequence, optional
         One entry per coordinate: the string ``"linear"`` or a pair
         ``("angle", period)``.  Defaults to all linear.
@@ -177,11 +179,13 @@ class Trajectory:
         lo, hi = sorted((self.t0, self.t_end))
         return (lo, hi)
 
-    def _check_time(self, t: float) -> None:
+    def _check_time(self, t) -> None:
         lo, hi = self.span
         slack = 1e-9 * max(1.0, hi - lo)
-        if lo - slack <= t <= hi + slack:
+        inside = (lo - slack <= t) & (t <= hi + slack)
+        if np.all(inside):
             return
+        t = float(np.ravel(t)[np.argmin(inside)])
         if self.escaped:
             raise FlowDivergenceError(
                 f"trajectory from {self.x0} escaped at t={self.t_end:.6g}; "
@@ -198,8 +202,7 @@ class Trajectory:
 
     def at_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        for t in ts:
-            self._check_time(float(t))
+        self._check_time(ts)
         out = np.asarray(self._interp(ts), dtype=float).T
         exact = ts == self.t0
         if exact.any():
@@ -213,19 +216,26 @@ class Trajectory:
         return self.at_many(ts)
 
 
-def _escape_event(norm_bound: float, dim: int):
-    """Terminal event: the norm of the first ``dim`` entries reaches ``norm_bound``."""
+def _escape_event(norm_bound: float, dim: int, rows: int = 1):
+    """Terminal event: the state holds ``rows`` equal-length rows, and the
+    largest norm of a row's first ``dim`` entries reaches ``norm_bound``."""
 
     def ev(t, y):
-        return norm_bound - float(np.linalg.norm(y[:dim]))
+        if rows == 1:
+            return norm_bound - float(np.linalg.norm(y[:dim]))
+        return norm_bound - float(np.linalg.norm(y.reshape(rows, -1)[:, :dim], axis=1).max())
 
     ev.terminal = True
     ev.direction = -1
     return ev
 
 
-def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False):
-    """DOP853 solve with the divergence guard; returns ``(sol, escaped)``."""
+def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1):
+    """DOP853 solve with the divergence guard; returns ``(sol, escaped)``.
+
+    ``y0`` holds ``rows`` equal problems; under an RMS error norm, tolerances
+    over ``sqrt(rows)`` keep each row's error within a solo solve's."""
+    tol = tol / np.sqrt(rows)
     sol = solve_ivp(
         rhs,
         t_span,
@@ -234,7 +244,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False):
         dense_output=dense_output,
         rtol=tol,
         atol=tol / 100.0,
-        events=[_escape_event(norm_bound, spec.dim)],
+        events=[_escape_event(norm_bound, spec.dim, rows)],
     )
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")
@@ -301,6 +311,22 @@ def flow_at(
     return integrate(spec, x, (0.0, t), tol=tol, norm_bound=norm_bound).at(t)
 
 
+def _check_batch_contract(spec: VectorFieldSpec, xs: np.ndarray) -> None:
+    """Compare ``field`` and ``jacobian`` on ``dim + 1`` rows of ``xs`` with per-point
+    values; ``dim + 1`` rows are never square, so ``a @ x`` fails, not mixes rows."""
+    n = spec.dim
+    probe = xs[np.arange(n + 1) % len(xs)]
+    try:
+        jac = np.broadcast_to(spec.jacobian_at(probe), (n + 1, n, n)).reshape(n + 1, -1)
+        batch = np.hstack([spec.field_at(probe), jac])
+        rows = np.array([np.append(spec.field_at(p), spec.jacobian_at(p)) for p in probe])
+        if np.all(abs(batch - rows) <= 1e-12 * (1.0 + abs(rows))):
+            return
+    except (ValueError, IndexError, TypeError):
+        pass
+    raise ValueError(f"{spec.name}: field and jacobian must accept (N, {n}) batches, row by row")
+
+
 def tangent_flow(
     spec: VectorFieldSpec,
     x,
@@ -310,36 +336,43 @@ def tangent_flow(
 ):
     """Solve the variational equation along the orbit of ``x``.
 
+    ``x`` is one point ``(dim,)`` or a batch ``(N, dim)`` solved as one system.
+
     Returns
     -------
     (x_t, M) : tuple of ndarray
         The endpoint ``X_t(x)`` and the derivative ``D X_t(x)`` of shape
-        ``(dim, dim)``, obtained by integrating ``V' = J(x(t)) V`` from the
-        identity alongside the base orbit.
+        ``(dim, dim)``, with a leading ``N`` for a batch; ``V' = J(x(t)) V``
+        is integrated from the identity alongside the base orbit.
     """
     x = np.asarray(x, dtype=float)
     n = spec.dim
-    if x.shape != (n,):
-        raise ValueError(f"x has shape {x.shape}, expected ({n},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != n or x.size == 0:
+        raise ValueError(f"x has shape {x.shape}, expected ({n},) or (N, {n})")
     t = float(t)
+    lead, rows = x.shape[:-1], x.reshape(-1, n)
+    eye = np.broadcast_to(np.eye(n), lead + (n, n))
     if t == 0.0:
-        return x.copy(), np.eye(n)
+        return x.copy(), eye.copy()
+    if x.ndim == 2:
+        _check_batch_contract(spec, x)
 
     def rhs(s, y):
-        base = y[:n]
-        v = y[n:].reshape(n, n)
-        return np.concatenate(
-            [np.asarray(spec.field(base), dtype=float), (spec.jacobian_at(base) @ v).ravel()]
-        )
+        y = y.reshape(lead + (n + n * n,))
+        jv = spec.jacobian_at(y[..., :n]) @ y[..., n:].reshape(eye.shape)
+        return np.concatenate([spec.field_at(y[..., :n]), jv.reshape(lead + (-1,))], -1).ravel()
 
-    y0 = np.concatenate([x, np.eye(n).ravel()])
-    sol, escaped = _solve(spec, rhs, (0.0, t), y0, tol, norm_bound, "variational integration")
+    y0 = np.concatenate([rows, eye.reshape(len(rows), -1)], axis=1).ravel()
+    sol, escaped = _solve(
+        spec, rhs, (0.0, t), y0, tol, norm_bound, "variational integration", rows=len(rows)
+    )
+    y_end = sol.y[:, -1].reshape(len(rows), -1)
     if escaped:
+        far = rows[np.argmax(np.linalg.norm(y_end[:, :n], axis=1))]
         raise FlowDivergenceError(
-            f"{spec.name}: orbit from {x} crossed norm {norm_bound:.3g} during tangent flow"
+            f"{spec.name}: orbit from {far} crossed norm {norm_bound:.3g} during tangent flow"
         )
-    y_end = sol.y[:, -1]
-    return y_end[:n].copy(), y_end[n:].reshape(n, n).copy()
+    return y_end[:, :n].reshape(x.shape).copy(), y_end[:, n:].reshape(eye.shape).copy()
 
 
 def validate_jacobian(

@@ -3,7 +3,8 @@
 Each constructor returns a :class:`Scenario`: the field itself plus a
 :class:`ScenarioFacts` record of closed-form or by-construction data
 (singularities, periodic orbits, spectra, conserved quantities) that tests
-and pipelines check against, never the other way around.
+and pipelines check against, never the other way around.  Fields and
+Jacobians take one point or a batch ``(..., dim)``.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def linear_saddle3d() -> Scenario:
     spec = VectorFieldSpec(
         name="linear_saddle3d",
         dim=3,
-        field=lambda x: a @ x,
+        field=lambda x: x @ a,  # a is diagonal, so x @ a = a x
         jacobian=lambda x: a,
     )
     facts = ScenarioFacts(
@@ -123,20 +124,20 @@ def saddle_cycle() -> Scenario:
     """
 
     def field(x):
-        r2 = x[0] * x[0] + x[1] * x[1]
-        return np.array(
-            [x[0] * (1.0 - r2) - x[1], x[1] * (1.0 - r2) + x[0], x[2]]
-        )
+        x0, x1, x2 = x.T
+        r2 = x0 * x0 + x1 * x1
+        return np.array([x0 * (1.0 - r2) - x1, x1 * (1.0 - r2) + x0, x2]).T
 
     def jacobian(x):
-        r2 = x[0] * x[0] + x[1] * x[1]
-        return np.array(
-            [
-                [1.0 - r2 - 2.0 * x[0] * x[0], -2.0 * x[0] * x[1] - 1.0, 0.0],
-                [-2.0 * x[0] * x[1] + 1.0, 1.0 - r2 - 2.0 * x[1] * x[1], 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
+        x0, x1, _ = x.T
+        r2 = x0 * x0 + x1 * x1
+        out = np.zeros(x.shape + (3,))
+        out[..., 0, 0] = 1.0 - r2 - 2.0 * x0 * x0
+        out[..., 0, 1] = -2.0 * x0 * x1 - 1.0
+        out[..., 1, 0] = -2.0 * x0 * x1 + 1.0
+        out[..., 1, 1] = 1.0 - r2 - 2.0 * x1 * x1
+        out[..., 2, 2] = 1.0
+        return out
 
     spec = VectorFieldSpec(name="saddle_cycle", dim=3, field=field, jacobian=jacobian)
     facts = ScenarioFacts(
@@ -166,11 +167,12 @@ def center_cycle() -> Scenario:
     conserved.
     """
     jac = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    e0 = np.array([1.0, 0.0, 0.0])
 
     spec = VectorFieldSpec(
         name="center_cycle",
         dim=3,
-        field=lambda x: np.array([1.0, 0.0, -x[2]]),
+        field=lambda x: x @ jac + e0,  # jac is diagonal, so x @ jac = jac x
         jacobian=lambda x: jac,
         coord_kinds=(("angle", 2.0 * math.pi), "linear", "linear"),
         conserved=ConservedQuantity(lambda x: float(x[1]), 1.0, "family-parameter"),
@@ -194,14 +196,8 @@ def center_cycle() -> Scenario:
 
 def _check_higher_order(k_func, epsilon: float) -> None:
     # o(|x|^2) near 0: the ratio |K(x)|/|x|^2 must decay with the radius.
-    dirs = []
-    for i in (0, 1):
-        for s in (1.0, -1.0):
-            d = np.zeros(2)
-            d[i] = s
-            dirs.append(d)
-    dirs.append(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    dirs.append(np.array([-1.0, 1.0]) / math.sqrt(2.0))
+    s = 1.0 / math.sqrt(2.0)
+    dirs = [np.array(d, float) for d in ((1, 0), (-1, 0), (0, 1), (0, -1), (s, s), (-s, s))]
     radii = [1e-1 * epsilon, 1e-2 * epsilon, 1e-3 * epsilon]
     ratios = []
     for r in radii:
@@ -230,7 +226,8 @@ def neutral_line(
     ``epsilon/4`` by the cutoff of :func:`bump_function`, so the field
     coincides with the pure linear block exactly on that ball.  With the
     default ``K = 0`` the first coordinate is conserved globally and the
-    entire first axis consists of equilibria.
+    entire first axis consists of equilibria.  The field accepts batches
+    when ``K`` and its Jacobian do.
     """
     b_rate = float(b_rate)
     epsilon = float(epsilon)
@@ -238,11 +235,11 @@ def neutral_line(
         raise ValueError("b_rate must be negative")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d = np.diag([0.0, b_rate])
+    d = np.diag([0.0, b_rate])  # diagonal, so x @ d = d x below
 
     conserved = None
     if nonlinearity is None:
-        field = lambda x: d @ x
+        field = lambda x: x @ d
         jacobian = lambda x: d
         conserved = ConservedQuantity(lambda x: float(x[0]), 1.0, "segment-coordinate")
     else:
@@ -251,16 +248,15 @@ def neutral_line(
         beta, beta_prime = bump_function(epsilon)
 
         def field(x):
-            r = float(np.linalg.norm(x))
-            return d @ x + (1.0 - beta(r)) * np.asarray(k_func(x), dtype=float)
+            r = np.linalg.norm(x, axis=-1, keepdims=True)
+            return x @ d + (1.0 - beta(r)) * np.asarray(k_func(x), dtype=float)
 
         def jacobian(x):
-            r = float(np.linalg.norm(x))
+            r = np.linalg.norm(x, axis=-1, keepdims=True)[..., None]
             out = d + (1.0 - beta(r)) * np.asarray(k_jac(x), dtype=float)
-            db = beta_prime(r)
-            if db != 0.0 and r > 0.0:
-                out = out - np.outer(np.asarray(k_func(x), dtype=float), db * x / r)
-            return out
+            radial = x[..., None, :] / np.where(r > 0.0, r, 1.0)
+            k = np.asarray(k_func(x), dtype=float)[..., :, None]
+            return out - beta_prime(r) * k * radial
 
     spec = VectorFieldSpec(
         name="neutral_line",
@@ -307,11 +303,12 @@ def neutral_rotation(
     if b_rate >= 0:
         raise ValueError("b_rate must be negative")
     a = np.array([[0.0, omega, 0.0], [-omega, 0.0, 0.0], [0.0, 0.0, b_rate]])
+    at = np.ascontiguousarray(a.T)
 
     spec = VectorFieldSpec(
         name="neutral_rotation",
         dim=3,
-        field=lambda x: a @ x,
+        field=lambda x: x @ at,
         jacobian=lambda x: a,
         conserved=ConservedQuantity(
             lambda x: float(math.hypot(x[0], x[1])), 1.0, "rotation-radius"

@@ -87,6 +87,57 @@ def test_escape_raise_and_truncate(scenarios):
         traj.at(6.0)
 
 
+def test_at_many_names_first_time_outside_span(scenarios):
+    spec = scenarios["linear_saddle3d"].spec
+    x0 = np.array([0.0, 0.0, 1.0])
+    traj = integrate(spec, x0, (0.0, 2.0))
+    assert np.array_equal(traj.at_many([0.0, 1.0]), [traj.at(0.0), traj.at(1.0)])
+    with pytest.raises(ValueError, match=r"t=3 outside integrated span \[0, 2\]"):
+        traj.at_many([0.5, 3.0, -1.0, 4.0])
+    with pytest.raises(ValueError, match="t=-1 outside"):
+        traj.at_many([-1.0, 3.0])
+    escaped = integrate(spec, x0, (0.0, 20.0), norm_bound=100.0, on_escape="truncate")
+    with pytest.raises(FlowDivergenceError, match=r"escaped at t=4\.6.*requested t=6$"):
+        escaped.at_many([1.0, 6.0, 7.0])
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_builtin_fields_accept_batches(name, scenarios, rng):
+    """Row i of a batched field or Jacobian is the per-point value at row i."""
+    spec = scenarios[name].spec
+    xs = sample_box_points(scenarios[name], rng, 7)
+    fields = spec.field(xs)
+    jacs = np.broadcast_to(spec.jacobian(xs), (7, spec.dim, spec.dim))
+    assert fields.shape == xs.shape
+    for i, x in enumerate(xs):
+        assert np.array_equal(fields[i], spec.field_at(x))
+        assert np.array_equal(jacs[i], spec.jacobian_at(x))
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_batched_tangent_flow_matches_solo(name, scenarios, rng):
+    spec = scenarios[name].spec
+    xs = sample_box_points(scenarios[name], rng, 6)
+    ends, derivs = tangent_flow(spec, xs, 0.7)
+    assert ends.shape == (6, spec.dim) and derivs.shape == (6, spec.dim, spec.dim)
+    for x, end, deriv in zip(xs, ends, derivs):
+        solo_end, solo_deriv = tangent_flow(spec, x, 0.7)
+        assert np.max(np.abs(end - solo_end)) <= 1e-9 * (1.0 + np.max(np.abs(solo_end)))
+        assert np.max(np.abs(deriv - solo_deriv)) <= 1e-9 * (1.0 + np.max(np.abs(solo_deriv)))
+    one_end, one_deriv = tangent_flow(spec, xs[:1], 0.7)
+    solo_end, solo_deriv = tangent_flow(spec, xs[0], 0.7)
+    assert np.array_equal(one_end[0], solo_end) and np.array_equal(one_deriv[0], solo_deriv)
+
+
+def test_batched_tangent_flow_escape(scenarios):
+    spec = scenarios["linear_saddle3d"].spec
+    xs = np.array([[0.1, 0.0, 0.1], [0.0, 0.0, 5.0], [0.2, 0.1, 0.0]])
+    with pytest.raises(FlowDivergenceError, match=r"orbit from \[0\. 0\. 5\.\] crossed norm"):
+        tangent_flow(spec, xs, 1.0, norm_bound=10.0)
+    ends, _ = tangent_flow(spec, xs[[0, 2]], 1.0, norm_bound=10.0)
+    assert np.max(np.linalg.norm(ends, axis=1)) < 10.0
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_group_property(name, scenarios, rng):
     """X_s(X_t(x)) = X_{s+t}(x) within ten times the integrator tolerance."""

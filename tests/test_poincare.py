@@ -19,6 +19,7 @@ from flowlab import (
     linear_poincare,
     normal_frame,
     section_map,
+    tangent_flow,
 )
 from flowlab.scenarios import scenario_names
 
@@ -34,7 +35,7 @@ def broken_jacobian_spec():
     return VectorFieldSpec(
         name="broken",
         dim=3,
-        field=lambda x: a @ x,
+        field=lambda x: x @ a.T,
         jacobian=lambda x: np.diag([-2.0, -1.0, 1.2]),
     )
 
@@ -178,6 +179,59 @@ def test_build_cocycle_validation(scenarios):
         build_cocycle(spec, p, t_total=0.001, dt=0.001)
     with pytest.raises(ConsistencyError, match="at step"):
         build_cocycle(broken_jacobian_spec(), np.array([0.3, 0.3, 1.0]), 2.0, 0.5)
+
+
+def per_point_specs():
+    # fields written for one point at a time: they mix or drop batch rows
+    a = np.array([[-2.0, 1.0, 0.0], [0.0, -1.0, 0.5], [0.0, 0.0, 1.0]])
+    matrix = VectorFieldSpec(name="matrix", dim=3, field=lambda x: a @ x, jacobian=lambda x: a)
+
+    def field(x):
+        r2 = x[0] * x[0] + x[1] * x[1]
+        return np.array([x[0] * (1.0 - r2) - x[1], x[1] * (1.0 - r2) + x[0], x[2]])
+
+    def jacobian(x):
+        r2 = x[0] * x[0] + x[1] * x[1]
+        return np.array(
+            [
+                [1.0 - r2 - 2.0 * x[0] * x[0], -2.0 * x[0] * x[1] - 1.0, 0.0],
+                [-2.0 * x[0] * x[1] + 1.0, 1.0 - r2 - 2.0 * x[1] * x[1], 0.0],
+                [0.0, 0.0, 1.0],
+            ]
+        )
+
+    indexed = VectorFieldSpec(name="indexed", dim=3, field=field, jacobian=jacobian)
+    return [matrix, indexed]
+
+
+@pytest.mark.parametrize("spec", per_point_specs(), ids=lambda s: s.name)
+def test_batched_calls_reject_per_point_fields(spec):
+    x = np.array([1.0, 0.2, 0.1])
+    # a single point still works; batches of any size, including a square
+    # one (3 steps of a 3-dimensional field), are refused
+    tangent_flow(spec, x, 0.1)
+    msg = r"must accept \(N, 3\) batches"
+    for rows in (1, 2, 3, 4, 5):
+        with pytest.raises(ValueError, match=msg):
+            tangent_flow(spec, np.tile(x, (rows, 1)) + 0.01 * np.arange(rows)[:, None], 0.1)
+    for steps in (3, 40):
+        with pytest.raises(ValueError, match=msg):
+            build_cocycle(spec, x, 0.1 * steps, 0.1)
+
+
+def test_criterion_4_cocycle_matches_closed_form(scenarios):
+    """On the cycle every normal step has singular values e^dt and e^-2dt,
+    and each batched step equals a solo linear Poincare map."""
+    spec = scenarios["saddle_cycle"].spec
+    coc = build_cocycle(spec, np.array([1.0, 0.0, 0.0]), 16.0, 0.005, t_start=-3.0)
+    dt = coc.dt
+    assert coc.steps == 3200
+    sv = np.linalg.svd(coc.trans, compute_uv=False)
+    assert np.max(np.abs(sv[:, 0] - math.exp(dt))) <= 1e-9
+    assert np.max(np.abs(sv[:, 1] - math.exp(-2.0 * dt))) <= 1e-9
+    for k in (0, 31, 32, 1000, 3199):
+        assert np.max(np.abs(coc.trans[k] - linear_poincare(spec, coc.points[k], dt))) <= 1e-9
+    assert np.array_equal(coc.points[0], flow_at(spec, np.array([1.0, 0.0, 0.0]), -3.0))
 
 
 @pytest.mark.parametrize(
