@@ -230,11 +230,16 @@ def _escape_event(norm_bound: float, dim: int, rows: int = 1):
     return ev
 
 
-def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1):
+def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1, t_eval=None):
     """DOP853 solve with the divergence guard; returns ``(sol, escaped)``.
 
     ``y0`` holds ``rows`` equal problems; under an RMS error norm, tolerances
     over ``sqrt(rows)`` keep each row's error within a solo solve's."""
+    escape = _escape_event(norm_bound, spec.dim, rows)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("x0 must be finite")
+    if escape(t_span[0], y0) <= 0:
+        raise FlowDivergenceError("initial state already beyond the divergence bound")
     tol = tol / np.sqrt(rows)
     sol = solve_ivp(
         rhs,
@@ -242,9 +247,10 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
         y0,
         method="DOP853",
         dense_output=dense_output,
+        t_eval=t_eval,
         rtol=tol,
         atol=tol / 100.0,
-        events=[_escape_event(norm_bound, spec.dim, rows)],
+        events=[escape],
     )
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")
@@ -272,10 +278,6 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({spec.dim},)")
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
-    if np.linalg.norm(x0) >= norm_bound:
-        raise FlowDivergenceError("initial state already beyond the divergence bound")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 == t0:
         raise ValueError("integration span must have nonzero length")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.optimize import minimize
 
 from .chains import ConcatEvaluator, PseudoOrbit
@@ -23,9 +24,10 @@ from .flow import (
     DEFAULT_TOL,
     FlowDivergenceError,
     VectorFieldSpec,
+    _check_batch_contract,
+    _solve,
     coord_difference,
     flow_at,
-    integrate,
 )
 
 __all__ = [
@@ -96,69 +98,80 @@ class Reparametrization:
 
 
 def pairwise_distances(spec: VectorFieldSpec, a_pts, b_pts) -> np.ndarray:
-    """All distances between two point sets, wrapping angle coordinates."""
+    """All distances between two point sets, wrapping angle coordinates;
+    ``b_pts`` may be a stack ``(..., k, dim)``, giving ``(..., m, k)``."""
     a = np.asarray(a_pts, dtype=float)
     b = np.asarray(b_pts, dtype=float)
-    return np.linalg.norm(coord_difference(spec, a[:, None], b[None]), axis=-1)
+    return np.linalg.norm(coord_difference(spec, a[:, None], b[..., None, :, :]), axis=-1)
+
+
+def _frechet_values(d, choice=None) -> np.ndarray:
+    """End values of ``dp[i, j] = max(D[i, j], min(dp[i-1, j-1], dp[i-1, j], dp[i, j-1]))``
+    on a stack ``d`` ``(..., m, k)``, swept over a skewed copy whose row ``i + j`` is an
+    anti-diagonal indexed by ``i`` (``inf`` off the matrix).  A 2-d ``d`` may pass ``choice``
+    ``(m + k - 1, m)``, filled with 2, for the first-best picks: 0 diagonal, 1 up, 2 left."""
+    *lead, m, k = d.shape
+    skew = np.full((*lead, m + k - 1, m), np.inf)
+    step, unit = skew.strides[-2:]
+    as_strided(skew, d.shape, skew.strides[:-2] + (step + unit, step))[...] = d
+    prev2 = np.full((*lead, m), np.inf)
+    prev, cur = skew[..., 0, :].copy(), np.empty_like(prev2)
+    for s in range(1, m + k - 1):
+        cur[..., 0] = prev[..., 0]
+        np.minimum(prev2[..., :-1], prev[..., :-1], out=cur[..., 1:])
+        if choice is not None:
+            choice[s, 1:] = np.where(prev[1:] < cur[1:], 2, prev[:-1] < prev2[:-1])
+        np.minimum(cur[..., 1:], prev[..., 1:], out=cur[..., 1:])
+        np.maximum(cur, skew[..., s, :], out=cur)
+        prev2, prev, cur = prev, cur, prev2
+    return prev[..., m - 1]
 
 
 def frechet_match(dist_matrix) -> tuple:
     """Optimal monotone coupling of two sampled curves (min over couplings
-    of the max matched distance) with one matched index path.
-
-    Dynamic program over anti-diagonals:
-    ``dp[i, j] = max(D[i, j], min(dp[i-1, j], dp[i, j-1], dp[i-1, j-1]))``.
-    Returns ``(value, pairs)`` where ``pairs`` is an ``(L, 2)`` index array
-    visiting every row and every column monotonically.
-    """
+    of the max matched distance, :func:`_frechet_values`) with one matched
+    index path: ``(value, pairs)``, ``pairs`` an ``(L, 2)`` index array visiting
+    every row and column monotonically; ties prefer diagonal, up, then left."""
     d = np.asarray(dist_matrix, dtype=float)
     if d.ndim != 2 or d.size == 0:
         raise ValueError("distance matrix must be 2-d and nonempty")
     m, k = d.shape
-    dp = np.full((m, k), np.inf)
-    choice = np.zeros((m, k), dtype=np.uint8)  # 0 diagonal, 1 up, 2 left
-    dp[0, 0] = d[0, 0]
-    for s in range(1, m + k - 1):
-        i = np.arange(max(0, s - k + 1), min(m - 1, s) + 1)
-        j = s - i
-        cand = np.full((3, len(i)), np.inf)
-        both = (i >= 1) & (j >= 1)
-        cand[0, both] = dp[i[both] - 1, j[both] - 1]
-        up = i >= 1
-        cand[1, up] = dp[i[up] - 1, j[up]]
-        left = j >= 1
-        cand[2, left] = dp[i[left], j[left] - 1]
-        pick = np.argmin(cand, axis=0)
-        dp[i, j] = np.maximum(d[i, j], cand[pick, np.arange(len(i))])
-        choice[i, j] = pick
-    pairs = []
-    i, j = m - 1, k - 1
-    while True:
-        pairs.append((i, j))
-        if i == 0 and j == 0:
-            break
-        c = choice[i, j]
-        if c == 0:
-            i, j = i - 1, j - 1
-        elif c == 1:
-            i -= 1
-        else:
-            j -= 1
-    pairs.reverse()
-    return float(dp[m - 1, k - 1]), np.asarray(pairs, dtype=int)
+    choice = np.full((m + k - 1, m), 2, dtype=np.uint8)  # at (i + j, i)
+    value = _frechet_values(d, choice)
+    pairs = [(m - 1, k - 1)]
+    while pairs[-1] != (0, 0):
+        i, j = pairs[-1]
+        c = int(choice[i + j, i])
+        pairs.append((i - (c != 2), j - (c != 1)))
+    return float(value), np.asarray(pairs[::-1], dtype=int)
 
 
 def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND):
+    """Orbit of ``y`` at increasing times ``u``, ``(len(u), dim)``; rows
+    ``(N, dim)`` give ``(N, len(u), dim)`` from one solve per time direction."""
+    y = np.asarray(y, dtype=float)
     u = np.asarray(u_values, dtype=float)
-    out = np.empty((len(u), spec.dim))
-    for side, end in ((u > 0, u.max()), (u < 0, u.min())):
+    rows = y.reshape(-1, spec.dim)
+
+    def rhs(t, z):
+        return np.asarray(spec.field(z.reshape(y.shape)), dtype=float).ravel()
+
+    out = np.empty((len(rows), len(u), spec.dim))
+    out[:, u == 0.0] = rows[:, None]
+    for side, order in ((u > 0, slice(None)), (u < 0, slice(None, None, -1))):
         if side.any():
-            traj = integrate(spec, y, (0.0, float(end)), tol=tol, norm_bound=norm_bound)
-            out[side] = traj.at_many(u[side])
-    zero = u == 0.0
-    if zero.any():
-        out[zero] = np.asarray(y, dtype=float)
-    return out
+            ts = u[side][order]
+            sol, escaped = _solve(
+                spec, rhs, (0.0, ts[-1]), y.ravel(), tol, norm_bound, "integration",
+                rows=len(rows), t_eval=ts,
+            )
+            if escaped:
+                raise FlowDivergenceError(
+                    f"{spec.name}: an orbit crossed norm {norm_bound:.3g} "
+                    f"at t={sol.t_events[0][0]:.6g}"
+                )
+            out[:, side] = sol.y.reshape(len(rows), spec.dim, -1)[..., order].transpose(0, 2, 1)
+    return out.reshape(y.shape[:-1] + out.shape[1:])
 
 
 def _chain_time_grid(po: PseudoOrbit, horizon, target: Optional[int] = None) -> np.ndarray:
@@ -228,6 +241,10 @@ class ReparamFit:
     shift: float
 
 
+# Distances N * m * k stacked per block of lattice points: memory is flat in the lattice size
+_SCAN_ENTRIES = 1 << 16
+
+
 class _MatchObjective:
     """Chain-side samples are precomputed once; each call matches one orbit."""
 
@@ -289,6 +306,22 @@ class _MatchObjective:
         except FlowDivergenceError:
             return np.inf
 
+    def scan(self, lattice):
+        """Yield ``(ys, values)`` per block of the points in ``lattice``, each
+        point one evaluation.  A block (``_SCAN_ENTRIES`` distances, one row at
+        least) shares one orbit solve per time direction and one stacked
+        matching; a block where an orbit escapes is scored point by point."""
+        lattice = iter(lattice)
+        block = max(1, _SCAN_ENTRIES // (len(self.t_grid) * len(self.u_grid)))
+        while len(ys := np.array(list(itertools.islice(lattice, block)), dtype=float)):
+            try:
+                o_pts = _orbit_points(self.spec, ys, self.u_grid, self.tol)
+            except FlowDivergenceError:
+                yield ys, np.array([self(y) for y in ys])
+                continue
+            self.evaluations += len(ys)
+            yield ys, _frechet_values(pairwise_distances(self.spec, self.c_pts, o_pts))
+
 
 def best_reparam(
     spec: VectorFieldSpec,
@@ -324,8 +357,8 @@ def best_reparam(
 class SearchBudget:
     """Evaluation budget for :func:`search_shadowing`.
 
-    ``candidates`` caps the total objective evaluations; ``refine_evals`` of
-    them are reserved for the local refinement stage.  ``eval_samples``
+    ``candidates`` caps the lattice and refinement evaluations (the final fit
+    adds one); ``refine_evals < candidates`` of them refine locally.  ``eval_samples``
     controls the final dense verification grid (used at four times this
     count).  ``settle`` is the extra horizon time granted to chains with
     head or tail extensions.
@@ -337,6 +370,13 @@ class SearchBudget:
     orbit_samples: Optional[int] = None
     eval_samples: int = 257
     settle: float = 3.0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.refine_evals < self.candidates:
+            raise ValueError(
+                f"need 0 <= refine_evals < candidates (so candidates >= 1); got "
+                f"refine_evals = {self.refine_evals}, candidates = {self.candidates}"
+            )
 
 
 @dataclass(frozen=True)
@@ -372,10 +412,10 @@ class ShadowingReport:
         }
 
 
-def _coarse_grid(seed_region: np.ndarray, n_points: int) -> np.ndarray:
-    """Centered lattice over the seed box with odd per-axis counts, so the
-    exact box center (and exact coordinate subspaces through it) are grid
-    points."""
+def _coarse_axes(seed_region: np.ndarray, n_points: int) -> list:
+    """Axes of a centered lattice over the seed box with odd per-axis counts,
+    so the exact box center (and exact coordinate subspaces through it) are
+    grid points."""
     n = seed_region.shape[0]
     k = max(1, int(math.floor(n_points ** (1.0 / n))))
     if k > 1 and k % 2 == 0:
@@ -384,12 +424,9 @@ def _coarse_grid(seed_region: np.ndarray, n_points: int) -> np.ndarray:
     for lo, hi in seed_region:
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        if k == 1:
-            axes.append(np.array([center]))
-            continue
         offsets = np.linspace(0.0, half, (k + 1) // 2)
         axes.append(np.unique(np.concatenate([center - offsets, center + offsets])))
-    return np.array(list(itertools.product(*axes)))
+    return axes
 
 
 def search_shadowing(
@@ -404,12 +441,12 @@ def search_shadowing(
     """Search the seed box for a point whose reparametrized orbit stays
     ``epsilon``-close to the chain.
 
-    A centered coarse lattice is scanned with the matching objective, the
-    best cell is polished with Nelder-Mead, and a candidate below
-    ``epsilon`` must additionally pass the dense :func:`shadow_distance`
-    verification before the verdict ``"shadowed"`` is issued.  The verdict
-    ``"not_found"`` reports the best distance seen and is explicitly not a
-    proof of non-shadowability.
+    A centered coarse lattice is scanned with the matching objective in
+    batched blocks (``spec`` must accept ``(N, dim)`` batches), the best cell
+    is polished with Nelder-Mead, and a candidate below ``epsilon`` must
+    additionally pass the dense :func:`shadow_distance` verification before
+    the verdict ``"shadowed"`` is issued.  The verdict ``"not_found"`` reports
+    the best distance seen and is explicitly not a proof of non-shadowability.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -430,11 +467,11 @@ def search_shadowing(
         tol=tol,
     )
 
-    candidates = _coarse_grid(seed_region, max(1, budget.candidates - budget.refine_evals))
-    values = [obj(c) for c in candidates]
-    best_idx = int(np.argmin(values))
-    y_best = candidates[best_idx]
-    f_best = values[best_idx]
+    _check_batch_contract(spec, seed_region.T)
+    axes = _coarse_axes(seed_region, budget.candidates - budget.refine_evals)
+    coarse = math.prod(len(a) for a in axes)
+    blocks = obj.scan(itertools.product(*axes))
+    f_best, y_best = min(((v.min(), ys[np.argmin(v)]) for ys, v in blocks), key=lambda b: b[0])
 
     if budget.refine_evals > 0 and np.isfinite(f_best):
         res = minimize(
@@ -465,7 +502,7 @@ def search_shadowing(
             reparam_knots_t=None,
             reparam_knots_u=None,
             horizon=(lo, hi),
-            coarse_candidates=len(candidates),
+            coarse_candidates=coarse,
             evaluations=obj.evaluations,
             notes=tuple(notes + ["every candidate orbit left the divergence bound"]),
         )
@@ -499,7 +536,7 @@ def search_shadowing(
         reparam_knots_t=tuple(float(v) for v in fit.h.knots_t),
         reparam_knots_u=tuple(float(v) for v in fit.h.knots_u),
         horizon=(lo, hi),
-        coarse_candidates=len(candidates),
+        coarse_candidates=coarse,
         evaluations=obj.evaluations,
         notes=tuple(notes),
     )

@@ -126,6 +126,22 @@ def linear_chain_correction(rates, points, durations):
 
 def brute_frechet(dist_matrix):
     """Reference discrete Fréchet value via the plain nested-loop recurrence."""
+    return float(_brute_frechet_table(dist_matrix)[-1, -1])
+
+
+def brute_frechet_pairs(dist_matrix):
+    """Matched index path read back from the nested-loop table: from the last
+    cell, step to the smallest neighbour, preferring diagonal, up, then left."""
+    acc = _brute_frechet_table(dist_matrix)
+    pairs = [(acc.shape[0] - 1, acc.shape[1] - 1)]
+    while pairs[-1] != (0, 0):
+        i, j = pairs[-1]
+        steps = [(a, b) for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1)) if a >= 0 and b >= 0]
+        pairs.append(min(steps, key=lambda p: acc[p]))
+    return np.array(pairs[::-1])
+
+
+def _brute_frechet_table(dist_matrix):
     d = np.asarray(dist_matrix, dtype=float)
     m, n = d.shape
     acc = np.empty_like(d)
@@ -142,7 +158,7 @@ def brute_frechet(dist_matrix):
                 acc[i, j] = max(
                     v, min(acc[i - 1, j], acc[i, j - 1], acc[i - 1, j - 1])
                 )
-    return float(acc[-1, -1])
+    return acc
 
 
 def fd_jacobian(func, x, step=1e-6):

@@ -1,13 +1,16 @@
 """End-to-end runs of the config-driven command line interface."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowlab import VectorFieldSpec, cli
 from flowlab.cli import main
-from flowlab.scenarios import scenario_names
+from flowlab.scenarios import builtin, scenario_names
 
 REFUTE_CFG = """\
 [scenario]
@@ -331,6 +334,12 @@ def test_list_scenarios_and_pipelines(capsys):
             "region = 0.2 -0.2 -0.2 0.2\nhgrid = 0.1\ndelta = 0.05\nt_max = 2.0\n",
             "region axis 0 is inverted",
         ),
+        (
+            "[scenario]\nname = linear_saddle3d\n\n[pipeline]\nname = shadow-search\n"
+            "chain = noisy\nx0 = 0.9 0.9 0.0\ncount = 5\nnoise = 1e-4\nepsilon = 5e-3\n"
+            "candidates = 5\nrefine_evals = 30\n",
+            "need 0 <= refine_evals < candidates",
+        ),
     ],
 )
 def test_bad_configs_exit_one_with_message(tmp_path, capsys, body, fragment):
@@ -341,6 +350,20 @@ def test_bad_configs_exit_one_with_message(tmp_path, capsys, body, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert fragment in err
+
+
+def test_per_point_field_exits_one_with_message(tmp_path, capsys, monkeypatch):
+    # the shipped shadow-search config on a field written for one point at a time
+    a = np.diag([-2.0, -1.0, 1.0])
+    spec = VectorFieldSpec(name="per_point", dim=3, field=lambda x: a @ x, jacobian=lambda x: a)
+    saddle = dataclasses.replace(builtin("linear_saddle3d"), spec=spec)
+    monkeypatch.setattr(cli, "builtin", lambda name, **params: saddle)
+    body = (Path(__file__).parents[1] / "configs" / "shadow_search.cfg").read_text()
+    code, _ = run_cli(tmp_path, body)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: per_point:")
+    assert "must accept (N, 3) batches" in err
 
 
 def test_missing_config_file_exits_one(tmp_path, capsys):

@@ -8,6 +8,8 @@ from flowlab import (
     NewtonDivergedError,
     NewtonSingularError,
     NoCrossingError,
+    PseudoOrbit,
+    SearchBudget,
     TangentialCrossingError,
     VectorFieldSpec,
     build_cocycle,
@@ -18,6 +20,7 @@ from flowlab import (
     flow_at,
     linear_poincare,
     normal_frame,
+    search_shadowing,
     section_map,
     tangent_flow,
 )
@@ -217,6 +220,13 @@ def test_batched_calls_reject_per_point_fields(spec):
     for steps in (3, 40):
         with pytest.raises(ValueError, match=msg):
             build_cocycle(spec, x, 0.1 * steps, 0.1)
+    # the shadowing search scores its lattice in batches, a one-point lattice too
+    po = PseudoOrbit(spec, np.array([x]), np.array([1.0]), 0.1)
+    region = np.column_stack([x - 0.01, x + 0.01])
+    for candidates in (2, 40):
+        budget = SearchBudget(candidates=candidates, refine_evals=1, eval_samples=17)
+        with pytest.raises(ValueError, match=msg):
+            search_shadowing(spec, po, 0.1, region, budget=budget)
 
 
 def test_criterion_4_cocycle_matches_closed_form(scenarios):

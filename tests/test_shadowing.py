@@ -1,5 +1,6 @@
 """Curve matching, reparametrized shadowing search, and refutation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from flowlab import (
     shadow_distance,
 )
 from flowlab import shadowing
-from oracles import brute_frechet, sample_box_points
+from oracles import brute_frechet, brute_frechet_pairs, sample_box_points
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,122 @@ def test_frechet_match_agrees_with_bruteforce(rng):
         assert set(pairs[:, 0].tolist()) == set(range(m))
         assert set(pairs[:, 1].tolist()) == set(range(k))
         assert value == pytest.approx(max(d[i, j] for i, j in pairs), abs=1e-12)
+        # the same path as the nested-loop table with the same tie order
+        assert np.array_equal(pairs, brute_frechet_pairs(d))
+
+
+def test_stacked_frechet_values_equal_per_matrix_match(rng):
+    """The lattice's stacked DP gives each matrix's frechet_match value bit
+    for bit, on random, non-square, one-row, one-column and all-tie stacks."""
+    shapes = [(4, 9, 7), (3, 1, 6), (5, 6, 1), (2, 1, 1), (6, 8, 8)]
+    for n, m, k in shapes:
+        stacks = [rng.uniform(0.0, 1.0, size=(n, m, k)), np.round(rng.uniform(size=(n, m, k)))]
+        stacks.append(np.full((n, m, k), 0.25))
+        for d in stacks:
+            values = shadowing._frechet_values(d)
+            assert values.shape == (n,)
+            for row, value in zip(d, values):
+                assert value == frechet_match(row)[0]
+                assert value == brute_frechet(row)
+    # a constant matrix ties everywhere: read back from the end, the path
+    # takes the diagonal while it can
+    _, pairs = frechet_match(np.full((3, 5), 0.25))
+    assert pairs.tolist() == [[0, 0], [0, 1], [0, 2], [1, 3], [2, 4]]
+
+
+def per_candidate_scan(self, lattice):
+    # the lattice as the per-candidate objective scores it, in one block
+    ys = np.array(list(lattice), dtype=float)
+    yield ys, np.array([self(y) for y in ys])
+
+
+def scanned(obj, region, n_points):
+    blocks = list(obj.scan(itertools.product(*shadowing._coarse_axes(region, n_points))))
+    return [len(ys) for ys, _ in blocks], np.concatenate([ys for ys, _ in blocks]), np.concatenate(
+        [v for _, v in blocks]
+    )
+
+
+def test_lattice_scan_matches_per_candidate_objective(scenarios, monkeypatch):
+    """Criterion 1's 729-point lattice: one batched block whose values agree
+    with the per-candidate objective to 1e-9, so the search is unchanged."""
+    spec = scenarios["neutral_line"].spec
+    po = equilibrium_segment_chain(spec, 0.4, 0.05)
+    region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
+    horizon = (-3.0, po.total_time + 3.0)
+    obj = shadowing._MatchObjective(spec, po, horizon)
+    sizes, ys, batched = scanned(obj, region, 800)
+    assert sizes == [729]
+    assert obj.evaluations == 729
+    solo = np.array([obj(y) for y in ys])
+    assert np.all(np.isfinite(solo))
+    assert np.max(np.abs(batched - solo)) <= 1e-9
+    assert np.argmin(batched) == np.argmin(solo)
+
+    report = search_shadowing(spec, po, 0.05, region, budget=SearchBudget())
+    assert report.coarse_candidates == 729
+
+    def replay(self, lattice):
+        # the per-candidate values computed above, without scoring them again
+        assert np.array_equal(np.array(list(lattice)), ys)
+        self.evaluations += len(ys)
+        yield ys, solo
+
+    monkeypatch.setattr(shadowing._MatchObjective, "scan", replay)
+    assert search_shadowing(spec, po, 0.05, region, budget=SearchBudget()) == report
+
+
+def test_lattice_scan_across_blocks(scenarios, monkeypatch):
+    spec = scenarios["neutral_line"].spec
+    po = equilibrium_segment_chain(spec, 0.4, 0.05)
+    region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
+    obj = shadowing._MatchObjective(spec, po, (-3.0, po.total_time + 3.0))
+    # 81 distances per candidate: blocks of 40 rows over a 169-point lattice
+    monkeypatch.setattr(shadowing, "_SCAN_ENTRIES", 81 * 40 + 80)
+    sizes, ys, batched = scanned(obj, region, 200)
+    assert sizes == [40, 40, 40, 40, 9]
+    assert obj.evaluations == 169
+    solo = np.array([obj(y) for y in ys])
+    assert np.max(np.abs(batched - solo)) <= 1e-9
+    assert np.argmin(batched) == np.argmin(solo)
+    # one row per block when a single candidate exceeds the bound
+    monkeypatch.setattr(shadowing, "_SCAN_ENTRIES", 80)
+    sizes, ys1, batched1 = scanned(obj, region, 9)
+    assert sizes == [1] * 9
+    assert np.max(np.abs(batched1 - np.array([obj(y) for y in ys1]))) <= 1e-9
+
+
+def test_lattice_scan_scores_escaping_candidates_inf(scenarios):
+    """z grows like e^t over the 41-unit horizon, so every lattice point off
+    the z = 0 plane leaves the divergence bound; those read inf and only those."""
+    spec = scenarios["linear_saddle3d"].spec
+    po = generate_noisy(
+        spec,
+        np.array([0.9, 0.9, 0.0]),
+        40,
+        1e-4,
+        rng=np.random.default_rng(7),
+        noise_subspace=np.eye(3)[:, :2],
+    )
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [-0.01, 0.01]])
+    obj = shadowing._MatchObjective(spec, po, (0.0, po.total_time))
+    sizes, ys, batched = scanned(obj, region, 27)
+    assert sizes == [27]
+    assert obj.evaluations == 27
+    solo = np.array([obj(y) for y in ys])
+    assert np.isinf(solo).sum() == 18
+    assert np.array_equal(np.isinf(batched), np.isinf(solo))
+    assert np.array_equal(np.isinf(batched), ys[:, 2] != 0.0)
+    finite = np.isfinite(solo)
+    assert np.max(np.abs(batched[finite] - solo[finite])) <= 1e-9
+
+
+def test_search_budget_validation():
+    assert SearchBudget(candidates=5, refine_evals=4).refine_evals == 4
+    assert SearchBudget(candidates=1, refine_evals=0).candidates == 1
+    for candidates, refine_evals in ((5, 30), (5, 5), (0, 0), (10, -1)):
+        with pytest.raises(ValueError, match="0 <= refine_evals < candidates"):
+            SearchBudget(candidates=candidates, refine_evals=refine_evals)
 
 
 def test_frechet_match_prefers_diagonal():
