@@ -18,9 +18,10 @@ import numpy as np
 from .flow import (
     DEFAULT_TOL,
     VectorFieldSpec,
+    _orbit_points,
+    coord_difference,
     distance,
     flow_at,
-    integrate,
     wrap_point,
 )
 
@@ -150,83 +151,74 @@ def verify_chain(po: PseudoOrbit, tol: float = DEFAULT_TOL) -> ChainCheck:
     """Measure every transition gap ``d(X_{t_i}(x_i), x_{i+1})``.
 
     Head and tail extensions contribute their self-gap (the stored point
-    against its own flow image) and the gap into or out of the body.
+    against its own flow image) and the gap into or out of the body.  All
+    images come from one batched solve (``spec`` must accept batches).
     """
-    gaps = []
-    spec = po.spec
-    if po.head is not None:
-        hp, ht = po.head
-        img = flow_at(spec, hp, ht, tol=tol)
-        gaps.append(("head->head", distance(spec, img, hp)))
-        gaps.append(("head->0", distance(spec, img, po.points[0])))
-    images = [
-        flow_at(spec, po.points[i], po.durations[i], tol=tol) for i in range(po.size)
-    ]
-    for i in range(po.size - 1):
-        gaps.append((f"{i}->{i + 1}", distance(spec, images[i], po.points[i + 1])))
-    if po.tail is not None:
-        tp, tt = po.tail
-        gaps.append((f"{po.size - 1}->tail", distance(spec, images[-1], tp)))
-        img = flow_at(spec, tp, tt, tol=tol)
-        gaps.append(("tail->tail", distance(spec, img, tp)))
-    values = [g for _, g in gaps]
-    max_gap = max(values) if values else 0.0
-    return ChainCheck(ok=max_gap < po.delta, delta=po.delta, max_gap=max_gap, gaps=tuple(gaps))
+    m, head, tail = po.size, po.head, po.tail
+    ends = [end for end in (head, tail) if end is not None]
+    rows = np.vstack([po.points] + [end[0] for end in ends])
+    taus = np.concatenate([po.durations, [end[1] for end in ends]])
+    h, t = m, m + (head is not None)  # rows of the head and tail points
+    pairs = [("head->head", h, h), ("head->0", h, 0)] if head is not None else []
+    pairs += [(f"{i}->{i + 1}", i, i + 1) for i in range(m - 1)]
+    pairs += [(f"{m - 1}->tail", m - 1, t), ("tail->tail", t, t)] if tail is not None else []
+    images = _orbit_points(po.spec, rows, [1.0], tol, scale=taus)[:, 0]
+    src, dst = [p[1] for p in pairs], [p[2] for p in pairs]
+    values = np.linalg.norm(coord_difference(po.spec, images[src], rows[dst]), axis=-1)
+    max_gap = float(values.max()) if len(values) else 0.0
+    gaps = tuple((p[0], g) for p, g in zip(pairs, values.tolist()))
+    return ChainCheck(ok=max_gap < po.delta, delta=po.delta, max_gap=max_gap, gaps=gaps)
 
 
 class ConcatEvaluator:
     """Evaluate the concatenated trajectory of a chain at arbitrary times.
 
     On ``[S_i, S_{i+1}]`` the value is ``X_{t - S_i}(x_i)``; head and tail
-    times reuse a single cached trajectory of the constant entry.  Per-segment
-    trajectories are integrated lazily and cached, so repeated evaluation is
-    an interpolant lookup.
+    times wind through the single constant entry.  A boundary time returns
+    the stored point exactly; the other times share one batched solve over
+    the segments they fall in (``spec`` must accept ``(N, dim)`` batches).
     """
 
     def __init__(self, po: PseudoOrbit, tol: float = DEFAULT_TOL, norm_bound: float = 1e6):
         self.po = po
         self.tol = tol
         self.norm_bound = norm_bound
-        self._segments = {}
-
-    def _segment(self, key, point, duration):
-        traj = self._segments.get(key)
-        if traj is None:
-            traj = integrate(
-                self.po.spec, point, (0.0, duration), tol=self.tol, norm_bound=self.norm_bound
-            )
-            self._segments[key] = traj
-        return traj
-
-    def _locate(self, t: float):
-        po = self.po
-        cum = po._cum
-        total = cum[-1]
-        if t < 0.0:
-            if po.head is None:
-                raise ValueError(f"t={t:.6g} precedes the chain and there is no head")
-            hp, ht = po.head
-            k = math.floor(t / ht)
-            return ("head", hp, ht, t - k * ht)
-        if t < total:
-            i = int(np.searchsorted(cum, t, side="right")) - 1
-            return (i, po.points[i], po.durations[i], t - cum[i])
-        if po.tail is not None:
-            tp, tt = po.tail
-            local = t - total
-            k = math.floor(local / tt)
-            return ("tail", tp, tt, local - k * tt)
-        if t <= total + 1e-9 * max(1.0, total):
-            i = po.size - 1
-            return (i, po.points[i], po.durations[i], t - cum[i])
-        raise ValueError(f"t={t:.6g} is past the chain and there is no tail")
+        # entries in time order: head, body, tail (NaN where a chain has no end)
+        head, tail = (end or (np.full(po.spec.dim, np.nan), np.nan) for end in (po.head, po.tail))
+        self._starts = np.vstack([head[0], po.points, tail[0]])
+        self._taus = np.concatenate([[head[1]], po.durations, [tail[1]]])
 
     def at(self, t: float) -> np.ndarray:
-        key, point, duration, local = self._locate(float(t))
-        return self._segment(key, point, duration).at(local)
+        return self.at_many([t])[0]
 
     def at_many(self, ts) -> np.ndarray:
-        return np.array([self.at(float(t)) for t in np.asarray(ts, dtype=float)])
+        ts = np.asarray(ts, dtype=float).ravel()
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("evaluation times must be finite")
+        po = self.po
+        cum, total = po._cum, po._cum[-1]
+        body = np.clip(np.searchsorted(cum, ts, side="right") - 1, 0, po.size - 1)
+        entry, local = body + 1, ts - cum[body]  # rows of _starts: head, body, tail
+        before, after = ts < 0.0, ts >= total
+        if before.any():
+            if po.head is None:
+                raise ValueError(f"t={ts[before][0]:.6g} precedes the chain and there is no head")
+            ht = po.head[1]
+            entry[before], local[before] = 0, ts[before] - np.floor(ts[before] / ht) * ht
+        if after.any() and po.tail is not None:
+            tt, rest = po.tail[1], ts[after] - total
+            entry[after], local[after] = po.size + 1, rest - np.floor(rest / tt) * tt
+        elif np.any(late := ts > total + 1e-9 * max(1.0, total)):
+            raise ValueError(f"t={ts[late][0]:.6g} is past the chain and there is no tail")
+        out = self._starts[entry]
+        inner = local != 0.0
+        if inner.any():
+            keys, row = np.unique(entry[inner], return_inverse=True)
+            taus, starts = self._taus[keys], self._starts[keys]
+            out[inner] = _orbit_points(
+                po.spec, starts, local[inner] / taus[row], self.tol, self.norm_bound, taus, row
+            )
+        return out
 
 
 def eval_concat(po: PseudoOrbit, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -250,7 +242,8 @@ def generate_noisy(
     ``count`` is the number of transitions, so the chain has ``count + 1``
     points.  Perturbations are drawn uniformly from the ball of radius
     ``noise``, restricted to the column span of ``noise_subspace`` when one
-    is given (columns are orthonormalized first).  The chain's ``delta`` is
+    is given (its columns must be linearly independent and are orthonormalized
+    first).  The chain's ``delta`` is
     ``noise + 10 * tol`` to absorb integration error in later verification.
     """
     if count < 1:
@@ -262,9 +255,13 @@ def generate_noisy(
     rng = np.random.default_rng(rng)
     basis = None
     if noise_subspace is not None:
-        basis = np.linalg.qr(np.asarray(noise_subspace, dtype=float))[0]
+        basis, r = np.linalg.qr(np.asarray(noise_subspace, dtype=float))
         if basis.shape[0] != spec.dim or basis.shape[1] < 1:
             raise ValueError(f"noise_subspace must be ({spec.dim}, k) with k >= 1")
+        # reduced QR completes a rank-deficient basis with axes nobody asked for
+        diag = np.abs(np.diag(r))
+        if r.shape[0] < r.shape[1] or diag.min() <= 1e-12 * diag.max():
+            raise ValueError("noise_subspace columns must be linearly independent")
     k = spec.dim if basis is None else basis.shape[1]
     pts = np.empty((count + 1, spec.dim))
     pts[0] = wrap_point(spec, np.asarray(x0, dtype=float))
@@ -272,10 +269,7 @@ def generate_noisy(
         base = flow_at(spec, pts[i], step, tol=tol, norm_bound=norm_bound)
         g = rng.standard_normal(k)
         norm = np.linalg.norm(g)
-        if norm == 0.0:
-            xi_local = np.zeros(k)
-        else:
-            xi_local = g / norm * noise * rng.random() ** (1.0 / k)
+        xi_local = g / norm * noise * rng.random() ** (1.0 / k) if norm else np.zeros(k)
         xi = xi_local if basis is None else basis @ xi_local
         pts[i + 1] = wrap_point(spec, base + xi)
     return PseudoOrbit(

@@ -307,15 +307,70 @@ def flow_at(
 ) -> np.ndarray:
     """The point ``X_t(x)``; ``t`` may be negative, ``t=0`` is exact."""
     x = np.asarray(x, dtype=float)
-    t = float(t)
-    if t == 0.0:
-        return x.copy()
-    return integrate(spec, x, (0.0, t), tol=tol, norm_bound=norm_bound).at(t)
+    if x.shape != (spec.dim,):
+        raise ValueError(f"x has shape {x.shape}, expected ({spec.dim},)")
+    return _orbit_points(spec, x, [float(t)], tol, norm_bound)[0]
+
+
+# Interpolated entries ``rows * dim * times`` per chunk of a dense ``_orbit_points`` read.
+# Reading 1229 times of a 201-row chain (tracemalloc peak, time on 2 cores): 2**12 0.50 MB
+# 39 ms, 2**14 0.81 MB 12 ms, 2**16 1.97 MB 11 ms; per-segment trajectories peaked at 1.01 MB.
+_DENSE_ENTRIES = 1 << 14
+
+
+def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND, scale=None, row=None):
+    """Points ``X_{scale_i u}(y_i)``: row ``i`` of ``y`` follows ``z' = scale_i X(z)``
+    (``scale`` 1 when omitted), all rows in one solve per time direction.
+
+    A point ``(dim,)`` gives ``(len(u), dim)`` and rows ``(N, dim)`` give
+    ``(N, len(u), dim)`` for increasing ``u``.  With ``row``, point ``j`` is row
+    ``row[j]`` at ``u[j] > 0``, ``(len(u), dim)``, read in chunks of ``_DENSE_ENTRIES``
+    from one dense solve that spans at least ``[0, 1]``, so an orbit that crosses
+    ``norm_bound`` there raises.  Rows ``(N, dim)`` must meet the batch contract."""
+    y = np.asarray(y, dtype=float)
+    u = np.asarray(u_values, dtype=float)
+    rows = y.reshape(-1, spec.dim)
+    if y.ndim == 2:
+        _check_batch_contract(spec, rows)
+    tau = None if scale is None else np.reshape(scale, (-1, 1))
+
+    def rhs(t, z):
+        v = np.asarray(spec.field(z.reshape(y.shape)), dtype=float)
+        return (v if tau is None else tau * v).ravel()
+
+    def solve(t_end, **kwargs):
+        sol, escaped = _solve(spec, rhs, (0.0, t_end), y.ravel(), tol, norm_bound,
+                              "integration", rows=len(rows), **kwargs)
+        if escaped:
+            raise FlowDivergenceError(
+                f"{spec.name}: an orbit crossed norm {norm_bound:.3g} "
+                f"at t={sol.t_events[0][0]:.6g}"
+            )
+        return sol
+
+    if row is not None:
+        dense = solve(max(1.0, u.max()), dense_output=True).sol
+        parts = np.arange(0, len(u), max(1, _DENSE_ENTRIES // rows.size))[1:]
+        return np.concatenate([
+            dense(s).reshape(len(rows), spec.dim, -1)[r, :, np.arange(len(s))]
+            for s, r in zip(np.split(u, parts), np.split(row, parts))
+        ])
+    out = np.empty((len(rows), len(u), spec.dim))
+    out[:, u == 0.0] = rows[:, None]
+    for side, order in ((u > 0, slice(None)), (u < 0, slice(None, None, -1))):
+        if side.any():
+            ts = u[side][order]
+            sol = solve(ts[-1], t_eval=ts)
+            out[:, side] = sol.y.reshape(len(rows), spec.dim, -1)[..., order].transpose(0, 2, 1)
+    return out.reshape(y.shape[:-1] + out.shape[1:])
 
 
 def _check_batch_contract(spec: VectorFieldSpec, xs: np.ndarray) -> None:
     """Compare ``field`` and ``jacobian`` on ``dim + 1`` rows of ``xs`` with per-point
-    values; ``dim + 1`` rows are never square, so ``a @ x`` fails, not mixes rows."""
+    values; ``dim + 1`` rows are never square, so ``a @ x`` fails, not mixes rows.
+    A spec that passes once is not probed again."""
+    if getattr(spec, "_batch_ok", False):
+        return
     n = spec.dim
     probe = xs[np.arange(n + 1) % len(xs)]
     try:
@@ -323,6 +378,7 @@ def _check_batch_contract(spec: VectorFieldSpec, xs: np.ndarray) -> None:
         batch = np.hstack([spec.field_at(probe), jac])
         rows = np.array([np.append(spec.field_at(p), spec.jacobian_at(p)) for p in probe])
         if np.all(abs(batch - rows) <= 1e-12 * (1.0 + abs(rows))):
+            object.__setattr__(spec, "_batch_ok", True)
             return
     except (ValueError, IndexError, TypeError):
         pass

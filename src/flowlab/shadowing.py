@@ -20,12 +20,10 @@ from scipy.optimize import minimize
 
 from .chains import ConcatEvaluator, PseudoOrbit
 from .flow import (
-    DEFAULT_NORM_BOUND,
     DEFAULT_TOL,
     FlowDivergenceError,
     VectorFieldSpec,
-    _check_batch_contract,
-    _solve,
+    _orbit_points,
     coord_difference,
     flow_at,
 )
@@ -146,34 +144,6 @@ def frechet_match(dist_matrix) -> tuple:
     return float(value), np.asarray(pairs[::-1], dtype=int)
 
 
-def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND):
-    """Orbit of ``y`` at increasing times ``u``, ``(len(u), dim)``; rows
-    ``(N, dim)`` give ``(N, len(u), dim)`` from one solve per time direction."""
-    y = np.asarray(y, dtype=float)
-    u = np.asarray(u_values, dtype=float)
-    rows = y.reshape(-1, spec.dim)
-
-    def rhs(t, z):
-        return np.asarray(spec.field(z.reshape(y.shape)), dtype=float).ravel()
-
-    out = np.empty((len(rows), len(u), spec.dim))
-    out[:, u == 0.0] = rows[:, None]
-    for side, order in ((u > 0, slice(None)), (u < 0, slice(None, None, -1))):
-        if side.any():
-            ts = u[side][order]
-            sol, escaped = _solve(
-                spec, rhs, (0.0, ts[-1]), y.ravel(), tol, norm_bound, "integration",
-                rows=len(rows), t_eval=ts,
-            )
-            if escaped:
-                raise FlowDivergenceError(
-                    f"{spec.name}: an orbit crossed norm {norm_bound:.3g} "
-                    f"at t={sol.t_events[0][0]:.6g}"
-                )
-            out[:, side] = sol.y.reshape(len(rows), spec.dim, -1)[..., order].transpose(0, 2, 1)
-    return out.reshape(y.shape[:-1] + out.shape[1:])
-
-
 def _chain_time_grid(po: PseudoOrbit, horizon, target: Optional[int] = None) -> np.ndarray:
     lo, hi = float(horizon[0]), float(horizon[1])
     if hi <= lo:
@@ -210,18 +180,16 @@ def shadow_distance(
 
     c_pts = ConcatEvaluator(po, tol=tol).at_many(grid)
     u = np.asarray(h(grid), dtype=float)
-    o_pts = _orbit_points(spec, np.asarray(y, dtype=float), u, tol)
+    o_pts = _orbit_points(spec, y, u, tol)
     d = np.linalg.norm(coord_difference(spec, o_pts, c_pts), axis=-1)
 
-    v_orbit = np.array([spec.field_at(p) for p in o_pts])
-    v_chain = np.array([spec.field_at(p) for p in c_pts])
+    v_orbit = spec.field_at(o_pts)
+    v_chain = spec.field_at(c_pts)
     dt = np.diff(grid)
     slopes = np.diff(u) / dt
     mism = slopes[:, None] * v_orbit[:-1] - v_chain[:-1]
     mism_next = slopes[:, None] * v_orbit[1:] - v_chain[1:]
-    rate = np.maximum(
-        np.linalg.norm(mism, axis=-1), np.linalg.norm(mism_next, axis=-1)
-    )
+    rate = np.maximum(np.linalg.norm(mism, axis=-1), np.linalg.norm(mism_next, axis=-1))
     interval_bound = np.maximum(d[:-1], d[1:]) + 0.5 * dt * rate
     return float(max(d.max(), interval_bound.max()))
 
@@ -467,7 +435,6 @@ def search_shadowing(
         tol=tol,
     )
 
-    _check_batch_contract(spec, seed_region.T)
     axes = _coarse_axes(seed_region, budget.candidates - budget.refine_evals)
     coarse = math.prod(len(a) for a in axes)
     blocks = obj.scan(itertools.product(*axes))
@@ -493,32 +460,15 @@ def search_shadowing(
         "not_found reports the best distance over a finite search; "
         "it is not a proof that no shadowing orbit exists"
     ]
+    verdict, achieved, fit = "not_found", float("inf"), None
     if not np.isfinite(f_best):
-        return ShadowingReport(
-            verdict="not_found",
-            epsilon=float(epsilon),
-            distance=float("inf"),
-            witness=None,
-            reparam_knots_t=None,
-            reparam_knots_u=None,
-            horizon=(lo, hi),
-            coarse_candidates=coarse,
-            evaluations=obj.evaluations,
-            notes=tuple(notes + ["every candidate orbit left the divergence bound"]),
-        )
-
-    fit = obj.fit(y_best)
-    achieved = fit.distance
-    verdict = "not_found"
+        notes.append("every candidate orbit left the divergence bound")
+    else:
+        fit = obj.fit(y_best)
+        achieved = fit.distance
     if achieved < epsilon:
         dense = shadow_distance(
-            spec,
-            fit.y_anchored,
-            fit.h,
-            po,
-            (lo, hi),
-            samples=4 * budget.eval_samples + 1,
-            tol=tol,
+            spec, fit.y_anchored, fit.h, po, (lo, hi), samples=4 * budget.eval_samples + 1, tol=tol
         )
         achieved = dense
         if dense < epsilon:
@@ -528,13 +478,15 @@ def search_shadowing(
                 f"matched distance {fit.distance:.6g} was below epsilon but the dense "
                 f"verification gave {dense:.6g}"
             )
+    found = (None,) * 3 if fit is None else (fit.y_anchored, fit.h.knots_t, fit.h.knots_u)
+    witness, knots_t, knots_u = (None if a is None else tuple(map(float, a)) for a in found)
     return ShadowingReport(
         verdict=verdict,
         epsilon=float(epsilon),
         distance=float(achieved),
-        witness=tuple(float(c) for c in fit.y_anchored),
-        reparam_knots_t=tuple(float(v) for v in fit.h.knots_t),
-        reparam_knots_u=tuple(float(v) for v in fit.h.knots_u),
+        witness=witness,
+        reparam_knots_t=knots_t,
+        reparam_knots_u=knots_u,
         horizon=(lo, hi),
         coarse_candidates=coarse,
         evaluations=obj.evaluations,
@@ -585,11 +537,7 @@ def refute_by_conservation(
         raise ValueError(f"{spec.name} declares no conserved quantity to refute with")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    pts = [po.points[i] for i in range(po.size)]
-    if po.head is not None:
-        pts.append(po.head[0])
-    if po.tail is not None:
-        pts.append(po.tail[0])
+    pts = list(po.points) + [end[0] for end in (po.head, po.tail) if end is not None]
     values = [float(spec.conserved.func(p)) for p in pts]
     q_min, q_max = min(values), max(values)
     bound = (q_max - q_min) / (2.0 * spec.conserved.lipschitz)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from flowlab import (
     ConcatEvaluator,
+    FlowDivergenceError,
     PseudoOrbit,
     accumulated_time,
     builtin,
@@ -11,6 +14,7 @@ from flowlab import (
     eval_concat,
     flow_at,
     generate_noisy,
+    integrate,
     load_chain,
     periodic_family_chain,
     save_chain,
@@ -167,6 +171,119 @@ def test_eval_concat_extensions(scenarios):
     assert distance(scen.spec, beyond, want) <= 1e-6
 
 
+@pytest.fixture(scope="module")
+def family_chain(scenarios):
+    # criterion 2's 200-point chain: distinct durations, a head and a tail
+    spec = scenarios["center_cycle"].spec
+    return periodic_family_chain(spec, np.zeros(3), (0.0, 0.2, 0.0), 200, TWO_PI)
+
+
+NOISY = {
+    "saddle_cycle": ((1.0, 0.0, 0.0), 12, np.eye(3)[:, :2]),
+    "linear_saddle3d": ((0.9, 0.9, 0.0), 40, np.eye(3)[:, :2]),
+    "neutral_rotation": ((0.2, 0.1, 0.3), 30, None),
+}
+
+
+def chain_case(case, scenarios, family_chain):
+    if case in NOISY:
+        x0, count, sub = NOISY[case]
+        return generate_noisy(scenarios[case].spec, x0, count, 1e-3, rng=5, noise_subspace=sub)
+    if case == "periodic_family":
+        return family_chain
+    return equilibrium_segment_chain(scenarios["neutral_line"].spec, 0.4, 0.05)
+
+
+def per_step_gaps(po):
+    """The gaps of :func:`verify_chain`, one solo trajectory per image."""
+    spec = po.spec
+
+    def image(p, t):
+        return integrate(spec, p, (0.0, t)).at(t)
+
+    gaps = []
+    if po.head is not None:
+        hp, ht = po.head
+        img = image(hp, ht)
+        gaps.append(("head->head", distance(spec, img, hp)))
+        gaps.append(("head->0", distance(spec, img, po.points[0])))
+    images = [image(p, t) for p, t in zip(po.points, po.durations)]
+    for i in range(po.size - 1):
+        gaps.append((f"{i}->{i + 1}", distance(spec, images[i], po.points[i + 1])))
+    if po.tail is not None:
+        tp, tt = po.tail
+        gaps.append((f"{po.size - 1}->tail", distance(spec, images[-1], tp)))
+        gaps.append(("tail->tail", distance(spec, image(tp, tt), tp)))
+    return gaps
+
+
+@pytest.mark.parametrize("case", [*NOISY, "periodic_family", "equilibrium_segment"])
+def test_batched_verify_chain_matches_per_step_gaps(case, scenarios, family_chain):
+    """The images from one batched solve give every gap of one trajectory per
+    image to 1e-9, a tenth of the ``10 * tol`` that a noisy chain's delta allows."""
+    po = chain_case(case, scenarios, family_chain)
+    check = verify_chain(po)
+    want = per_step_gaps(po)
+    assert [label for label, _ in check.gaps] == [label for label, _ in want]
+    assert max(abs(got - ref) for (_, got), (_, ref) in zip(check.gaps, want)) <= 1e-9
+    assert check.max_gap == max(got for _, got in check.gaps)
+    assert check.ok == (max(ref for _, ref in want) < po.delta)
+
+
+def per_segment_values(po, ts):
+    """The concatenation at each time from one ``integrate`` per segment, and
+    whether the time falls on a segment start."""
+    cum, total = po.boundary_times, po.total_time
+    segments, out, starts = {}, [], []
+    for t in ts:
+        if t < 0.0:
+            key, (point, dur) = "head", po.head
+            local = t - math.floor(t / dur) * dur
+        elif t >= total and po.tail is not None:
+            key, (point, dur) = "tail", po.tail
+            local = (t - total) - math.floor((t - total) / dur) * dur
+        else:
+            key = min(int(np.searchsorted(cum, t, side="right")) - 1, po.size - 1)
+            point, dur, local = po.points[key], po.durations[key], t - cum[key]
+        if key not in segments:
+            segments[key] = integrate(po.spec, point, (0.0, dur))
+        out.append(segments[key].at(local))
+        starts.append(local == 0.0)
+    return np.array(out), np.array(starts)
+
+
+@pytest.mark.parametrize("case", ["periodic_family", "linear_saddle3d"])
+def test_concat_eval_matches_per_segment_integration(case, scenarios, family_chain):
+    """Head, body and tail times agree with per-segment trajectories to
+    ``1e-8 (1 + |x|)``; segment starts return the stored point bit for bit."""
+    po = chain_case(case, scenarios, family_chain)
+    total = po.total_time
+    ts = [po.boundary_times, np.linspace(0.0, total, 301)]
+    if po.head is not None:
+        ht, tt = po.head[1], po.tail[1]
+        ts.append([-2.0 * ht, -1.5 * ht, -ht, -0.3, total + 0.4, total + tt, total + 2.5 * tt])
+    ts = np.concatenate(ts)
+    got = ConcatEvaluator(po).at_many(ts)
+    want, starts = per_segment_values(po, ts)
+    assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want)))
+    assert starts.sum() >= po.size + 2 * (po.head is not None)
+    assert np.array_equal(got[starts], want[starts])
+    assert np.array_equal(ConcatEvaluator(po).at(ts[1]), got[1])
+
+
+def test_concat_eval_raises_on_a_queried_escaping_segment(scenarios):
+    # z = 5 e^t crosses 100 at t = ln 20 inside segment 1, which spans times 1 to 6
+    spec = scenarios["linear_saddle3d"].spec
+    pts = np.array([[0.1, 0.0, 0.1], [0.0, 0.0, 5.0], [0.2, 0.1, 0.0]])
+    po = PseudoOrbit(spec, pts, np.array([1.0, 5.0, 1.0]), 0.1)
+    ev = ConcatEvaluator(po, norm_bound=100.0)
+    assert np.array_equal(ev.at(1.0), pts[1])
+    assert ev.at_many([0.5, 6.5, 7.0]).shape == (3, 3)
+    for ts in ([1.5], [0.5, 4.5, 6.5]):
+        with pytest.raises(FlowDivergenceError, match="crossed norm 100"):
+            ev.at_many(ts)
+
+
 def test_generate_noisy_basic(scenarios):
     # isotropic kicks feed the expanding axis, so keep the chain short
     # enough that e^count * noise stays far from the divergence bound
@@ -211,6 +328,11 @@ def test_generate_noisy_validation(scenarios):
     with pytest.raises(ValueError, match="noise_subspace"):
         generate_noisy(
             spec, (0.1, 0.1, 0.0), count=1, noise=1e-3, noise_subspace=np.zeros((2, 1))
+        )
+    # a repeated axis would let reduced QR spread the noise onto a third one
+    with pytest.raises(ValueError, match="noise_subspace columns must be linearly independent"):
+        generate_noisy(
+            spec, (0.1, 0.1, 0.0), count=1, noise=1e-3, noise_subspace=np.eye(3)[:, [2, 2]]
         )
 
 

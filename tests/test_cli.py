@@ -340,6 +340,12 @@ def test_list_scenarios_and_pipelines(capsys):
             "candidates = 5\nrefine_evals = 30\n",
             "need 0 <= refine_evals < candidates",
         ),
+        (
+            "[scenario]\nname = linear_saddle3d\n\n[pipeline]\nname = shadow-search\n"
+            "chain = noisy\nx0 = 0.9 0.9 0.0\ncount = 5\nnoise = 1e-4\nnoise_axes = 2 2\n"
+            "epsilon = 5e-3\n",
+            "noise_subspace columns must be linearly independent",
+        ),
     ],
 )
 def test_bad_configs_exit_one_with_message(tmp_path, capsys, body, fragment):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,8 @@ def test_integrate_rejects_bad_input(scenarios):
         integrate(spec, [0.1, 0.1, 0.1], (1.0, 1.0))
     with pytest.raises(ValueError, match="shape"):
         integrate(spec, [0.1, 0.1], (0.0, 1.0))
+    with pytest.raises(ValueError, match=r"x has shape \(1, 3\), expected \(3,\)"):
+        flow_at(spec, [[0.1, 0.1, 0.1]], 1.0)
     with pytest.raises(ValueError, match="finite"):
         integrate(spec, [np.nan, 0.0, 0.0], (0.0, 1.0))
     with pytest.raises(ValueError, match="on_escape"):
@@ -127,6 +131,23 @@ def test_batched_tangent_flow_matches_solo(name, scenarios, rng):
     one_end, one_deriv = tangent_flow(spec, xs[:1], 0.7)
     solo_end, solo_deriv = tangent_flow(spec, xs[0], 0.7)
     assert np.array_equal(one_end[0], solo_end) and np.array_equal(one_deriv[0], solo_deriv)
+
+
+def test_batch_contract_probed_once_per_spec(scenarios):
+    # the probe compares dim + 1 per-point Jacobians with one batched call
+    base = scenarios["linear_saddle3d"].spec
+    probed = []
+
+    def jacobian(x):
+        if np.ndim(x) == 1:
+            probed.append(x)
+        return base.jacobian(x)
+
+    spec = dataclasses.replace(base, jacobian=jacobian)
+    xs = np.array([[0.1, 0.2, 0.3], [0.2, 0.1, 0.0]])
+    for _ in range(3):
+        tangent_flow(spec, xs, 0.5)
+    assert len(probed) == spec.dim + 1
 
 
 def test_batched_tangent_flow_escape(scenarios):

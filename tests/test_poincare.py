@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowlab import (
+    ConcatEvaluator,
     ConsistencyError,
     NewtonDivergedError,
     NewtonSingularError,
@@ -23,6 +24,7 @@ from flowlab import (
     search_shadowing,
     section_map,
     tangent_flow,
+    verify_chain,
 )
 from flowlab.scenarios import scenario_names
 
@@ -220,8 +222,13 @@ def test_batched_calls_reject_per_point_fields(spec):
     for steps in (3, 40):
         with pytest.raises(ValueError, match=msg):
             build_cocycle(spec, x, 0.1 * steps, 0.1)
-    # the shadowing search scores its lattice in batches, a one-point lattice too
+    # the shadowing search scores its lattice in batches, a one-point lattice too;
+    # chain checks and concatenations solve their segments as one batch, one segment too
     po = PseudoOrbit(spec, np.array([x]), np.array([1.0]), 0.1)
+    with pytest.raises(ValueError, match=msg):
+        verify_chain(po)
+    with pytest.raises(ValueError, match=msg):
+        ConcatEvaluator(po).at_many([0.0, 0.5])
     region = np.column_stack([x - 0.01, x + 0.01])
     for candidates in (2, 40):
         budget = SearchBudget(candidates=candidates, refine_evals=1, eval_samples=17)
