@@ -4,9 +4,15 @@ All diagnostics run over a sampled :class:`~flowlab.poincare.NormalCocycle`.
 Stable bundles are recovered from backward window products, unstable ones
 from forward products; long products are composed from the per-step
 transitions (inverting only single steps), which keeps conditioning under
-control even along strongly hyperbolic orbits.  Window scans push the bundle
-bases forward rather than forming full products, and a rank-1 bundle's
-extreme singular value is in closed form: the column norm, with no SVD.
+control even along strongly hyperbolic orbits.
+
+Both bundles are invariant by construction, so a rank-1 bundle's window
+norms need no window products: the estimate keeps one log-growth table per
+rank-1 bundle, the prefix sums ``P`` of its per-step log growths, and the
+norm over the window of length ``j`` at base ``k`` is
+``exp(P[k + j] - P[k])``.  Only a bundle of rank 2 or more is scanned with
+SVDs, its bases pushed forward one batched transition multiply per step
+rather than forming full products.
 """
 
 from __future__ import annotations
@@ -53,9 +59,18 @@ class SplittingEstimate:
     stable (dimension ``p``) and unstable bundles at sample ``k``; valid
     samples are ``k_lo <= k <= k_hi`` (one finite-time window away from each
     end of the cocycle).
+
+    ``log_prefix`` is the log-growth table of the rank-1 bundles, row 0 for
+    the stable bundle and row 1 for the unstable one: entry ``k`` sums the
+    log growth of the bundle's basis over the steps before sample ``k``, so
+    the window norm at base ``k`` and length ``j`` is
+    ``exp(P[k + j] - P[k])``.  The row of a wider bundle is NaN, and so is
+    the unstable row below ``k_lo``.
     """
 
-    def __init__(self, cocycle, p, window_steps, stable, unstable, gap_ratio_min, residual):
+    def __init__(
+        self, cocycle, p, window_steps, stable, unstable, gap_ratio_min, residual, log_prefix
+    ):
         self.cocycle = cocycle
         self.p = p
         self.window_steps = window_steps
@@ -63,6 +78,7 @@ class SplittingEstimate:
         self.unstable = unstable
         self.gap_ratio_min = gap_ratio_min
         self.residual = residual
+        self.log_prefix = log_prefix
 
     @property
     def k_lo(self) -> int:
@@ -78,6 +94,39 @@ class SplittingEstimate:
         return self.stable[k], self.unstable[k]
 
 
+def _require_positive(**values):
+    """Raise ``ValueError`` naming the arguments unless every value is
+    finite and positive."""
+    if not all(math.isfinite(v) and v > 0 for v in values.values()):
+        got = ", ".join(f"{name}={v}" for name, v in values.items())
+        raise ValueError(f"{' and '.join(values)} must be positive and finite (got {got})")
+
+
+def _push_basis(mats, basis):
+    """Images of the orthonormal ``basis`` under ``mats[0]``, then
+    ``mats[1] @ mats[0]``, and so on, each image re-orthonormalised.
+
+    Returns the bases (``basis`` first) and, for a single column, ``logs``
+    with ``logs[i]`` the log norm of ``mats[i-1] @ ... @ mats[0] @ basis``,
+    summed one step at a time (all NaN for a wider basis).
+    """
+    bases = np.empty((len(mats) + 1,) + basis.shape)
+    logs = np.full(len(mats) + 1, np.nan)
+    bases[0] = basis
+    if basis.shape[1] > 1:
+        for i, a in enumerate(mats):
+            bases[i + 1] = np.linalg.qr(a @ bases[i])[0]
+        return bases, logs
+    vecs = bases[:, :, 0]
+    logs[0] = 0.0
+    for i, a in enumerate(mats):
+        img = a @ vecs[i]
+        norm = math.sqrt(img @ img)
+        vecs[i + 1] = img / norm
+        logs[i + 1] = logs[i] + math.log(norm)
+    return bases, logs
+
+
 def estimate_splitting(
     cocycle: NormalCocycle, p: int, window_time: float = 3.0
 ) -> SplittingEstimate:
@@ -86,13 +135,15 @@ def estimate_splitting(
     The unstable bundle at the end of the leading window is the span of the
     dominant left singular vectors of that window's product, then pushed
     forward; the stable bundle comes symmetrically from the trailing window
-    pulled backward one step at a time.  A singular-value ratio below 1.2
-    between ranks ``q`` and ``q+1`` raises :class:`DominationGapError`;
-    nearly tangent bundles raise :class:`SplittingDegenerateError`.
+    pulled backward one step at a time, and is pushed forward across the
+    trailing window as well.  A singular-value ratio below 1.2 between ranks
+    ``q`` and ``q+1`` raises :class:`DominationGapError`; nearly tangent
+    bundles raise :class:`SplittingDegenerateError`.
     """
     n1 = cocycle.trans.shape[1]
     if not 1 <= p <= n1 - 1:
         raise ValueError(f"p must be between 1 and {n1 - 1}")
+    _require_positive(window_time=window_time)
     q = n1 - p
     dt = cocycle.dt
     window = max(1, int(round(window_time / dt)))
@@ -102,18 +153,19 @@ def estimate_splitting(
             f"cocycle has {m} steps; need more than {2 * window + 2} for window {window_time}"
         )
 
-    stable = np.full((m + 1, n1, p), np.nan)
+    trans = cocycle.trans
+    log_prefix = np.full((2, m + 1), np.nan)
     unstable = np.full((m + 1, n1, q), np.nan)
+    first = np.linalg.svd(cocycle.window_product(0, window))[0][:, :q]
+    unstable[window:], log_prefix[1, window:] = _push_basis(trans[window:], first)
 
-    w = cocycle.window_product(0, window)
-    unstable[window] = np.linalg.svd(w)[0][:, :q]
-    for k in range(window + 1, m + 1):
-        unstable[k] = np.linalg.qr(cocycle.trans[k - 1] @ unstable[k - 1])[0]
-
-    w = cocycle.window_product(m - window, m)
-    stable[m - window] = np.linalg.svd(w)[2].T[:, n1 - p :]
-    for k in range(m - window - 1, -1, -1):
-        stable[k] = np.linalg.qr(np.linalg.solve(cocycle.trans[k], stable[k + 1]))[0]
+    last = np.linalg.svd(cocycle.window_product(m - window, m))[2].T[:, n1 - p :]
+    back, back_logs = _push_basis(np.linalg.inv(trans[: m - window])[::-1], last)
+    ahead, ahead_logs = _push_basis(trans[m - window :], last)
+    # P is 0 at m - window; below it, P[k] is the log growth of the pull-back
+    # from m - window to k, which the forward steps from k undo
+    stable = np.concatenate([back[::-1], ahead[1:]])
+    log_prefix[0] = np.concatenate([back_logs[::-1], ahead_logs[1:]])
 
     gap_min = np.inf
     for k in np.unique(np.linspace(0, m - window, 8).astype(int)):
@@ -122,7 +174,7 @@ def estimate_splitting(
     if gap_min < 1.2:
         raise DominationGapError(
             f"singular-value ratio {gap_min:.3f} < 1.2 at rank {q} over windows of "
-            f"{window_time:.3g} time units; no dominated splitting at this rank"
+            f"{window * dt:.3g} time units; no dominated splitting at this rank"
         )
 
     k_lo, k_hi = window, m - window
@@ -137,39 +189,55 @@ def estimate_splitting(
                 f"(sigma_min = {smin:.3g})"
             )
         if k < k_hi:
-            img = cocycle.trans[k] @ stable[k]
+            img = trans[k] @ stable[k]
             proj = stable[k + 1] @ (stable[k + 1].T @ img)
             residual = max(
                 residual,
                 float(np.linalg.norm(img - proj) / max(np.linalg.norm(img), 1e-300)),
             )
-    return SplittingEstimate(cocycle, p, window, stable, unstable, gap_min, residual)
+    return SplittingEstimate(cocycle, p, window, stable, unstable, gap_min, residual, log_prefix)
 
 
 def _extreme_singular_values(a: np.ndarray, largest: bool) -> np.ndarray:
-    """Largest (or smallest) singular value of each ``(n, r)`` matrix in ``a``;
-    for a single column (``r = 1``) both are its Euclidean norm."""
-    if a.shape[-1] == 1:
-        return np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    """Largest (or smallest) singular value of each matrix in ``a``."""
     return np.linalg.svd(a, compute_uv=False)[..., 0 if largest else -1]
 
 
-def _batched_window_scan(est: SplittingEstimate, ks: np.ndarray, j_max: int):
-    """Yield ``(j, norms, conorms)`` for window products of length ``j``.
+def _bundle_scan(est: SplittingEstimate, side: int, ks: np.ndarray, js):
+    """Yield, for each window length ``j`` in the ascending ``js``, the
+    extreme singular value per base ``ks`` of the window product restricted
+    to one bundle: the largest on the stable side (``side`` 0), the smallest
+    on the unstable side (1).
+
+    A rank-1 bundle reads ``exp(P[k + j] - P[k])`` from the log-growth
+    table.  A wider one pushes its bases forward one batched transition
+    multiply per step and takes one batched SVD per length; the full product
+    is never formed.
+    """
+    bases = (est.stable, est.unstable)[side][ks]
+    if bases.shape[-1] == 1:
+        table = est.log_prefix[side]
+        for j in js:
+            yield np.exp(table[ks + j] - table[ks])
+        return
+    trans = est.cocycle.trans
+    done = 0
+    for j in js:
+        for i in range(done, j):
+            bases = trans[ks + i] @ bases
+        done = j
+        yield _extreme_singular_values(bases, side == 0)
+
+
+def _batched_window_scan(est: SplittingEstimate, ks: np.ndarray, js):
+    """Yield ``(j, norms, conorms)`` for window products of each length in
+    the ascending ``js``.
 
     ``norms[k]`` is the largest singular value of the product restricted to
     the stable basis at base ``ks[k]``; ``conorms[k]`` the smallest singular
-    value restricted to the unstable basis.  The restricted products grow
-    incrementally: each step maps both bases forward by one batched
-    transition multiply, and the full product is never formed.
+    value restricted to the unstable basis.
     """
-    trans = est.cocycle.trans
-    vs, vu = est.stable[ks], est.unstable[ks]
-    for j in range(1, j_max + 1):
-        step = trans[ks + (j - 1)]
-        vs = step @ vs
-        vu = step @ vu
-        yield j, _extreme_singular_values(vs, True), _extreme_singular_values(vu, False)
+    return zip(js, _bundle_scan(est, 0, ks, js), _bundle_scan(est, 1, ks, js))
 
 
 @dataclass(frozen=True)
@@ -188,12 +256,13 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
     for every sampled base point and every ``t`` in ``[l, 3l]`` on the grid.
 
     The backward norm on the unstable bundle is the reciprocal of the
-    forward conorm, so the checked product is ``norm / conorm``.
+    forward conorm, so the checked product is ``norm / conorm``.  The worst
+    product is the first maximum in scan order (``t`` ascending, then base
+    time ascending), which fixes ``worst_base_time`` among tied bases.
     """
     dt = est.cocycle.dt
     l = float(l)
-    if l <= 0:
-        raise ValueError("l must be positive")
+    _require_positive(l=l)
     j_lo = max(1, math.ceil(l / dt - 1e-9))
     j_hi = math.floor(3.0 * l / dt + 1e-9)
     if j_hi < j_lo:
@@ -206,16 +275,14 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
     worst = -np.inf
     worst_base = worst_t = 0.0
     per_t = []
-    for j, norms, conorms in _batched_window_scan(est, ks, j_hi):
-        if j < j_lo:
-            continue
+    for j, norms, conorms in _batched_window_scan(est, ks, range(j_lo, j_hi + 1)):
         products = norms / conorms
         idx = int(np.argmax(products))
         if products[idx] > worst:
             worst = float(products[idx])
             worst_base = float(est.cocycle.times[ks[idx]])
             worst_t = j * dt
-        per_t.append((j * dt, float(products.max())))
+        per_t.append((j * dt, float(products[idx])))
     return DominationCheck(
         ok=bool(worst <= 0.5 + 1e-12),
         l=l,
@@ -255,6 +322,10 @@ def fit_hyperbolic(
     sample.  A bundle fails when its fitted rate is not below 1 by at least
     1e-3, and the overall fit fails if either side does.
     """
+    if n_times < 2:
+        raise ValueError(f"n_times must be at least 2 to fit a slope, got {n_times}")
+    if n_bases < 1:
+        raise ValueError(f"n_bases must be at least 1, got {n_bases}")
     dt = est.cocycle.dt
     m = est.cocycle.steps
     if t_hi is None:
@@ -265,12 +336,10 @@ def fit_hyperbolic(
         raise ValueError("sampled span too short for a meaningful fit")
     hi_base = min(est.k_hi, m - j_hi)
     ks = np.unique(np.linspace(est.k_lo, hi_base, min(n_bases, hi_base - est.k_lo + 1)).astype(int))
-    j_grid = set(np.unique(np.linspace(j_lo, j_hi, n_times).astype(int)))
+    j_grid = np.unique(np.linspace(j_lo, j_hi, n_times).astype(int))
 
     ts, log_s, log_u = [], [], []
-    for j, norms, conorms in _batched_window_scan(est, ks, j_hi):
-        if j not in j_grid:
-            continue
+    for j, norms, conorms in _batched_window_scan(est, ks, j_grid):
         t = j * dt
         ts.extend([t] * len(ks))
         log_s.extend(np.log(norms))
@@ -338,14 +407,20 @@ def _partition(cocycle: NormalCocycle, length: float, step: float) -> list:
 
 def _partition_log_norms(est: SplittingEstimate, idx) -> tuple:
     """Per-step stable log-norm and unstable log-conorm of the window
-    products between consecutive cocycle indices ``idx``."""
-    a, b = [], []
-    for i, j in zip(idx, idx[1:]):
-        w = est.cocycle.window_product(i, j)
-        bs, bu = est.basis_at(i)
-        a.append(math.log(_extreme_singular_values(w @ bs, True)))
-        b.append(math.log(_extreme_singular_values(w @ bu, False)))
-    return np.array(a), np.array(b)
+    products between consecutive cocycle indices ``idx``; a rank-1 bundle
+    reads them from the log-growth table."""
+    idx = np.asarray(idx)
+    out = []
+    for side, bases in enumerate((est.stable, est.unstable)):
+        if bases.shape[-1] == 1:
+            out.append(est.log_prefix[side, idx[1:]] - est.log_prefix[side, idx[:-1]])
+            continue
+        values = [
+            _extreme_singular_values(est.cocycle.window_product(i, j) @ bases[i], side == 0)
+            for i, j in zip(idx, idx[1:])
+        ]
+        out.append(np.log(values))
+    return tuple(out)
 
 
 def check_quasi_hyperbolic(
@@ -362,8 +437,7 @@ def check_quasi_hyperbolic(
     ``[0, tau]`` inside the valid sample range (pad the cocycle by one
     window on each side).  Step boundaries snap to the cocycle grid.
     """
-    if eta <= 0 or big_t <= 0:
-        raise ValueError("eta and big_t must be positive")
+    _require_positive(eta=eta, big_t=big_t)
     tau = float(tau)
     if tau < big_t:
         raise ValueError(f"arc length {tau:.6g} is shorter than one step {big_t:.6g}")
@@ -435,8 +509,7 @@ def uniform_periodic_estimates(
     exceeds it) has averaged stable log-norms at most ``-eta`` and averaged
     unstable log-conorms at least ``eta``.
     """
-    if t_min <= 0 or eta <= 0:
-        raise ValueError("t_min and eta must be positive")
+    _require_positive(t_min=t_min, eta=eta)
     results = []
     ok = True
     for rep in reports:
@@ -464,11 +537,10 @@ def uniform_periodic_estimates(
             cocycle.steps - int(ks.max()),
         )
         j_lo = max(1, int(math.ceil(t_min / cocycle.dt - 1e-9)))
-        j_grid = set(np.unique(np.linspace(j_lo, j_hi, 24).astype(int)))
+        # a j_lo past j_hi leaves j_hi as the one time on the grid
+        j_grid = np.unique(np.minimum(np.linspace(j_lo, j_hi, 24).astype(int), j_hi))
         slack_gap = np.inf
-        for j, norms, conorms in _batched_window_scan(est, ks, j_hi):
-            if j not in j_grid:
-                continue
+        for j, norms, conorms in _batched_window_scan(est, ks, j_grid):
             t = j * cocycle.dt
             gap = (np.log(conorms) - np.log(norms)) / t - 2.0 * eta
             slack_gap = min(slack_gap, float(gap.min()))

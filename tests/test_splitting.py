@@ -19,6 +19,7 @@ from flowlab import (
     fit_hyperbolic,
     uniform_periodic_estimates,
 )
+from flowlab import splitting
 from flowlab.splitting import _batched_window_scan
 
 # Normal rates on the r = 1 cycle of saddle_cycle: radial e^{-2t}, vertical e^{t}.
@@ -127,6 +128,9 @@ def test_estimate_reports_missing_gap():
     coc = build_cocycle(iso, np.array([0.4, 0.3, 0.5]), 8.0, 0.05)
     with pytest.raises(DominationGapError, match="singular-value ratio"):
         estimate_splitting(coc, 1)
+    # a window shorter than one step is one step long, and the message says so
+    with pytest.raises(DominationGapError, match="over windows of 0.05 time units"):
+        estimate_splitting(coc, 1, 0.001)
 
 
 def test_check_domination_passes_beyond_threshold(saddle_est):
@@ -163,6 +167,8 @@ def test_check_domination_fails_below_threshold(saddle_est):
         (-1.0, "l must be positive"),
         (0.01, "no grid times inside"),
         (5.0, "cocycle too short"),
+        (math.nan, r"l must be positive and finite \(got l=nan\)"),
+        (math.inf, r"l must be positive and finite \(got l=inf\)"),
     ],
 )
 def test_check_domination_validation(saddle_est, l, message):
@@ -171,11 +177,34 @@ def test_check_domination_validation(saddle_est, l, message):
         check_domination(est, l)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda est, x: estimate_splitting(est.cocycle, 1, 0.0), "window_time must be positive"),
+        (lambda est, x: estimate_splitting(est.cocycle, 1, -1.0), "window_time must be positive"),
+        (lambda est, x: estimate_splitting(est.cocycle, 1, math.nan), "window_time must be positive"),
+        (lambda est, x: check_quasi_hyperbolic(None, x, 6.0, est, math.nan, 1.0), "got eta=nan"),
+        (lambda est, x: check_quasi_hyperbolic(None, x, 6.0, est, math.inf, 1.0), "got eta=inf"),
+        (lambda est, x: check_quasi_hyperbolic(None, x, 6.0, est, 0.5, math.nan), "big_t=nan"),
+        (lambda est, x: fit_hyperbolic(est, n_times=1), "n_times must be at least 2"),
+        (lambda est, x: fit_hyperbolic(est, n_times=0), "n_times must be at least 2"),
+        (lambda est, x: fit_hyperbolic(est, n_bases=0), "n_bases must be at least 1"),
+    ],
+)
+def test_splitting_arguments_must_be_positive_and_finite(cycle_arc_est, call, message):
+    """Non-finite or non-positive scales, and fits without two times or one
+    base, raise ``ValueError`` naming the argument."""
+    _, est = cycle_arc_est
+    with pytest.raises(ValueError, match=message):
+        call(est, np.array([1.0, 0.0, 0.0]))
+
+
 def _assert_scan_matches_svd(est, ks, js):
     """The scan's norms/conorms equal direct SVDs of the restricted window
     products ``window_product(k, k + j) @ basis`` to relative 1e-12."""
     ks = np.asarray(ks)
-    scanned = {j: (n, c) for j, n, c in _batched_window_scan(est, ks, max(js)) if j in js}
+    scanned = {j: (n, c) for j, n, c in _batched_window_scan(est, ks, js)}
+    assert sorted(scanned) == sorted(js)
     for j in js:
         norms, conorms = scanned[j]
         for i, k in enumerate(ks):
@@ -190,6 +219,75 @@ def _assert_scan_matches_svd(est, ks, js):
 def test_window_scan_matches_direct_svd_rank_one(saddle_est):
     _, est = saddle_est
     _assert_scan_matches_svd(est, [60, 77, 100], (1, 7, 40))
+
+
+def test_log_growth_table_matches_direct_products(saddle_est):
+    """For rank-1 bundles the table gives every window norm as
+    ``exp(P[k + j] - P[k])``, to relative 1e-12 of the direct SVD, also for
+    windows that run past ``k_hi`` into the forward stable extension."""
+    _, est = saddle_est
+    m = est.cocycle.steps
+    assert est.log_prefix.shape == (2, m + 1)
+    assert np.all(np.isfinite(est.log_prefix[0]))
+    assert np.all(np.isnan(est.log_prefix[1, : est.k_lo]))
+    assert np.all(np.isfinite(est.log_prefix[1, est.k_lo :]))
+    assert np.all(np.isfinite(est.stable))
+    # k + j reaches m = 200 from bases up to k_hi = 140
+    _assert_scan_matches_svd(est, [60, 99, 123, 139, 140], (1, 17, 60))
+    for side, bases in enumerate((est.stable, est.unstable)):
+        table = est.log_prefix[side]
+        for k, j in ((140, 60), (150, 50), (61, 139), (est.k_lo, m - est.k_lo)):
+            direct = np.linalg.norm(est.cocycle.window_product(k, k + j) @ bases[k])
+            assert math.exp(table[k + j] - table[k]) == pytest.approx(direct, rel=1e-12)
+
+
+def test_tie_rule_on_constant_diagonal_cocycle():
+    """Rates -2 and +1 in every frame: every base gives the product e^{-3t}.
+    The worst product is the first maximum in scan order (t ascending, then
+    base ascending), and it lies within 1e-9 of every base's direct product."""
+    dt, m, l = 0.01, 700, 0.3
+    step = np.diag(np.exp(np.array([-2.0, 1.0]) * dt))
+    coc = NormalCocycle(
+        None,
+        -3.0 + dt * np.arange(m + 1),
+        np.zeros((m + 1, 3)),
+        np.broadcast_to(np.eye(3)[:, 1:], (m + 1, 3, 2)),
+        np.broadcast_to(step, (m, 2, 2)).copy(),
+        1e-10,
+    )
+    est = estimate_splitting(coc, 1)
+    dom = check_domination(est, l)
+    assert dom.ok
+    assert dom.worst_t == pytest.approx(l, abs=1e-12)
+    assert dom.worst_product == pytest.approx(math.exp(-3.0 * dom.worst_t), rel=1e-12)
+
+    j = round(dom.worst_t / dt)
+    ks = np.arange(est.k_lo, min(est.k_hi, m - math.floor(3.0 * l / dt + 1e-9)) + 1)
+    assert len(ks) == dom.n_bases
+    (_, norms, conorms), = _batched_window_scan(est, ks, [j])
+    products = norms / conorms
+    first = int(np.flatnonzero(products == products.max())[0])
+    assert dom.worst_base_time == coc.times[ks[first]]
+    direct = [
+        np.linalg.norm(coc.window_product(k, k + j) @ est.stable[k])
+        / np.linalg.norm(coc.window_product(k, k + j) @ est.unstable[k])
+        for k in ks
+    ]
+    assert max(direct) - dom.worst_product <= 1e-9 * max(direct)
+
+
+def test_tie_rule_reports_first_maximum_on_exact_ties(saddle_est, monkeypatch):
+    """With every product equal, the first base of the first time wins."""
+    _, est = saddle_est
+
+    def flat_scan(est, ks, js):
+        return ((j, np.full(len(ks), 0.25), np.ones(len(ks))) for j in js)
+
+    monkeypatch.setattr(splitting, "_batched_window_scan", flat_scan)
+    dom = check_domination(est, 0.4)
+    assert dom.worst_product == 0.25
+    assert dom.worst_t == pytest.approx(0.4, abs=1e-12)
+    assert dom.worst_base_time == est.cocycle.times[est.k_lo]
 
 
 @pytest.fixture(scope="module")
@@ -207,10 +305,24 @@ def rotated_diagonal_cocycle():
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_window_scan_matches_direct_svd_wide_bundles(rotated_diagonal_cocycle, p):
+def test_window_scan_matches_direct_svd_wide_bundles(rotated_diagonal_cocycle, p, monkeypatch):
+    """The rank-2 bundle takes the pushed-basis SVD branch, the rank-1 one
+    the log-growth table."""
     est = estimate_splitting(rotated_diagonal_cocycle, p)
     assert est.stable.shape[2] == p and est.unstable.shape[2] == 3 - p
+    wide = 0 if p == 2 else 1
+    assert np.all(np.isnan(est.log_prefix[wide]))
+    assert np.all(np.isfinite(est.log_prefix[1 - wide, est.k_lo :]))
+    seen = []
+    svd_branch = splitting._extreme_singular_values
+
+    def counted(a, largest):
+        seen.append((a.shape, largest))
+        return svd_branch(a, largest)
+
+    monkeypatch.setattr(splitting, "_extreme_singular_values", counted)
     _assert_scan_matches_svd(est, [300, 333, 380], (1, 9, 50))
+    assert seen == [((3, 3, 2), wide == 0)] * 3
 
 
 def test_check_domination_flips_at_closed_form_with_wide_bundle(rotated_diagonal_cocycle):
