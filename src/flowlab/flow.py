@@ -35,7 +35,14 @@ DEFAULT_NORM_BOUND = 1e6
 
 
 class FlowDivergenceError(RuntimeError):
-    """The state norm crossed the divergence bound during integration."""
+    """The state norm crossed the divergence bound during integration.
+
+    ``rows``, when known, indexes the rows of a batched solve whose norm was
+    at the bound (within 1e-9 relative of the largest) where it stopped."""
+
+    def __init__(self, message, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -230,6 +237,13 @@ def _escape_event(norm_bound: float, dim: int, rows: int = 1):
     return ev
 
 
+def _peak_rows(y, dim: int, rows: int) -> np.ndarray:
+    """Rows of a state of ``rows`` equal-length rows whose first ``dim`` entries
+    have a norm within 1e-9 relative of the largest."""
+    norms = np.linalg.norm(np.reshape(y, (rows, -1))[:, :dim], axis=1)
+    return np.flatnonzero(norms >= (1.0 - 1e-9) * norms.max())
+
+
 def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1, t_eval=None):
     """DOP853 solve with the divergence guard; returns ``(sol, escaped)``.
 
@@ -239,7 +253,9 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     if not np.all(np.isfinite(y0)):
         raise ValueError("x0 must be finite")
     if escape(t_span[0], y0) <= 0:
-        raise FlowDivergenceError("initial state already beyond the divergence bound")
+        raise FlowDivergenceError(
+            "initial state already beyond the divergence bound", _peak_rows(y0, spec.dim, rows)
+        )
     tol = tol / np.sqrt(rows)
     sol = solve_ivp(
         rhs,
@@ -326,7 +342,9 @@ def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND, scale=N
     ``(N, len(u), dim)`` for increasing ``u``.  With ``row``, point ``j`` is row
     ``row[j]`` at ``u[j] > 0``, ``(len(u), dim)``, read in chunks of ``_DENSE_ENTRIES``
     from one dense solve that spans at least ``[0, 1]``, so an orbit that crosses
-    ``norm_bound`` there raises.  Rows ``(N, dim)`` must meet the batch contract."""
+    ``norm_bound`` there raises.  Rows ``(N, dim)`` must meet the batch contract.
+    A solve stops where the first orbit crosses ``norm_bound``; the error's
+    ``rows`` are the rows at the bound there."""
     y = np.asarray(y, dtype=float)
     u = np.asarray(u_values, dtype=float)
     rows = y.reshape(-1, spec.dim)
@@ -344,7 +362,8 @@ def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND, scale=N
         if escaped:
             raise FlowDivergenceError(
                 f"{spec.name}: an orbit crossed norm {norm_bound:.3g} "
-                f"at t={sol.t_events[0][0]:.6g}"
+                f"at t={sol.t_events[0][0]:.6g}",
+                _peak_rows(sol.y_events[0][0], spec.dim, len(rows)),
             )
         return sol
 

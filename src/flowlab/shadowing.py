@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.optimize import minimize
 
 from .chains import ConcatEvaluator, PseudoOrbit
 from .flow import (
@@ -209,7 +208,8 @@ class ReparamFit:
     shift: float
 
 
-# Distances N * m * k stacked per block of lattice points: memory is flat in the lattice size
+# Orbit entries N * len(u) * dim per solve and distances N * m * k per matched stack:
+# memory is flat in the lattice size
 _SCAN_ENTRIES = 1 << 16
 
 
@@ -268,27 +268,29 @@ class _MatchObjective:
         y_anchored = flow_at(self.spec, y, shift, tol=self.tol) if shift != 0.0 else y.copy()
         return ReparamFit(h=h, distance=value, y_anchored=y_anchored, shift=shift)
 
-    def __call__(self, y) -> float:
-        try:
-            return self.fit(y).distance
-        except FlowDivergenceError:
-            return np.inf
-
     def scan(self, lattice):
         """Yield ``(ys, values)`` per block of the points in ``lattice``, each
-        point one evaluation.  A block (``_SCAN_ENTRIES`` distances, one row at
-        least) shares one orbit solve per time direction and one stacked
-        matching; a block where an orbit escapes is scored point by point."""
+        point one evaluation.  A block shares one orbit solve per time direction,
+        of ``_SCAN_ENTRIES`` orbit entries at most (one row at least), and is
+        matched in stacks of at most ``_SCAN_ENTRIES`` distances.  Where an orbit
+        escapes, the rows at the divergence bound score ``inf`` and the rest of
+        the block is solved again as one batch."""
         lattice = iter(lattice)
-        block = max(1, _SCAN_ENTRIES // (len(self.t_grid) * len(self.u_grid)))
+        block = max(1, _SCAN_ENTRIES // (len(self.u_grid) * self.spec.dim))
+        stack = max(1, _SCAN_ENTRIES // (len(self.t_grid) * len(self.u_grid)))
         while len(ys := np.array(list(itertools.islice(lattice, block)), dtype=float)):
-            try:
-                o_pts = _orbit_points(self.spec, ys, self.u_grid, self.tol)
-            except FlowDivergenceError:
-                yield ys, np.array([self(y) for y in ys])
-                continue
             self.evaluations += len(ys)
-            yield ys, _frechet_values(pairwise_distances(self.spec, self.c_pts, o_pts))
+            values = np.full(len(ys), np.inf)
+            live, o_pts = np.arange(len(ys)), None
+            while o_pts is None and len(live):
+                try:
+                    o_pts = _orbit_points(self.spec, ys[live], self.u_grid, self.tol)
+                except FlowDivergenceError as err:
+                    live = np.delete(live, err.rows)
+            for i in range(0, len(live), stack):
+                d = pairwise_distances(self.spec, self.c_pts, o_pts[i : i + stack])
+                values[live[i : i + stack]] = _frechet_values(d)
+            yield ys, values
 
 
 def best_reparam(
@@ -383,8 +385,9 @@ class ShadowingReport:
 def _coarse_axes(seed_region: np.ndarray, n_points: int) -> list:
     """Axes of a centered lattice over the seed box with odd per-axis counts,
     so the exact box center (and exact coordinate subspaces through it) are
-    grid points."""
-    n = seed_region.shape[0]
+    grid points.  Only live axes (``lo < hi``) share the ``n_points``; a flat
+    axis holds its one value."""
+    n = max(1, int(np.count_nonzero(seed_region[:, 0] < seed_region[:, 1])))
     k = max(1, int(math.floor(n_points ** (1.0 / n))))
     if k > 1 and k % 2 == 0:
         k -= 1
@@ -393,8 +396,34 @@ def _coarse_axes(seed_region: np.ndarray, n_points: int) -> list:
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         offsets = np.linspace(0.0, half, (k + 1) // 2)
-        axes.append(np.unique(np.concatenate([center - offsets, center + offsets])))
+        points = np.unique(np.concatenate([center - offsets, center + offsets]))
+        axes.append(np.clip(points, lo, hi))  # center - half may round past lo
     return axes
+
+
+def _compass(obj, seed_region, axes, y, f, evals):
+    """Compass search from the lattice point ``y`` (value ``f``) that never
+    leaves the seed box.  A round scores the ``+-step`` moves along the live
+    axes, clipped to the box, in one :meth:`_MatchObjective.scan`; it moves to
+    the first strictly better point, or else halves the step.  The first step
+    is the lattice spacing (the half-width on an axis with one lattice point).
+    The search ends when ``evals`` moves are scored or the step is below 1e-10."""
+    lo, hi = seed_region.T
+    step = np.array(
+        [a[1] - a[0] if len(a) > 1 else 0.5 * (h - l) for a, l, h in zip(axes, lo, hi)]
+    )
+    unit = np.eye(len(y))[step > 0]
+    polls = np.concatenate([unit, -unit])
+    while evals > 0 and len(polls) and step.max() >= 1e-10:
+        moves = np.clip(y + polls * step, lo, hi)
+        moves = moves[np.any(moves != y, axis=1)][:evals]
+        evals -= len(moves)
+        values = np.concatenate([np.empty(0)] + [v for _, v in obj.scan(moves)])
+        if len(values) and values.min() < f:
+            y, f = moves[np.argmin(values)], float(values.min())
+        else:
+            step = step / 2.0
+    return y, f
 
 
 def search_shadowing(
@@ -410,11 +439,16 @@ def search_shadowing(
     ``epsilon``-close to the chain.
 
     A centered coarse lattice is scanned with the matching objective in
-    batched blocks (``spec`` must accept ``(N, dim)`` batches), the best cell
-    is polished with Nelder-Mead, and a candidate below ``epsilon`` must
-    additionally pass the dense :func:`shadow_distance` verification before
-    the verdict ``"shadowed"`` is issued.  The verdict ``"not_found"`` reports
-    the best distance seen and is explicitly not a proof of non-shadowability.
+    batched blocks (``spec`` must accept ``(N, dim)`` batches).  The best
+    lattice point is polished by a compass search inside the seed box, one
+    batched scan per round of ``+-step`` moves along the live axes
+    (``lo < hi``); a flat axis never moves.  A point whose orbit leaves the
+    divergence bound scores ``inf``.  Each lattice and refinement point is
+    one evaluation, escaped points included.  A candidate below ``epsilon``
+    must additionally pass the dense :func:`shadow_distance` verification
+    before the verdict ``"shadowed"`` is issued.  The verdict ``"not_found"``
+    reports the best distance seen and is explicitly not a proof of
+    non-shadowability.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -422,6 +456,8 @@ def search_shadowing(
     seed_region = np.asarray(seed_region, dtype=float)
     if seed_region.shape != (spec.dim, 2):
         raise ValueError(f"seed_region must have shape ({spec.dim}, 2)")
+    if not np.all(np.isfinite(seed_region)) or np.any(seed_region[:, 0] > seed_region[:, 1]):
+        raise ValueError("seed_region rows must be finite with lo <= hi")
 
     lo = -budget.settle if po.head is not None else 0.0
     hi = po.total_time + (budget.settle if po.tail is not None else 0.0)
@@ -440,21 +476,8 @@ def search_shadowing(
     blocks = obj.scan(itertools.product(*axes))
     f_best, y_best = min(((v.min(), ys[np.argmin(v)]) for ys, v in blocks), key=lambda b: b[0])
 
-    if budget.refine_evals > 0 and np.isfinite(f_best):
-        res = minimize(
-            obj,
-            y_best,
-            method="Nelder-Mead",
-            options={
-                "maxfev": budget.refine_evals,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-                "disp": False,
-            },
-        )
-        if res.fun <= f_best:
-            y_best = np.asarray(res.x, dtype=float)
-            f_best = float(res.fun)
+    if np.isfinite(f_best):
+        y_best, f_best = _compass(obj, seed_region, axes, y_best, f_best, budget.refine_evals)
 
     notes = [
         "not_found reports the best distance over a finite search; "

@@ -326,10 +326,13 @@ def fit_hyperbolic(
         raise ValueError(f"n_times must be at least 2 to fit a slope, got {n_times}")
     if n_bases < 1:
         raise ValueError(f"n_bases must be at least 1, got {n_bases}")
+    _require_positive(t_lo=t_lo)
     dt = est.cocycle.dt
     m = est.cocycle.steps
     if t_hi is None:
         t_hi = min(8.0, 0.6 * dt * (m - est.k_lo))
+    else:
+        _require_positive(t_hi=t_hi)
     j_lo = max(1, math.ceil(t_lo / dt - 1e-9))
     j_hi = min(math.floor(t_hi / dt + 1e-9), m - est.k_lo)
     if j_hi < j_lo + 3:
@@ -537,8 +540,12 @@ def uniform_periodic_estimates(
             cocycle.steps - int(ks.max()),
         )
         j_lo = max(1, int(math.ceil(t_min / cocycle.dt - 1e-9)))
-        # a j_lo past j_hi leaves j_hi as the one time on the grid
-        j_grid = np.unique(np.minimum(np.linspace(j_lo, j_hi, 24).astype(int), j_hi))
+        if j_hi < j_lo:
+            raise ValueError(
+                f"no grid time of step dt={cocycle.dt:.6g} lies in [t_min, 3 * period] = "
+                f"[{t_min:.6g}, {3.0 * period:.6g}]"
+            )
+        j_grid = np.unique(np.linspace(j_lo, j_hi, 24).astype(int))
         slack_gap = np.inf
         for j, norms, conorms in _batched_window_scan(est, ks, j_grid):
             t = j * cocycle.dt

@@ -22,7 +22,7 @@ from flowlab import (
     search_shadowing,
     shadow_distance,
 )
-from flowlab import shadowing
+from flowlab import flow, shadowing
 from oracles import brute_frechet, brute_frechet_pairs, sample_box_points
 
 
@@ -143,10 +143,18 @@ def test_stacked_frechet_values_equal_per_matrix_match(rng):
     assert pairs.tolist() == [[0, 0], [0, 1], [0, 2], [1, 3], [2, 4]]
 
 
+def objective(obj, y):
+    # the objective of one candidate, scored on its own
+    try:
+        return obj.fit(y).distance
+    except FlowDivergenceError:
+        return np.inf
+
+
 def per_candidate_scan(self, lattice):
     # the lattice as the per-candidate objective scores it, in one block
     ys = np.array(list(lattice), dtype=float)
-    yield ys, np.array([self(y) for y in ys])
+    yield ys, np.array([objective(self, y) for y in ys])
 
 
 def scanned(obj, region, n_points):
@@ -156,9 +164,36 @@ def scanned(obj, region, n_points):
     )
 
 
+def recorded_scans(monkeypatch):
+    # every (ys, values) block the search scores, in order
+    blocks = []
+    scan = shadowing._MatchObjective.scan
+
+    def recording(self, lattice):
+        for ys, values in scan(self, lattice):
+            blocks.append((ys, values))
+            yield ys, values
+
+    monkeypatch.setattr(shadowing._MatchObjective, "scan", recording)
+    return blocks
+
+
+def test_coarse_axes_share_the_budget_among_live_axes():
+    # criterion 3's box is flat in z: its budget of 10 gives 3 x 3 points
+    axes = shadowing._coarse_axes(np.array([[0.898, 0.902], [0.898, 0.902], [0.0, 0.0]]), 10)
+    assert [len(a) for a in axes] == [3, 3, 1]
+    assert axes[2].tolist() == [0.0]
+    # criterion 1's box: 0.5 * (lo + hi) - 0.5 * (hi - lo) rounds below lo = -0.1
+    region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
+    axes = shadowing._coarse_axes(region, 800)
+    assert [len(a) for a in axes] == [27, 27]
+    assert all(a[0] == lo and a[-1] == hi for a, (lo, hi) in zip(axes, region))
+
+
 def test_lattice_scan_matches_per_candidate_objective(scenarios, monkeypatch):
     """Criterion 1's 729-point lattice: one batched block whose values agree
-    with the per-candidate objective to 1e-9, so the search is unchanged."""
+    with the per-candidate objective to 1e-9, so the search is unchanged when
+    the lattice and every refinement round are scored point by point."""
     spec = scenarios["neutral_line"].spec
     po = equilibrium_segment_chain(spec, 0.4, 0.05)
     region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
@@ -167,7 +202,7 @@ def test_lattice_scan_matches_per_candidate_objective(scenarios, monkeypatch):
     sizes, ys, batched = scanned(obj, region, 800)
     assert sizes == [729]
     assert obj.evaluations == 729
-    solo = np.array([obj(y) for y in ys])
+    solo = np.array([objective(obj, y) for y in ys])
     assert np.all(np.isfinite(solo))
     assert np.max(np.abs(batched - solo)) <= 1e-9
     assert np.argmin(batched) == np.argmin(solo)
@@ -176,33 +211,52 @@ def test_lattice_scan_matches_per_candidate_objective(scenarios, monkeypatch):
     assert report.coarse_candidates == 729
 
     def replay(self, lattice):
-        # the per-candidate values computed above, without scoring them again
-        assert np.array_equal(np.array(list(lattice)), ys)
-        self.evaluations += len(ys)
-        yield ys, solo
+        # the lattice's per-candidate values computed above, without scoring
+        # them again; refinement rounds are scored point by point
+        lattice = list(lattice)
+        if np.array_equal(lattice, ys):
+            self.evaluations += len(ys)
+            yield ys, solo
+            return
+        yield from per_candidate_scan(self, lattice)
 
     monkeypatch.setattr(shadowing._MatchObjective, "scan", replay)
     assert search_shadowing(spec, po, 0.05, region, budget=SearchBudget()) == report
 
 
 def test_lattice_scan_across_blocks(scenarios, monkeypatch):
+    """Blocks are sized by orbit entries (9 times x 2 coordinates per row) and
+    matched in stacks of at most ``_SCAN_ENTRIES`` distances (81 per row)."""
     spec = scenarios["neutral_line"].spec
     po = equilibrium_segment_chain(spec, 0.4, 0.05)
     region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
     obj = shadowing._MatchObjective(spec, po, (-3.0, po.total_time + 3.0))
-    # 81 distances per candidate: blocks of 40 rows over a 169-point lattice
-    monkeypatch.setattr(shadowing, "_SCAN_ENTRIES", 81 * 40 + 80)
+    assert (len(obj.t_grid), len(obj.u_grid), spec.dim) == (9, 9, 2)
+    stacks = []
+    frechet = shadowing._frechet_values
+
+    def recorded(d, choice=None):
+        if d.ndim == 3:  # a stack of the scan, not a solo frechet_match
+            stacks.append(d.shape)
+        return frechet(d, choice)
+
+    monkeypatch.setattr(shadowing, "_frechet_values", recorded)
+    # solves of 40 rows over a 169-point lattice, matched 9 rows at a time
+    monkeypatch.setattr(shadowing, "_SCAN_ENTRIES", 18 * 40 + 17)
     sizes, ys, batched = scanned(obj, region, 200)
     assert sizes == [40, 40, 40, 40, 9]
+    assert [n for n, _, _ in stacks] == [9, 9, 9, 9, 4] * 4 + [9]
     assert obj.evaluations == 169
-    solo = np.array([obj(y) for y in ys])
+    solo = np.array([objective(obj, y) for y in ys])
     assert np.max(np.abs(batched - solo)) <= 1e-9
     assert np.argmin(batched) == np.argmin(solo)
-    # one row per block when a single candidate exceeds the bound
-    monkeypatch.setattr(shadowing, "_SCAN_ENTRIES", 80)
+    # one row per solve and per stack when a single candidate exceeds the bound
+    monkeypatch.setattr(shadowing, "_SCAN_ENTRIES", 17)
+    stacks.clear()
     sizes, ys1, batched1 = scanned(obj, region, 9)
     assert sizes == [1] * 9
-    assert np.max(np.abs(batched1 - np.array([obj(y) for y in ys1]))) <= 1e-9
+    assert [n for n, _, _ in stacks] == [1] * 9
+    assert np.max(np.abs(batched1 - np.array([objective(obj, y) for y in ys1]))) <= 1e-9
 
 
 def test_lattice_scan_scores_escaping_candidates_inf(scenarios):
@@ -222,7 +276,7 @@ def test_lattice_scan_scores_escaping_candidates_inf(scenarios):
     sizes, ys, batched = scanned(obj, region, 27)
     assert sizes == [27]
     assert obj.evaluations == 27
-    solo = np.array([obj(y) for y in ys])
+    solo = np.array([objective(obj, y) for y in ys])
     assert np.isinf(solo).sum() == 18
     assert np.array_equal(np.isinf(batched), np.isinf(solo))
     assert np.array_equal(np.isinf(batched), ys[:, 2] != 0.0)
@@ -330,7 +384,7 @@ def test_search_shadowing_finds_witness(noisy_saddle_chain):
     w = np.asarray(report.witness)
     assert np.linalg.norm(w - np.array([0.9, 0.9, 0.0])) <= 5e-3
     assert report.horizon == (0.0, po.total_time)
-    assert report.coarse_candidates == 9
+    assert report.coarse_candidates == 25
     assert report.evaluations >= report.coarse_candidates
     assert "not a proof" in report.notes[0]
     # the witness survives re-verification on a four times finer grid
@@ -354,27 +408,147 @@ def test_search_shadowing_deterministic(noisy_saddle_chain):
 
 def test_search_counts_each_diverging_evaluation_once(noisy_saddle_chain, monkeypatch):
     # z grows like e^t, so the seed box's outer z layers leave the divergence
-    # bound within the chain's horizon while its middle layer does not
+    # bound within the chain's horizon while its middle layer does not; the
+    # scans score escaped points inf, and only the final fit calls fit
     spec, po = noisy_saddle_chain
-    outcomes = []
+    blocks = recorded_scans(monkeypatch)
+    fits = []
     fit = shadowing._MatchObjective.fit
 
     def counted_fit(self, y):
-        try:
-            result = fit(self, y)
-        except FlowDivergenceError:
-            outcomes.append("diverged")
-            raise
-        outcomes.append("ok")
-        return result
+        fits.append(y)
+        return fit(self, y)
 
     monkeypatch.setattr(shadowing._MatchObjective, "fit", counted_fit)
     budget = SearchBudget(candidates=37, refine_evals=10, eval_samples=33)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [-100.0, 100.0]])
     report = search_shadowing(spec, po, 2e-3, region, budget=budget)
     assert report.coarse_candidates == 27
-    assert "diverged" in outcomes and "ok" in outcomes
-    assert report.evaluations == len(outcomes)
+    values = np.concatenate([v for _, v in blocks])
+    assert np.isinf(values).any() and np.isfinite(values).any()
+    assert np.isinf(values[27:]).any()
+    assert len(fits) == 1
+    assert report.evaluations == len(values) + len(fits)
+
+
+def refinement_points(blocks, coarse):
+    # the points and values the compass search scored, after the lattice's
+    ys = np.concatenate([ys for ys, _ in blocks])
+    values = np.concatenate([v for _, v in blocks])
+    return ys[coarse:], values[coarse:]
+
+
+def test_refinement_stays_in_the_seed_box(noisy_saddle_chain, monkeypatch):
+    """The box's lower x edge sits above the witness (x near 0.9), so the
+    search presses against that edge; no scored point leaves the box and the
+    flat z axis never moves."""
+    spec, po = noisy_saddle_chain
+    blocks = recorded_scans(monkeypatch)
+    region = np.array([[0.9005, 0.902], [0.898, 0.902], [0.0, 0.0]])
+    budget = SearchBudget(candidates=60, refine_evals=25, eval_samples=65)
+    report = search_shadowing(spec, po, 5e-3, region, budget=budget)
+    ys, values = refinement_points(blocks, report.coarse_candidates)
+    assert len(ys) == 25
+    assert np.all(np.isfinite(values))
+    assert np.all((region[:, 0] <= ys) & (ys <= region[:, 1]))
+    assert np.all(ys[:, 2] == 0.0)
+    assert np.any(ys[:, 0] == region[0, 0])
+
+
+@pytest.mark.parametrize("candidates, refine_evals", [(30, 10), (60, 25), (12, 11), (10, 0)])
+def test_search_evaluations_within_budget(noisy_saddle_chain, candidates, refine_evals):
+    # a round of 4 moves is cut to the evaluations left
+    spec, po = noisy_saddle_chain
+    budget = SearchBudget(candidates=candidates, refine_evals=refine_evals, eval_samples=33)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
+    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    assert report.evaluations <= report.coarse_candidates + refine_evals + 1
+    assert report.evaluations <= candidates + 1
+    assert report.evaluations == report.coarse_candidates + refine_evals + 1
+
+
+def test_refinement_values_match_solo_objective(noisy_saddle_chain, monkeypatch):
+    """Each compass round is one batched scan; its values equal the objective
+    of each point on its own to 1e-9 (relative above 1: a move to z = 25
+    nearly reaches the bound, at distances near 7e5), and escaped points read
+    inf in both."""
+    spec, po = noisy_saddle_chain
+    blocks = recorded_scans(monkeypatch)
+    budget = SearchBudget(candidates=57, refine_evals=30, eval_samples=33)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [-100.0, 100.0]])
+    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    ys, batched = refinement_points(blocks, report.coarse_candidates)
+    assert len(ys) == 30
+    obj = shadowing._MatchObjective(spec, po, report.horizon)
+    solo = np.array([objective(obj, y) for y in ys])
+    assert np.isinf(solo).any() and np.isfinite(solo).any()
+    assert np.array_equal(np.isinf(batched), np.isinf(solo))
+    finite = np.isfinite(solo)
+    assert np.all(np.abs(batched[finite] - solo[finite]) <= 1e-9 * (1.0 + solo[finite]))
+
+
+def test_escaping_rows_cost_one_solve_per_escape_time(scenarios, monkeypatch):
+    """Rows at the divergence bound are dropped and the rest solved again as
+    one batch: 1 + (distinct escape times) solves.  +-z escape together, and
+    a row that starts beyond the bound escapes at t = 0."""
+    spec = scenarios["linear_saddle3d"].spec
+    po = generate_noisy(
+        spec,
+        np.array([0.9, 0.9, 0.0]),
+        40,
+        1e-4,
+        rng=np.random.default_rng(7),
+        noise_subspace=np.eye(3)[:, :2],
+    )
+    obj = shadowing._MatchObjective(spec, po, (0.0, po.total_time))
+    rows = []
+    solve = flow._solve
+
+    def counted_solve(*args, **kwargs):
+        rows.append(kwargs["rows"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_solve", counted_solve)
+    zs = [0.0, 1e-2, -1e-2, 1e-3, 2e6, 0.0, 2e-3, -2e-3]
+    lattice = [[0.9, 0.9 + 1e-4 * i, z] for i, z in enumerate(zs)]
+    ((ys, batched),) = obj.scan(lattice)
+    assert rows == [8, 7, 5, 3, 2]
+    assert obj.evaluations == 8
+    assert np.array_equal(np.isinf(batched), ys[:, 2] != 0.0)
+    monkeypatch.setattr(flow, "_solve", solve)
+    solo = np.array([objective(obj, y) for y in ys])
+    assert np.array_equal(np.isinf(batched), np.isinf(solo))
+    finite = np.isfinite(solo)
+    assert np.max(np.abs(batched[finite] - solo[finite])) <= 1e-9
+
+
+def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
+    """Criterion 3's search (seed 101) solves the chain samples, the 9-point
+    lattice, each of 10 compass rounds of 4 moves, the final fit and the dense
+    verification's chain and orbit: 15 solves in all."""
+    spec = scenarios["linear_saddle3d"].spec
+    po = generate_noisy(
+        spec,
+        np.array([0.9, 0.9, 0.0]),
+        200,
+        1e-4,
+        rng=np.random.default_rng(101),
+        noise_subspace=np.eye(3)[:, :2],
+    )
+    rows = []
+    solve = flow._solve
+
+    def counted_solve(*args, **kwargs):
+        rows.append(kwargs.get("rows", 1))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_solve", counted_solve)
+    region = np.array([[0.898, 0.902], [0.898, 0.902], [0.0, 0.0]])
+    budget = SearchBudget(candidates=50, refine_evals=40)
+    report = search_shadowing(spec, po, 5e-3, region, budget=budget)
+    assert report.verdict == "shadowed"
+    assert (report.coarse_candidates, report.evaluations) == (9, 50)
+    assert rows == [1, 9] + [4] * 10 + [1, po.size, 1]
 
 
 def test_search_distance_independent_of_epsilon(noisy_saddle_chain):
@@ -412,6 +586,9 @@ def test_search_validation(noisy_saddle_chain):
         search_shadowing(spec, po, 0.0, np.array([[0.0, 1.0]] * 3))
     with pytest.raises(ValueError, match="seed_region must have shape"):
         search_shadowing(spec, po, 0.1, np.array([[0.0, 1.0]] * 2))
+    for bad in ([1.0, 0.0], [0.0, math.nan], [-math.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite with lo <= hi"):
+            search_shadowing(spec, po, 0.1, np.array([[0.0, 1.0], bad, [0.0, 0.0]]))
 
 
 def test_refute_by_conservation_certificate(scenarios):

@@ -189,6 +189,12 @@ def test_check_domination_validation(saddle_est, l, message):
         (lambda est, x: fit_hyperbolic(est, n_times=1), "n_times must be at least 2"),
         (lambda est, x: fit_hyperbolic(est, n_times=0), "n_times must be at least 2"),
         (lambda est, x: fit_hyperbolic(est, n_bases=0), "n_bases must be at least 1"),
+        (lambda est, x: fit_hyperbolic(est, t_lo=math.nan), r"t_lo must .* \(got t_lo=nan\)"),
+        (lambda est, x: fit_hyperbolic(est, t_lo=math.inf), r"t_lo must .* \(got t_lo=inf\)"),
+        (lambda est, x: fit_hyperbolic(est, t_lo=0.0), r"t_lo must .* \(got t_lo=0.0\)"),
+        (lambda est, x: fit_hyperbolic(est, t_hi=math.nan), r"t_hi must .* \(got t_hi=nan\)"),
+        (lambda est, x: fit_hyperbolic(est, t_hi=math.inf), r"t_hi must .* \(got t_hi=inf\)"),
+        (lambda est, x: fit_hyperbolic(est, t_hi=0.0), r"t_hi must .* \(got t_hi=0.0\)"),
     ],
 )
 def test_splitting_arguments_must_be_positive_and_finite(cycle_arc_est, call, message):
@@ -518,6 +524,9 @@ def test_uniform_estimates_validation(scenarios, cycle_report):
         uniform_periodic_estimates(spec, [cycle_report], t_min=0.0, eta=0.5)
     with pytest.raises(ValueError, match="exceeds three periods"):
         uniform_periodic_estimates(spec, [cycle_report], t_min=25.0, eta=0.5)
+    # the first grid time at or past t_min = 3 * period lies beyond three periods
+    with pytest.raises(ValueError, match=r"no grid time of step dt=0\.04997\d* lies in \[t_min"):
+        uniform_periodic_estimates(spec, [cycle_report], t_min=3.0 * cycle_report.period, eta=0.5)
     sing = classify_singularity(scenarios["linear_saddle3d"].spec, np.zeros(3))
     with pytest.raises(ValueError, match="periodic-orbit reports only"):
         uniform_periodic_estimates(spec, [sing], t_min=1.0, eta=0.5)
