@@ -1,178 +1,14 @@
 """Tools for pseudo-orbits of smooth flows: shadowing searches and
 refutations, linearized return maps, dominated splittings, quasi-hyperbolic
-arc certificates, and grid-based chain-recurrence graphs."""
+arc certificates, and grid-based chain-recurrence graphs.
+
+The package exports every name in its modules' ``__all__`` lists."""
 
 __version__ = "0.1.0"
 
-from .chain_graph import (
-    ChainGraph,
-    build_chain_graph,
-    chain_recurrent_cells,
-    is_chain_transitive,
-    save_cells_csv,
-    save_edge_list,
-)
-from .chains import (
-    ChainCheck,
-    ConcatEvaluator,
-    PseudoOrbit,
-    accumulated_time,
-    equilibrium_segment_chain,
-    eval_concat,
-    generate_noisy,
-    load_chain,
-    periodic_family_chain,
-    save_chain,
-    verify_chain,
-)
-from .flow import (
-    ConservedQuantity,
-    FlowDivergenceError,
-    Trajectory,
-    VectorFieldSpec,
-    coord_difference,
-    distance,
-    flow_at,
-    integrate,
-    tangent_flow,
-    validate_jacobian,
-    wrap_point,
-)
-from .poincare import (
-    ConsistencyError,
-    CriticalElementReport,
-    NewtonDivergedError,
-    NewtonSingularError,
-    NoCrossingError,
-    NormalCocycle,
-    PeriodicPoint,
-    SectionCrossing,
-    SectionError,
-    TangentialCrossingError,
-    build_cocycle,
-    classify_periodic,
-    classify_singularity,
-    find_periodic_newton,
-    linear_poincare,
-    normal_frame,
-    section_map,
-)
-from .scenarios import (
-    CycleFact,
-    Scenario,
-    ScenarioFacts,
-    SingularityFact,
-    builtin,
-    bump_function,
-    scenario_names,
-)
-from .shadowing import (
-    ConservationCertificate,
-    Reparametrization,
-    ReparamFit,
-    SearchBudget,
-    ShadowingReport,
-    best_reparam,
-    frechet_match,
-    pairwise_distances,
-    refute_by_conservation,
-    search_shadowing,
-    shadow_distance,
-)
-from .splitting import (
-    DominationCheck,
-    DominationGapError,
-    HyperbolicFit,
-    PeriodicShadow,
-    QuasiHyperbolicCertificate,
-    SplittingDegenerateError,
-    SplittingEstimate,
-    UniformEstimates,
-    arc_to_periodic_orbit,
-    check_domination,
-    check_quasi_hyperbolic,
-    estimate_splitting,
-    fit_hyperbolic,
-    uniform_periodic_estimates,
-)
+from . import chain_graph, chains, flow, poincare, scenarios, shadowing, splitting
 
-__all__ = [
-    "__version__",
-    "ChainCheck",
-    "ChainGraph",
-    "ConcatEvaluator",
-    "ConservationCertificate",
-    "ConservedQuantity",
-    "ConsistencyError",
-    "CriticalElementReport",
-    "CycleFact",
-    "DominationCheck",
-    "DominationGapError",
-    "FlowDivergenceError",
-    "HyperbolicFit",
-    "NewtonDivergedError",
-    "NewtonSingularError",
-    "NoCrossingError",
-    "NormalCocycle",
-    "PeriodicPoint",
-    "PeriodicShadow",
-    "PseudoOrbit",
-    "QuasiHyperbolicCertificate",
-    "Reparametrization",
-    "ReparamFit",
-    "Scenario",
-    "ScenarioFacts",
-    "SearchBudget",
-    "SectionCrossing",
-    "SectionError",
-    "ShadowingReport",
-    "SingularityFact",
-    "SplittingDegenerateError",
-    "SplittingEstimate",
-    "TangentialCrossingError",
-    "Trajectory",
-    "UniformEstimates",
-    "VectorFieldSpec",
-    "accumulated_time",
-    "arc_to_periodic_orbit",
-    "best_reparam",
-    "build_chain_graph",
-    "build_cocycle",
-    "builtin",
-    "bump_function",
-    "chain_recurrent_cells",
-    "check_domination",
-    "check_quasi_hyperbolic",
-    "classify_periodic",
-    "classify_singularity",
-    "coord_difference",
-    "distance",
-    "equilibrium_segment_chain",
-    "estimate_splitting",
-    "eval_concat",
-    "find_periodic_newton",
-    "fit_hyperbolic",
-    "flow_at",
-    "frechet_match",
-    "generate_noisy",
-    "integrate",
-    "is_chain_transitive",
-    "linear_poincare",
-    "load_chain",
-    "normal_frame",
-    "pairwise_distances",
-    "periodic_family_chain",
-    "refute_by_conservation",
-    "save_cells_csv",
-    "save_chain",
-    "save_edge_list",
-    "scenario_names",
-    "search_shadowing",
-    "section_map",
-    "shadow_distance",
-    "tangent_flow",
-    "uniform_periodic_estimates",
-    "validate_jacobian",
-    "verify_chain",
-    "wrap_point",
-]
+_MODULES = (chain_graph, chains, flow, poincare, scenarios, shadowing, splitting)
+
+__all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]
+globals().update({name: getattr(module, name) for module in _MODULES for name in module.__all__})

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .flow import VectorFieldSpec, _escape_event, coord_difference
+from .flow import VectorFieldSpec, _escape_event, _require_positive, coord_difference
 
 __all__ = [
     "ChainGraph",
@@ -94,10 +94,11 @@ def build_chain_graph(
     for i, (a, b) in enumerate(region):
         if not a < b:
             raise ValueError(f"region axis {i} is inverted: lo {a:g} is not below hi {b:g}")
-    if hgrid <= 0 or delta <= 0:
-        raise ValueError("hgrid and delta must be positive")
-    if t_max < 1.0:
-        raise ValueError("t_max must be at least 1 (chain steps need t >= 1)")
+    _require_positive(hgrid=hgrid, delta=delta)
+    _require_positive(t_samples=t_samples)
+    if not 1.0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be at least 1 and finite, as chain steps need t >= 1 "
+                         f"(got t_max={t_max})")
     extents = region[:, 1] - region[:, 0]
     counts = np.maximum(1, np.round(extents / hgrid).astype(int))
     if np.any(np.abs(counts * hgrid - extents) > 1e-9 * np.maximum(1.0, extents)):

@@ -16,14 +16,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flow import (
+    DEFAULT_NORM_BOUND,
     DEFAULT_TOL,
     VectorFieldSpec,
     _orbit_points,
+    _require_positive,
     coord_difference,
     distance,
     flow_at,
     wrap_point,
 )
+from .poincare import linear_poincare, normal_frame, section_map
 
 __all__ = [
     "PseudoOrbit",
@@ -78,8 +81,7 @@ class PseudoOrbit:
             raise ValueError("points and durations must be finite")
         if np.any(dur < 1.0 - 1e-12):
             raise ValueError(f"every duration must be >= 1 (got min {dur.min():.6g})")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError("delta must be positive")
+        _require_positive(delta=self.delta)
         head = self._frozen_end(self.head, "head")
         tail = self._frozen_end(self.tail, "tail")
         object.__setattr__(self, "points", pts)
@@ -99,8 +101,8 @@ class PseudoOrbit:
             raise ValueError(f"{label} point must have shape ({self.spec.dim},)")
         if not np.all(np.isfinite(point)):
             raise ValueError(f"{label} point must be finite")
-        if t < 1.0 - 1e-12:
-            raise ValueError(f"{label} duration must be >= 1 (got {t:.6g})")
+        if not 1.0 - 1e-12 <= t < math.inf:
+            raise ValueError(f"{label} duration must be >= 1 and finite (got {t:.6g})")
         return (point, t)
 
     @property
@@ -179,7 +181,9 @@ class ConcatEvaluator:
     the segments they fall in (``spec`` must accept ``(N, dim)`` batches).
     """
 
-    def __init__(self, po: PseudoOrbit, tol: float = DEFAULT_TOL, norm_bound: float = 1e6):
+    def __init__(
+        self, po: PseudoOrbit, tol: float = DEFAULT_TOL, norm_bound: float = DEFAULT_NORM_BOUND
+    ):
         self.po = po
         self.tol = tol
         self.norm_bound = norm_bound
@@ -235,7 +239,7 @@ def generate_noisy(
     rng=None,
     noise_subspace=None,
     tol: float = DEFAULT_TOL,
-    norm_bound: float = 1e6,
+    norm_bound: float = DEFAULT_NORM_BOUND,
 ) -> PseudoOrbit:
     """Flow-and-perturb chain: ``x_{i+1} = X_step(x_i) + xi_i``, ``|xi| <= noise``.
 
@@ -246,12 +250,11 @@ def generate_noisy(
     first).  The chain's ``delta`` is
     ``noise + 10 * tol`` to absorb integration error in later verification.
     """
-    if count < 1:
+    if not count >= 1:
         raise ValueError("count must be at least 1")
-    if noise <= 0:
-        raise ValueError("noise must be positive")
-    if step < 1.0 - 1e-12:
-        raise ValueError("step must be >= 1")
+    _require_positive(noise=noise)
+    if not 1.0 - 1e-12 <= step < math.inf:
+        raise ValueError(f"step must be >= 1 and finite (got step={step})")
     rng = np.random.default_rng(rng)
     basis = None
     if noise_subspace is not None:
@@ -292,8 +295,7 @@ def equilibrium_segment_chain(
     """
     epsilon = float(epsilon)
     delta = float(delta)
-    if epsilon <= 0 or delta <= 0:
-        raise ValueError("epsilon and delta must be positive")
+    _require_positive(epsilon=epsilon, delta=delta)
     span = epsilon / 2.0
     n_seg = max(1, math.ceil(span / (0.8 * delta) - 1e-12))
     alphas = np.linspace(0.0, span, n_seg + 1)
@@ -336,9 +338,7 @@ def periodic_family_chain(
     curvature of the return map.  Head is ``p`` itself; tail is the full
     displacement ``exp_p(C^N v)``.
     """
-    from .poincare import linear_poincare, normal_frame, section_map
-
-    if n_points < 2:
+    if not n_points >= 2:
         raise ValueError("n_points must be at least 2")
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)

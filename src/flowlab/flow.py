@@ -4,10 +4,20 @@ Integration is delegated to scipy's adaptive Runge-Kutta solvers behind a
 dense-output :class:`Trajectory`.  Angle coordinates are integrated on the
 universal cover (never wrapped mid-integration); wrapping happens only in
 :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
+
+Two rules hold across the package.  A length, time, rate, radius or count
+argument that is NaN, infinite or out of range raises ``ValueError`` naming
+the argument (:func:`_require_positive` checks the positive ones).  Every
+integrator here solves through :func:`_solve`, where an orbit that crosses the
+divergence bound raises one :class:`FlowDivergenceError`: "<spec>: orbit from
+<start> crossed norm <bound> at t=<t> during <what>", whose ``rows`` index the
+rows of the solve at the bound.  Only ``integrate(on_escape="truncate")``
+returns the reached part instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -34,11 +44,20 @@ DEFAULT_TOL = 1e-9
 DEFAULT_NORM_BOUND = 1e6
 
 
+def _require_positive(**values):
+    """Raise ``ValueError`` naming the arguments unless every value is
+    finite and positive."""
+    if not all(math.isfinite(v) and v > 0 for v in values.values()):
+        got = ", ".join(f"{name}={v}" for name, v in values.items())
+        raise ValueError(f"{' and '.join(values)} must be positive and finite (got {got})")
+
+
 class FlowDivergenceError(RuntimeError):
     """The state norm crossed the divergence bound during integration.
 
-    ``rows``, when known, indexes the rows of a batched solve whose norm was
-    at the bound (within 1e-9 relative of the largest) where it stopped."""
+    ``rows`` indexes the rows of the (possibly batched) solve whose norm was
+    at the bound (within 1e-9 relative of the largest) where it stopped; it is
+    ``None`` for a read past the end of a truncated :class:`Trajectory`."""
 
     def __init__(self, message, rows=None):
         super().__init__(message)
@@ -64,8 +83,7 @@ class ConservedQuantity:
     name: str = "Q"
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.lipschitz) or self.lipschitz <= 0:
-            raise ValueError("lipschitz bound must be positive and finite")
+        _require_positive(lipschitz=self.lipschitz)
 
 
 @dataclass(frozen=True)
@@ -113,10 +131,8 @@ class VectorFieldSpec:
                 and len(kind) == 2
                 and kind[0] == "angle"
             ):
-                period = float(kind[1])
-                if not np.isfinite(period) or period <= 0:
-                    raise ValueError(f"coordinate {i}: angle period must be positive")
-                periods[i] = period
+                periods[i] = float(kind[1])
+                _require_positive(**{f"coordinate {i} angle period": periods[i]})
                 continue
             raise ValueError(f"coordinate {i}: unknown kind {kind!r}")
         object.__setattr__(self, "coord_kinds", kinds)
@@ -244,18 +260,29 @@ def _peak_rows(y, dim: int, rows: int) -> np.ndarray:
     return np.flatnonzero(norms >= (1.0 - 1e-9) * norms.max())
 
 
-def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1, t_eval=None):
-    """DOP853 solve with the divergence guard; returns ``(sol, escaped)``.
+def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1,
+           t_eval=None, on_escape="raise"):
+    """DOP853 solve with the divergence guard.
 
     ``y0`` holds ``rows`` equal problems; under an RMS error norm, tolerances
-    over ``sqrt(rows)`` keep each row's error within a solo solve's."""
+    over ``sqrt(rows)`` keep each row's error within a solo solve's.  An orbit
+    that starts beyond or crosses ``norm_bound`` raises :class:`FlowDivergenceError`
+    naming the start of the first row at the bound, unless it crosses with
+    ``on_escape="truncate"``: then the solution stops there with ``status`` 1."""
     escape = _escape_event(norm_bound, spec.dim, rows)
     if not np.all(np.isfinite(y0)):
         raise ValueError("x0 must be finite")
+    if not (math.isfinite(t_span[0]) and math.isfinite(t_span[1])):
+        raise ValueError(f"{what} times must be finite (got {t_span[0]} to {t_span[1]})")
+
+    def diverged(t, y):
+        hit = _peak_rows(y, spec.dim, rows)
+        start = np.reshape(y0, (rows, -1))[hit[0], : spec.dim]
+        message = f"orbit from {start} crossed norm {norm_bound:.3g} at t={t:.6g} during {what}"
+        return FlowDivergenceError(f"{spec.name}: {message}", hit)
+
     if escape(t_span[0], y0) <= 0:
-        raise FlowDivergenceError(
-            "initial state already beyond the divergence bound", _peak_rows(y0, spec.dim, rows)
-        )
+        raise diverged(t_span[0], y0)
     tol = tol / np.sqrt(rows)
     sol = solve_ivp(
         rhs,
@@ -270,7 +297,9 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     )
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")
-    return sol, sol.status == 1
+    if sol.status == 1 and on_escape == "raise":
+        raise diverged(sol.t_events[0][0], sol.y_events[0][0])
+    return sol
 
 
 def integrate(
@@ -303,15 +332,9 @@ def integrate(
     def rhs(t, y):
         return np.asarray(spec.field(y), dtype=float)
 
-    sol, escaped = _solve(
-        spec, rhs, (t0, t1), x0, tol, norm_bound, "integration", dense_output=True
-    )
-    if escaped and on_escape == "raise":
-        raise FlowDivergenceError(
-            f"{spec.name}: orbit from {x0} crossed norm {norm_bound:.3g} "
-            f"at t={sol.t[-1]:.6g}"
-        )
-    return Trajectory(spec, x0, t0, sol.t[-1], sol.sol, tol, escaped, requested_t1=t1)
+    sol = _solve(spec, rhs, (t0, t1), x0, tol, norm_bound, "integration",
+                 dense_output=True, on_escape=on_escape)
+    return Trajectory(spec, x0, t0, sol.t[-1], sol.sol, tol, sol.status == 1, requested_t1=t1)
 
 
 def flow_at(
@@ -325,6 +348,8 @@ def flow_at(
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise ValueError(f"x has shape {x.shape}, expected ({spec.dim},)")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite (got t={t})")
     return _orbit_points(spec, x, [float(t)], tol, norm_bound)[0]
 
 
@@ -357,15 +382,8 @@ def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND, scale=N
         return (v if tau is None else tau * v).ravel()
 
     def solve(t_end, **kwargs):
-        sol, escaped = _solve(spec, rhs, (0.0, t_end), y.ravel(), tol, norm_bound,
-                              "integration", rows=len(rows), **kwargs)
-        if escaped:
-            raise FlowDivergenceError(
-                f"{spec.name}: an orbit crossed norm {norm_bound:.3g} "
-                f"at t={sol.t_events[0][0]:.6g}",
-                _peak_rows(sol.y_events[0][0], spec.dim, len(rows)),
-            )
-        return sol
+        return _solve(spec, rhs, (0.0, t_end), y.ravel(), tol, norm_bound,
+                      "integration", rows=len(rows), **kwargs)
 
     if row is not None:
         dense = solve(max(1.0, u.max()), dense_output=True).sol
@@ -440,15 +458,9 @@ def tangent_flow(
         return np.concatenate([spec.field_at(y[..., :n]), jv.reshape(lead + (-1,))], -1).ravel()
 
     y0 = np.concatenate([rows, eye.reshape(len(rows), -1)], axis=1).ravel()
-    sol, escaped = _solve(
-        spec, rhs, (0.0, t), y0, tol, norm_bound, "variational integration", rows=len(rows)
-    )
+    sol = _solve(spec, rhs, (0.0, t), y0, tol, norm_bound, "variational integration",
+                 rows=len(rows))
     y_end = sol.y[:, -1].reshape(len(rows), -1)
-    if escaped:
-        far = rows[np.argmax(np.linalg.norm(y_end[:, :n], axis=1))]
-        raise FlowDivergenceError(
-            f"{spec.name}: orbit from {far} crossed norm {norm_bound:.3g} during tangent flow"
-        )
     return y_end[:, :n].reshape(x.shape).copy(), y_end[:, n:].reshape(eye.shape).copy()
 
 

@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 from .flow import (
     DEFAULT_TOL,
     VectorFieldSpec,
+    _require_positive,
     coord_difference,
     distance,
     flow_at,
@@ -236,14 +237,13 @@ def build_cocycle(
     consecutive frames.  Each step must transport the flow direction and
     land on the next sample, both to 1e-5 relative accuracy.
     """
-    if dt <= 0 or t_total <= 0:
-        raise ValueError("dt and t_total must be positive")
+    _require_positive(dt=dt, t_total=t_total)
     m = int(round(t_total / dt))
     if m < 2:
         raise ValueError("the sampled span must contain at least two steps")
     dt = t_total / m
     x = np.asarray(x, dtype=float)
-    start = flow_at(spec, x, t_start, tol=tol) if t_start != 0.0 else x.copy()
+    start = flow_at(spec, x, t_start, tol=tol)
 
     offsets = dt * np.arange(m + 1)
     points = integrate(spec, start, (0.0, t_total), tol=tol).at_many(offsets)
@@ -321,8 +321,7 @@ def section_map(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     t = float(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _require_positive(t=t)
     anchor = flow_at(spec, x, t, tol=tol)
     speed = spec.field_at(anchor)
     norm = np.linalg.norm(speed)

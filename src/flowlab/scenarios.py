@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .flow import ConservedQuantity, VectorFieldSpec
+from .flow import ConservedQuantity, VectorFieldSpec, _require_positive
 
 __all__ = [
     "bump_function",
@@ -43,8 +43,7 @@ def bump_function(epsilon: float):
     or arrays.
     """
     epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _require_positive(epsilon=epsilon)
     inner = epsilon / 4.0
     width = epsilon - inner
 
@@ -231,10 +230,9 @@ def neutral_line(
     """
     b_rate = float(b_rate)
     epsilon = float(epsilon)
-    if b_rate >= 0:
-        raise ValueError("b_rate must be negative")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not -math.inf < b_rate < 0:
+        raise ValueError(f"b_rate must be negative and finite (got b_rate={b_rate})")
+    _require_positive(epsilon=epsilon)
     d = np.diag([0.0, b_rate])  # diagonal, so x @ d = d x below
 
     conserved = None
@@ -298,10 +296,11 @@ def neutral_rotation(
     omega = float(omega)
     b_rate = float(b_rate)
     epsilon = float(epsilon)
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    if b_rate >= 0:
-        raise ValueError("b_rate must be negative")
+    if omega == 0 or not math.isfinite(omega):
+        raise ValueError(f"omega must be nonzero and finite (got omega={omega})")
+    if not -math.inf < b_rate < 0:
+        raise ValueError(f"b_rate must be negative and finite (got b_rate={b_rate})")
+    _require_positive(epsilon=epsilon)
     a = np.array([[0.0, omega, 0.0], [-omega, 0.0, 0.0], [0.0, 0.0, b_rate]])
     at = np.ascontiguousarray(a.T)
 

@@ -23,6 +23,7 @@ from .flow import (
     FlowDivergenceError,
     VectorFieldSpec,
     _orbit_points,
+    _require_positive,
     coord_difference,
     flow_at,
 )
@@ -56,13 +57,13 @@ class Reparametrization:
         u = np.asarray(knots_u, dtype=float)
         if t.ndim != 1 or t.shape != u.shape or len(t) < 2:
             raise ValueError("need matching 1-d knot arrays with at least 2 knots")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("knot times must be strictly increasing")
+        if not np.all(np.diff(t) > 0):
+            raise ValueError("knot times must be finite and strictly increasing")
         lo, hi = float(slope_bounds[0]), float(slope_bounds[1])
         if not 0 < lo <= hi:
             raise ValueError("slope bounds must satisfy 0 < lo <= hi")
         slopes = np.diff(u) / np.diff(t)
-        if np.any(slopes < lo - 1e-9) or np.any(slopes > hi + 1e-9):
+        if not np.all((slopes >= lo - 1e-9) & (slopes <= hi + 1e-9)):
             raise ValueError(
                 f"segment slopes must stay within [{lo}, {hi}] "
                 f"(found [{slopes.min():.3g}, {slopes.max():.3g}])"
@@ -145,8 +146,8 @@ def frechet_match(dist_matrix) -> tuple:
 
 def _chain_time_grid(po: PseudoOrbit, horizon, target: Optional[int] = None) -> np.ndarray:
     lo, hi = float(horizon[0]), float(horizon[1])
-    if hi <= lo:
-        raise ValueError("horizon must have positive length")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"horizon must be finite with positive length (got {lo} to {hi})")
     marks = [np.array([lo, hi])]
     bt = po.boundary_times
     marks.append(bt[(bt >= lo) & (bt <= hi)])
@@ -265,7 +266,7 @@ class _MatchObjective:
             dt = kt[i + 1] - kt[i]
             ku[i] = min(max(ku[i], ku[i + 1] - hi_s * dt), ku[i + 1] - lo_s * dt)
         h = Reparametrization(kt, ku, self.slope_bounds)
-        y_anchored = flow_at(self.spec, y, shift, tol=self.tol) if shift != 0.0 else y.copy()
+        y_anchored = flow_at(self.spec, y, shift, tol=self.tol)
         return ReparamFit(h=h, distance=value, y_anchored=y_anchored, shift=shift)
 
     def scan(self, lattice):
@@ -450,8 +451,7 @@ def search_shadowing(
     reports the best distance seen and is explicitly not a proof of
     non-shadowability.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _require_positive(epsilon=epsilon)
     budget = budget or SearchBudget()
     seed_region = np.asarray(seed_region, dtype=float)
     if seed_region.shape != (spec.dim, 2):
@@ -558,8 +558,7 @@ def refute_by_conservation(
     """
     if spec.conserved is None:
         raise ValueError(f"{spec.name} declares no conserved quantity to refute with")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _require_positive(epsilon=epsilon)
     pts = list(po.points) + [end[0] for end in (po.head, po.tail) if end is not None]
     values = [float(spec.conserved.func(p)) for p in pts]
     q_min, q_max = min(values), max(values)

@@ -23,8 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .flow import DEFAULT_TOL, VectorFieldSpec, distance, integrate
+from .flow import DEFAULT_TOL, VectorFieldSpec, _require_positive, distance, integrate
 from .poincare import CriticalElementReport, NormalCocycle, build_cocycle, find_periodic_newton
+from .shadowing import frechet_match, pairwise_distances
 
 __all__ = [
     "DominationGapError",
@@ -92,14 +93,6 @@ class SplittingEstimate:
         if not self.k_lo <= k <= self.k_hi:
             raise IndexError(f"sample {k} outside the valid range [{self.k_lo}, {self.k_hi}]")
         return self.stable[k], self.unstable[k]
-
-
-def _require_positive(**values):
-    """Raise ``ValueError`` naming the arguments unless every value is
-    finite and positive."""
-    if not all(math.isfinite(v) and v > 0 for v in values.values()):
-        got = ", ".join(f"{name}={v}" for name, v in values.items())
-        raise ValueError(f"{' and '.join(values)} must be positive and finite (got {got})")
 
 
 def _push_basis(mats, basis):
@@ -322,9 +315,9 @@ def fit_hyperbolic(
     sample.  A bundle fails when its fitted rate is not below 1 by at least
     1e-3, and the overall fit fails if either side does.
     """
-    if n_times < 2:
+    if not n_times >= 2:
         raise ValueError(f"n_times must be at least 2 to fit a slope, got {n_times}")
-    if n_bases < 1:
+    if not n_bases >= 1:
         raise ValueError(f"n_bases must be at least 1, got {n_bases}")
     _require_positive(t_lo=t_lo)
     dt = est.cocycle.dt
@@ -599,8 +592,6 @@ def arc_to_periodic_orbit(
     The reported distance is the optimal monotone-matching maximum between
     dense samples of the arc and of the found orbit.
     """
-    from .shadowing import frechet_match, pairwise_distances
-
     if not cert.ok:
         raise ValueError("the quasi-hyperbolicity certificate does not hold")
     x = np.asarray(x, dtype=float)

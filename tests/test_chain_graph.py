@@ -1,5 +1,7 @@
 """Cell-transition graphs: recurrence localization, wrapping, formats."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -162,6 +164,10 @@ def test_time_sample_grid(scenarios):
         ({"hgrid": 0.0}, "hgrid and delta must be positive"),
         ({"delta": -0.1}, "hgrid and delta must be positive"),
         ({"t_max": 0.5}, "t_max must be at least 1"),
+        ({"t_max": math.nan}, r"t_max must be at least 1 and finite.*\(got t_max=nan\)"),
+        ({"t_max": math.inf}, r"\(got t_max=inf\)"),
+        ({"hgrid": math.nan}, r"hgrid and delta must be positive .*\(got hgrid=nan"),
+        ({"t_samples": math.nan}, r"t_samples must be positive and finite \(got t_samples=nan\)"),
         ({"region": [[-0.25, 0.25]] * 2 + [[-0.23, 0.25]]},
          "integer multiple of hgrid"),
         ({"cell_cap": 10}, "125 cells exceed the cap 10"),

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from flowlab import flow
 from flowlab import (
     ConservedQuantity,
     FlowDivergenceError,
@@ -73,8 +75,28 @@ def test_integrate_rejects_bad_input(scenarios):
         integrate(spec, [np.nan, 0.0, 0.0], (0.0, 1.0))
     with pytest.raises(ValueError, match="on_escape"):
         integrate(spec, [0.1, 0.1, 0.1], (0.0, 1.0), on_escape="ignore")
-    with pytest.raises(FlowDivergenceError):
+    start_beyond = r"^linear_saddle3d: orbit from \[0\. 0\. 2\.\] crossed norm 1 at t=0 during"
+    with pytest.raises(FlowDivergenceError, match=start_beyond) as err:
         integrate(spec, [0.0, 0.0, 2.0], (0.0, 1.0), norm_bound=1.0)
+    assert err.value.rows.tolist() == [0]
+    with pytest.raises(ValueError, match=r"integration times must be finite \(got 0.0 to nan\)"):
+        integrate(spec, [0.1, 0.1, 0.1], (0.0, math.nan))
+    with pytest.raises(ValueError, match=r"variational integration times must be finite"):
+        tangent_flow(spec, [0.1, 0.1, 0.1], math.nan)
+    with pytest.raises(ValueError, match=r"t must be finite \(got t=inf\)"):
+        flow_at(spec, [0.1, 0.1, 0.1], math.inf)
+
+
+def test_flow_at_zero_time_returns_the_point_without_solving(scenarios, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("flow_at(x, 0) integrated")
+
+    monkeypatch.setattr(flow, "_solve", no_solve)
+    for name in ALL_NAMES:
+        spec = scenarios[name].spec
+        x = np.linspace(0.1, 0.7, spec.dim) / 3.0
+        got = flow_at(spec, x, 0.0)
+        assert np.array_equal(got, x) and got is not x
 
 
 def test_escape_raise_and_truncate(scenarios):
@@ -82,6 +104,18 @@ def test_escape_raise_and_truncate(scenarios):
     x0 = np.array([0.0, 0.0, 1.0])
     with pytest.raises(FlowDivergenceError, match="crossed norm"):
         integrate(spec, x0, (0.0, 20.0), norm_bound=100.0)
+    # integrate and flow_at share the message form of _solve; z = e^t hits 100 at ln 100
+    form = (
+        r"^linear_saddle3d: orbit from \[0\. 0\. 1\.\] crossed norm 100 at t=4\.60517 "
+        r"during integration$"
+    )
+    for call in (
+        lambda: integrate(spec, x0, (0.0, 20.0), norm_bound=100.0),
+        lambda: flow_at(spec, x0, 20.0, norm_bound=100.0),
+    ):
+        with pytest.raises(FlowDivergenceError, match=form) as err:
+            call()
+        assert err.value.rows.tolist() == [0]
     traj = integrate(spec, x0, (0.0, 20.0), norm_bound=100.0, on_escape="truncate")
     assert traj.escaped
     assert traj.requested_t1 == 20.0
@@ -153,8 +187,16 @@ def test_batch_contract_probed_once_per_spec(scenarios):
 def test_batched_tangent_flow_escape(scenarios):
     spec = scenarios["linear_saddle3d"].spec
     xs = np.array([[0.1, 0.0, 0.1], [0.0, 0.0, 5.0], [0.2, 0.1, 0.0]])
-    with pytest.raises(FlowDivergenceError, match=r"orbit from \[0\. 0\. 5\.\] crossed norm"):
+    with pytest.raises(
+        FlowDivergenceError, match=r"orbit from \[0\. 0\. 5\.\] crossed norm"
+    ) as err:
         tangent_flow(spec, xs, 1.0, norm_bound=10.0)
+    # z = 5 e^t hits 10 at ln 2
+    assert str(err.value) == (
+        "linear_saddle3d: orbit from [0. 0. 5.] crossed norm 10 at t=0.693147 "
+        "during variational integration"
+    )
+    assert err.value.rows.tolist() == [1]
     ends, _ = tangent_flow(spec, xs[[0, 2]], 1.0, norm_bound=10.0)
     assert np.max(np.linalg.norm(ends, axis=1)) < 10.0
 
@@ -258,8 +300,14 @@ def test_spec_validation():
         VectorFieldSpec(
             name="bad", dim=2, field=ok, jacobian=jac, coord_kinds=(("angle", -1.0), "linear")
         )
+    with pytest.raises(ValueError, match=r"coordinate 1 angle period must be .* \(got .*=nan\)"):
+        VectorFieldSpec(
+            name="bad", dim=2, field=ok, jacobian=jac, coord_kinds=("linear", ("angle", math.nan))
+        )
     with pytest.raises(ValueError, match="lipschitz"):
         ConservedQuantity(lambda x: 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"lipschitz must be .* \(got lipschitz=nan\)"):
+        ConservedQuantity(lambda x: 0.0, math.nan)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -60,6 +60,9 @@ def noisy_saddle_chain(scenarios):
         ([0.0, 1.0], [0.0, 0.01], {}, "segment slopes"),
         ([1.0, 2.0], [1.0, 2.0], {}, "is required"),
         ([0.0, 1.0], [0.0, 1.0], {"slope_bounds": (0.0, 1.0)}, "slope bounds"),
+        ([0.0, 1.0], [0.0, 1.0], {"slope_bounds": (math.nan, 1.0)}, "slope bounds"),
+        ([0.0, math.nan], [0.0, 1.0], {}, "finite and strictly increasing"),
+        ([0.0, 1.0], [0.0, math.nan], {}, "segment slopes"),
     ],
 )
 def test_reparametrization_validation(kt, ku, kwargs, message):
@@ -328,6 +331,8 @@ def test_shadow_distance_rejects_empty_horizon(cycle_chain):
     h = Reparametrization.identity((0.0, 1.0))
     with pytest.raises(ValueError, match="positive length"):
         shadow_distance(spec, po.points[0], h, po, (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"finite with positive length \(got 0.0 to nan\)"):
+        shadow_distance(spec, po.points[0], h, po, (0.0, math.nan))
 
 
 def test_best_reparam_identity_on_exact_chain(cycle_chain):

@@ -189,6 +189,8 @@ def test_check_domination_validation(saddle_est, l, message):
         (lambda est, x: fit_hyperbolic(est, n_times=1), "n_times must be at least 2"),
         (lambda est, x: fit_hyperbolic(est, n_times=0), "n_times must be at least 2"),
         (lambda est, x: fit_hyperbolic(est, n_bases=0), "n_bases must be at least 1"),
+        (lambda est, x: fit_hyperbolic(est, n_times=math.nan), "n_times must be at least 2"),
+        (lambda est, x: fit_hyperbolic(est, n_bases=math.nan), "n_bases must be at least 1"),
         (lambda est, x: fit_hyperbolic(est, t_lo=math.nan), r"t_lo must .* \(got t_lo=nan\)"),
         (lambda est, x: fit_hyperbolic(est, t_lo=math.inf), r"t_lo must .* \(got t_lo=inf\)"),
         (lambda est, x: fit_hyperbolic(est, t_lo=0.0), r"t_lo must .* \(got t_lo=0.0\)"),
