@@ -18,6 +18,7 @@ import numpy as np
 from .flow import (
     DEFAULT_NORM_BOUND,
     DEFAULT_TOL,
+    FlowDivergenceError,
     VectorFieldSpec,
     _orbit_points,
     _require_positive,
@@ -179,6 +180,10 @@ class ConcatEvaluator:
     times wind through the single constant entry.  A boundary time returns
     the stored point exactly; the other times share one batched solve over
     the segments they fall in (``spec`` must accept ``(N, dim)`` batches).
+    Where a queried segment's orbit crosses ``norm_bound``, the
+    :class:`~flowlab.flow.FlowDivergenceError` gives the crossing in chain
+    time, and its ``rows`` are chain segments: indices into ``po.points``,
+    with -1 for the head and ``po.size`` for the tail.
     """
 
     def __init__(
@@ -191,6 +196,7 @@ class ConcatEvaluator:
         head, tail = (end or (np.full(po.spec.dim, np.nan), np.nan) for end in (po.head, po.tail))
         self._starts = np.vstack([head[0], po.points, tail[0]])
         self._taus = np.concatenate([[head[1]], po.durations, [tail[1]]])
+        self._begins = np.concatenate([[-head[1]], po._cum])  # chain time of each start
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many([t])[0]
@@ -219,9 +225,17 @@ class ConcatEvaluator:
         if inner.any():
             keys, row = np.unique(entry[inner], return_inverse=True)
             taus, starts = self._taus[keys], self._starts[keys]
-            out[inner] = _orbit_points(
-                po.spec, starts, local[inner] / taus[row], self.tol, self.norm_bound, taus, row
-            )
+            try:
+                out[inner] = _orbit_points(
+                    po.spec, starts, local[inner] / taus[row], self.tol, self.norm_bound, taus, row
+                )
+            except FlowDivergenceError as err:
+                # the solve's clock runs 0 to 1 over each segment
+                hit = keys[err.rows]
+                t = self._begins[hit[0]] + err.t * self._taus[hit[0]]
+                raise FlowDivergenceError.crossing(
+                    po.spec, self._starts[hit[0]], self.norm_bound, t, "integration", hit - 1
+                ) from None
         return out
 
 
@@ -340,6 +354,7 @@ def periodic_family_chain(
     """
     if not n_points >= 2:
         raise ValueError("n_points must be at least 2")
+    _require_positive(period_hint=period_hint)
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
 

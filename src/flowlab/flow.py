@@ -7,7 +7,8 @@ universal cover (never wrapped mid-integration); wrapping happens only in
 
 Two rules hold across the package.  A length, time, rate, radius or count
 argument that is NaN, infinite or out of range raises ``ValueError`` naming
-the argument (:func:`_require_positive` checks the positive ones).  Every
+the argument (:func:`_require_positive` checks the positive ones and
+:func:`_require_finite` the signed ones).  Every
 integrator here solves through :func:`_solve`, where an orbit that crosses the
 divergence bound raises one :class:`FlowDivergenceError`: "<spec>: orbit from
 <start> crossed norm <bound> at t=<t> during <what>", whose ``rows`` index the
@@ -44,24 +45,42 @@ DEFAULT_TOL = 1e-9
 DEFAULT_NORM_BOUND = 1e6
 
 
+def _require(values, ok, rule):
+    if not all(ok(v) for v in values.values()):
+        got = ", ".join(f"{name}={v}" for name, v in values.items())
+        raise ValueError(f"{' and '.join(values)} must be {rule} (got {got})")
+
+
 def _require_positive(**values):
     """Raise ``ValueError`` naming the arguments unless every value is
     finite and positive."""
-    if not all(math.isfinite(v) and v > 0 for v in values.values()):
-        got = ", ".join(f"{name}={v}" for name, v in values.items())
-        raise ValueError(f"{' and '.join(values)} must be positive and finite (got {got})")
+    _require(values, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+
+
+def _require_finite(**values):
+    """Raise ``ValueError`` naming the arguments unless every value is finite."""
+    _require(values, math.isfinite, "finite")
 
 
 class FlowDivergenceError(RuntimeError):
     """The state norm crossed the divergence bound during integration.
 
     ``rows`` indexes the rows of the (possibly batched) solve whose norm was
-    at the bound (within 1e-9 relative of the largest) where it stopped; it is
-    ``None`` for a read past the end of a truncated :class:`Trajectory`."""
+    at the bound (within 1e-9 relative of the largest) where it stopped, and
+    ``t`` is the time it stopped at; both are ``None`` for a read past the end
+    of a truncated :class:`Trajectory`."""
 
-    def __init__(self, message, rows=None):
+    def __init__(self, message, rows=None, t=None):
         super().__init__(message)
         self.rows = rows
+        self.t = t
+
+    @classmethod
+    def crossing(cls, spec, start, norm_bound, t, what, rows):
+        """The one divergence error, "<spec>: orbit from <start> crossed norm
+        <bound> at t=<t> during <what>"."""
+        message = f"orbit from {start} crossed norm {norm_bound:.3g} at t={t:.6g} during {what}"
+        return cls(f"{spec.name}: {message}", rows, t)
 
 
 @dataclass(frozen=True)
@@ -155,13 +174,19 @@ class VectorFieldSpec:
         return np.asarray(self.jacobian(np.asarray(x, dtype=float)), dtype=float)
 
 
+def _wrap_difference(d: np.ndarray, period) -> None:
+    """Reduce the differences ``d`` of one angle coordinate of period ``P``
+    to (-P/2, P/2], in place."""
+    d += period / 2.0
+    np.remainder(d, period, out=d)
+    d -= period / 2.0
+
+
 def coord_difference(spec: VectorFieldSpec, a, b) -> np.ndarray:
     """Componentwise ``a - b`` with angle coordinates wrapped to (-P/2, P/2]."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    mask = spec.angle_mask
-    if mask.any():
-        p = spec.periods[mask]
-        d[..., mask] = (d[..., mask] + p / 2.0) % p - p / 2.0
+    for c in np.flatnonzero(spec.angle_mask):
+        _wrap_difference(d[..., c], spec.periods[c])
     return d
 
 
@@ -278,8 +303,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     def diverged(t, y):
         hit = _peak_rows(y, spec.dim, rows)
         start = np.reshape(y0, (rows, -1))[hit[0], : spec.dim]
-        message = f"orbit from {start} crossed norm {norm_bound:.3g} at t={t:.6g} during {what}"
-        return FlowDivergenceError(f"{spec.name}: {message}", hit)
+        return FlowDivergenceError.crossing(spec, start, norm_bound, t, what, hit)
 
     if escape(t_span[0], y0) <= 0:
         raise diverged(t_span[0], y0)
@@ -348,8 +372,7 @@ def flow_at(
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.dim,):
         raise ValueError(f"x has shape {x.shape}, expected ({spec.dim},)")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite (got t={t})")
+    _require_finite(t=t)
     return _orbit_points(spec, x, [float(t)], tol, norm_bound)[0]
 
 

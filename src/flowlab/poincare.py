@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 from .flow import (
     DEFAULT_TOL,
     VectorFieldSpec,
+    _require_finite,
     _require_positive,
     coord_difference,
     distance,
@@ -238,6 +239,7 @@ def build_cocycle(
     land on the next sample, both to 1e-5 relative accuracy.
     """
     _require_positive(dt=dt, t_total=t_total)
+    _require_finite(t_start=t_start)
     m = int(round(t_total / dt))
     if m < 2:
         raise ValueError("the sampled span must contain at least two steps")

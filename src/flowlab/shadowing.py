@@ -24,6 +24,7 @@ from .flow import (
     VectorFieldSpec,
     _orbit_points,
     _require_positive,
+    _wrap_difference,
     coord_difference,
     flow_at,
 )
@@ -97,32 +98,78 @@ class Reparametrization:
 
 def pairwise_distances(spec: VectorFieldSpec, a_pts, b_pts) -> np.ndarray:
     """All distances between two point sets, wrapping angle coordinates;
-    ``b_pts`` may be a stack ``(..., k, dim)``, giving ``(..., m, k)``."""
+    ``b_pts`` may be a stack ``(..., k, dim)``, giving ``(..., m, k)``.
+    Computed by :func:`_distances_into`."""
     a = np.asarray(a_pts, dtype=float)
     b = np.asarray(b_pts, dtype=float)
-    return np.linalg.norm(coord_difference(spec, a[:, None], b[..., None, :, :]), axis=-1)
+    k = b.shape[-2]
+    out = np.empty((math.prod(b.shape[:-2]), len(a), k))
+    _distances_into(spec, a, b.reshape(-1, k, spec.dim), out)
+    return out.reshape(b.shape[:-2] + (len(a), k))
 
 
-def _frechet_values(d, choice=None) -> np.ndarray:
+def _distances_into(spec: VectorFieldSpec, a, b, out) -> None:
+    """Write the distances between ``a`` ``(m, dim)`` and each of ``b`` ``(n, k, dim)``
+    into ``out`` ``(n, m, k)``, which may be a strided view, one coordinate at a time.
+    Squared differences, with angle coordinates wrapped as
+    :func:`~flowlab.flow.coord_difference` wraps them, are summed in coordinate order,
+    the order ``np.linalg.norm`` sums up to 7 coordinates in.  Rows go in chunks whose
+    two scratch arrays hold at most ``max(m * k, _SCAN_ENTRIES)`` entries each."""
+    n, m, k = out.shape
+    rows = max(1, _SCAN_ENTRIES // (m * k))
+    total, term = np.empty((2, min(rows, n), m, k))
+    for r in range(0, n, rows):
+        part = b[r : r + rows]
+        acc, diff = total[: len(part)], term[: len(part)]
+        for c, period in enumerate(spec.periods):
+            cur = diff if c else acc
+            np.subtract(a[:, None, c], part[:, None, :, c], out=cur)
+            if spec.angle_mask[c]:
+                _wrap_difference(cur, period)
+            np.multiply(cur, cur, out=cur)
+            if c:
+                acc += diff
+        np.sqrt(acc, out=out[r : r + rows])
+
+
+def _skewed(shape):
+    """A buffer ``(m + k - 1, ..., m + 1)`` of ``inf`` for a stack ``shape`` ``(..., m, k)``
+    and its ``(..., m, k)`` view, in which matrix entry ``(i, j)`` sits at
+    ``[i + j, ..., i + 1]``.  Row ``s`` holds anti-diagonal ``s`` of every matrix,
+    each after one ``inf`` column, so it reads as one flat vector."""
+    *lead, m, k = shape
+    skew = np.full((m + k - 1, *lead, m + 1), np.inf)
+    step, *lead_strides, unit = skew.strides
+    return skew, as_strided(skew.reshape(-1)[1:], shape, (*lead_strides, step + unit, step))
+
+
+def _frechet_values(skew, choice=None) -> np.ndarray:
     """End values of ``dp[i, j] = max(D[i, j], min(dp[i-1, j-1], dp[i-1, j], dp[i, j-1]))``
-    on a stack ``d`` ``(..., m, k)``, swept over a skewed copy whose row ``i + j`` is an
-    anti-diagonal indexed by ``i`` (``inf`` off the matrix).  A 2-d ``d`` may pass ``choice``
-    ``(m + k - 1, m)``, filled with 2, for the first-best picks: 0 diagonal, 1 up, 2 left."""
-    *lead, m, k = d.shape
-    skew = np.full((*lead, m + k - 1, m), np.inf)
-    step, unit = skew.strides[-2:]
-    as_strided(skew, d.shape, skew.strides[:-2] + (step + unit, step))[...] = d
-    prev2 = np.full((*lead, m), np.inf)
-    prev, cur = skew[..., 0, :].copy(), np.empty_like(prev2)
-    for s in range(1, m + k - 1):
-        cur[..., 0] = prev[..., 0]
-        np.minimum(prev2[..., :-1], prev[..., :-1], out=cur[..., 1:])
+    for a stack of matrices ``D`` in a :func:`_skewed` buffer, swept one anti-diagonal
+    per step over all of them at once as one flat vector: the ``inf`` column ahead of
+    each matrix stands for its ``i = -1`` and keeps the matrices apart (a NaN entry
+    can reach the next matrix).  A buffer of one matrix may pass ``choice`` of its
+    shape, filled with 2, for the first-best picks: 0 diagonal, 1 up, 2 left."""
+    diagonals, *lead, width = skew.shape
+    flat = skew.reshape(diagonals, -1)
+    prev2, cur = np.full((2, flat.shape[1]), np.inf)
+    prev = flat[0].copy()
+    for s in range(1, diagonals):
+        np.minimum(prev2[:-1], prev[:-1], out=cur[1:])
         if choice is not None:
-            choice[s, 1:] = np.where(prev[1:] < cur[1:], 2, prev[:-1] < prev2[:-1])
-        np.minimum(cur[..., 1:], prev[..., 1:], out=cur[..., 1:])
-        np.maximum(cur, skew[..., s, :], out=cur)
+            choice[s, 2:] = np.where(prev[2:] < cur[2:], 2, prev[1:-1] < prev2[1:-1])
+        np.minimum(cur[1:], prev[1:], out=cur[1:])
+        np.maximum(cur, flat[s], out=cur)
         prev2, prev, cur = prev, cur, prev2
-    return prev[..., m - 1]
+    return prev.reshape(*lead, width)[..., -1]
+
+
+def _matched_values(spec: VectorFieldSpec, a, b) -> np.ndarray:
+    """:func:`_frechet_values` of ``a`` against each of the stack ``b`` ``(n, k, dim)``,
+    the distances written straight into the skewed buffer."""
+    skew, view = _skewed((len(b), len(a), b.shape[1]))
+    _distances_into(spec, a, b, view)
+    return _frechet_values(skew)
 
 
 def frechet_match(dist_matrix) -> tuple:
@@ -134,12 +181,14 @@ def frechet_match(dist_matrix) -> tuple:
     if d.ndim != 2 or d.size == 0:
         raise ValueError("distance matrix must be 2-d and nonempty")
     m, k = d.shape
-    choice = np.full((m + k - 1, m), 2, dtype=np.uint8)  # at (i + j, i)
-    value = _frechet_values(d, choice)
+    skew, view = _skewed(d.shape)
+    view[...] = d
+    choice = np.full(skew.shape, 2, dtype=np.uint8)  # at (i + j, i + 1)
+    value = _frechet_values(skew, choice)
     pairs = [(m - 1, k - 1)]
     while pairs[-1] != (0, 0):
         i, j = pairs[-1]
-        c = int(choice[i + j, i])
+        c = int(choice[i + j, i + 1])
         pairs.append((i - (c != 2), j - (c != 1)))
     return float(value), np.asarray(pairs[::-1], dtype=int)
 
@@ -209,9 +258,14 @@ class ReparamFit:
     shift: float
 
 
-# Orbit entries N * len(u) * dim per solve and distances N * m * k per matched stack:
-# memory is flat in the lattice size
+# A scan's memory is flat in the lattice size: a solve holds at most _SCAN_ENTRIES orbit
+# entries N * len(u) * dim (each scratch array of the distance kernel at most that many or
+# one m * k matrix), and a matched stack at most _SKEW_ENTRIES skew entries, (m + k - 1) *
+# (m + 1) per row.  A 202-sample chain takes 81,809 entries (654 KB) a row, so stacks of 3:
+# the tracemalloc peak of a criterion-3 search is 2.84 MB, against 3.02 MB when each row was
+# matched alone through a (m, k, dim) difference array; stacks of 4 would peak at 3.5 MB.
 _SCAN_ENTRIES = 1 << 16
+_SKEW_ENTRIES = 1 << 18
 
 
 class _MatchObjective:
@@ -273,12 +327,14 @@ class _MatchObjective:
         """Yield ``(ys, values)`` per block of the points in ``lattice``, each
         point one evaluation.  A block shares one orbit solve per time direction,
         of ``_SCAN_ENTRIES`` orbit entries at most (one row at least), and is
-        matched in stacks of at most ``_SCAN_ENTRIES`` distances.  Where an orbit
-        escapes, the rows at the divergence bound score ``inf`` and the rest of
-        the block is solved again as one batch."""
+        matched in stacks of ``_SKEW_ENTRIES`` skew entries at most (one row at
+        least), each one :func:`_matched_values` sweep.  Where an orbit escapes,
+        the rows at the divergence bound score ``inf`` and the rest of the block
+        is solved again as one batch."""
         lattice = iter(lattice)
         block = max(1, _SCAN_ENTRIES // (len(self.u_grid) * self.spec.dim))
-        stack = max(1, _SCAN_ENTRIES // (len(self.t_grid) * len(self.u_grid)))
+        m, k = len(self.t_grid), len(self.u_grid)
+        stack = max(1, _SKEW_ENTRIES // ((m + k - 1) * (m + 1)))
         while len(ys := np.array(list(itertools.islice(lattice, block)), dtype=float)):
             self.evaluations += len(ys)
             values = np.full(len(ys), np.inf)
@@ -289,8 +345,9 @@ class _MatchObjective:
                 except FlowDivergenceError as err:
                     live = np.delete(live, err.rows)
             for i in range(0, len(live), stack):
-                d = pairwise_distances(self.spec, self.c_pts, o_pts[i : i + stack])
-                values[live[i : i + stack]] = _frechet_values(d)
+                values[live[i : i + stack]] = _matched_values(
+                    self.spec, self.c_pts, o_pts[i : i + stack]
+                )
             yield ys, values
 
 

@@ -279,9 +279,16 @@ def test_concat_eval_raises_on_a_queried_escaping_segment(scenarios):
     ev = ConcatEvaluator(po, norm_bound=100.0)
     assert np.array_equal(ev.at(1.0), pts[1])
     assert ev.at_many([0.5, 6.5, 7.0]).shape == (3, 3)
+    # the crossing is reported in chain time, 1 + ln 20, and rows name chain segment 1
     for ts in ([1.5], [0.5, 4.5, 6.5]):
-        with pytest.raises(FlowDivergenceError, match="crossed norm 100"):
+        with pytest.raises(FlowDivergenceError, match="crossed norm 100") as err:
             ev.at_many(ts)
+        assert str(err.value) == (
+            "linear_saddle3d: orbit from [0. 0. 5.] crossed norm 100 at t=3.99573 "
+            "during integration"
+        )
+        assert list(err.value.rows) == [1]
+        assert err.value.t == pytest.approx(1.0 + math.log(20.0), abs=1e-6)
 
 
 def test_generate_noisy_basic(scenarios):

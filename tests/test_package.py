@@ -54,6 +54,8 @@ BOX = np.array([[0.0, 0.1], [0.0, 0.0], [0.0, 0.0]])
                      r"\(got dt=nan, t_total=2.0\)", id="build_cocycle-dt"),
         pytest.param(lambda tmp: fl.build_cocycle(CYCLE, P, NAN, 0.1),
                      r"\(got dt=0.1, t_total=nan\)", id="build_cocycle-t_total"),
+        pytest.param(lambda tmp: fl.build_cocycle(CYCLE, P, 2.0, 0.1, t_start=NAN),
+                     r"^t_start must be finite \(got t_start=nan\)$", id="build_cocycle-t_start"),
         pytest.param(lambda tmp: fl.section_map(CYCLE, P, P, NAN),
                      r"t must be positive .* \(got t=nan\)", id="section_map-t"),
         pytest.param(lambda tmp: fl.bump_function(NAN),
@@ -74,6 +76,9 @@ BOX = np.array([[0.0, 0.1], [0.0, 0.0], [0.0, 0.0]])
                      "count must be at least 1", id="generate_noisy-count"),
         pytest.param(lambda tmp: fl.periodic_family_chain(CYCLE, P, P, NAN, 6.0),
                      "n_points must be at least 2", id="periodic_family_chain-n_points"),
+        pytest.param(lambda tmp: fl.periodic_family_chain(CYCLE, P, P, 50, NAN),
+                     r"^period_hint must be positive and finite \(got period_hint=nan\)$",
+                     id="periodic_family_chain-period_hint"),
         pytest.param(lambda tmp: fl.equilibrium_segment_chain(SADDLE, 0.4, NAN),
                      r"\(got epsilon=0.4, delta=nan\)", id="equilibrium_segment_chain-delta"),
         pytest.param(_nan_head_chain,

@@ -89,6 +89,26 @@ def test_reparametrization_evaluation():
     assert snapped.knots_u[0] == 0.0
 
 
+def test_pairwise_distances_equal_the_coordinate_difference_norm(scenarios, rng):
+    """The per-coordinate kernel gives np.linalg.norm of coord_difference bit for
+    bit on every built-in, for a 2-d and a stacked ``b``; angle coordinates are
+    moved by whole periods so that wrapping matters."""
+    for name, scen in scenarios.items():
+        spec = scen.spec
+        a = sample_box_points(scen, rng, 7)
+        b = sample_box_points(scen, rng, 3 * 5).reshape(3, 5, spec.dim)
+        turns = rng.integers(-2, 3, size=b.shape) * np.where(spec.angle_mask, spec.periods, 0.0)
+        b = b + turns
+        for other in (b[0], b, b[None]):
+            expected = np.linalg.norm(
+                flow.coord_difference(spec, a[:, None], other[..., None, :, :]), axis=-1
+            )
+            got = pairwise_distances(spec, a, other)
+            assert got.shape == other.shape[:-2] + (7, 5)
+            assert np.array_equal(got, expected), name
+    assert scenarios["center_cycle"].spec.angle_mask.any()
+
+
 def test_pairwise_distances_wrap_angles(scenarios, rng):
     scen = scenarios["center_cycle"]
     d = pairwise_distances(
@@ -135,7 +155,9 @@ def test_stacked_frechet_values_equal_per_matrix_match(rng):
         stacks = [rng.uniform(0.0, 1.0, size=(n, m, k)), np.round(rng.uniform(size=(n, m, k)))]
         stacks.append(np.full((n, m, k), 0.25))
         for d in stacks:
-            values = shadowing._frechet_values(d)
+            skew, view = shadowing._skewed(d.shape)
+            view[...] = d
+            values = shadowing._frechet_values(skew)
             assert values.shape == (n,)
             for row, value in zip(d, values):
                 assert value == frechet_match(row)[0]
@@ -229,7 +251,7 @@ def test_lattice_scan_matches_per_candidate_objective(scenarios, monkeypatch):
 
 def test_lattice_scan_across_blocks(scenarios, monkeypatch):
     """Blocks are sized by orbit entries (9 times x 2 coordinates per row) and
-    matched in stacks of at most ``_SCAN_ENTRIES`` distances (81 per row)."""
+    matched in stacks of at most ``_SKEW_ENTRIES`` skew entries (17 x 10 per row)."""
     spec = scenarios["neutral_line"].spec
     po = equilibrium_segment_chain(spec, 0.4, 0.05)
     region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
@@ -238,28 +260,67 @@ def test_lattice_scan_across_blocks(scenarios, monkeypatch):
     stacks = []
     frechet = shadowing._frechet_values
 
-    def recorded(d, choice=None):
-        if d.ndim == 3:  # a stack of the scan, not a solo frechet_match
-            stacks.append(d.shape)
-        return frechet(d, choice)
+    def recorded(skew, choice=None):
+        if choice is None:  # a stack of the scan, not a solo frechet_match
+            stacks.append(skew.shape)
+        return frechet(skew, choice)
 
     monkeypatch.setattr(shadowing, "_frechet_values", recorded)
     # solves of 40 rows over a 169-point lattice, matched 9 rows at a time
     monkeypatch.setattr(shadowing, "_SCAN_ENTRIES", 18 * 40 + 17)
+    monkeypatch.setattr(shadowing, "_SKEW_ENTRIES", 170 * 9 + 169)
     sizes, ys, batched = scanned(obj, region, 200)
     assert sizes == [40, 40, 40, 40, 9]
-    assert [n for n, _, _ in stacks] == [9, 9, 9, 9, 4] * 4 + [9]
+    assert [n for _, n, _ in stacks] == [9, 9, 9, 9, 4] * 4 + [9]
+    assert {(d, w) for d, _, w in stacks} == {(17, 10)}
     assert obj.evaluations == 169
     solo = np.array([objective(obj, y) for y in ys])
     assert np.max(np.abs(batched - solo)) <= 1e-9
     assert np.argmin(batched) == np.argmin(solo)
     # one row per solve and per stack when a single candidate exceeds the bound
     monkeypatch.setattr(shadowing, "_SCAN_ENTRIES", 17)
+    monkeypatch.setattr(shadowing, "_SKEW_ENTRIES", 169)
     stacks.clear()
     sizes, ys1, batched1 = scanned(obj, region, 9)
     assert sizes == [1] * 9
-    assert [n for n, _, _ in stacks] == [1] * 9
+    assert [n for _, n, _ in stacks] == [1] * 9
     assert np.max(np.abs(batched1 - np.array([objective(obj, y) for y in ys1]))) <= 1e-9
+
+
+def test_scan_stacks_stay_within_the_skew_cap_and_match_exactly(scenarios, monkeypatch):
+    """On a 202-sample chain a row takes 403 x 203 skew entries, so the default
+    cap stacks 3 rows: a 9-point block is matched in 3 sweeps, each within the
+    cap, and every value equals frechet_match of pairwise_distances bit for bit
+    on the orbit points the scan solved for."""
+    spec = scenarios["linear_saddle3d"].spec
+    po = generate_noisy(
+        spec, np.array([0.9, 0.9, 0.0]), 200, 1e-4,
+        rng=np.random.default_rng(101), noise_subspace=np.eye(3)[:, :2],
+    )
+    obj = shadowing._MatchObjective(spec, po, (0.0, po.total_time))
+    assert len(obj.t_grid) == len(obj.u_grid) == 202
+    solved, stacks = [], []
+    orbit_points, frechet = shadowing._orbit_points, shadowing._frechet_values
+
+    def recorded_orbits(*args):
+        solved.append(orbit_points(*args))
+        return solved[-1]
+
+    def recorded_stacks(skew, choice=None):
+        stacks.append(skew.shape)
+        assert skew.size <= shadowing._SKEW_ENTRIES
+        return frechet(skew, choice)
+
+    monkeypatch.setattr(shadowing, "_orbit_points", recorded_orbits)
+    monkeypatch.setattr(shadowing, "_frechet_values", recorded_stacks)
+    region = np.array([[0.898, 0.902], [0.898, 0.902], [0.0, 0.0]])
+    sizes, ys, batched = scanned(obj, region, 9)
+    assert sizes == [9]
+    assert stacks == [(403, 3, 203)] * 3
+    monkeypatch.undo()
+    assert len(solved) == 1
+    for o_pts, value in zip(solved[0], batched):
+        assert value == frechet_match(pairwise_distances(spec, obj.c_pts, o_pts))[0]
 
 
 def test_lattice_scan_scores_escaping_candidates_inf(scenarios):
