@@ -155,17 +155,21 @@ def verify_chain(po: PseudoOrbit, tol: float = DEFAULT_TOL) -> ChainCheck:
 
     Head and tail extensions contribute their self-gap (the stored point
     against its own flow image) and the gap into or out of the body.  All
-    images come from one batched solve (``spec`` must accept batches).
+    images come from one batched solve (``spec`` must accept batches); a
+    divergence is reported as :class:`ConcatEvaluator` reports it, in chain
+    time and chain segments.
     """
     m, head, tail = po.size, po.head, po.tail
-    ends = [end for end in (head, tail) if end is not None]
-    rows = np.vstack([po.points] + [end[0] for end in ends])
-    taus = np.concatenate([po.durations, [end[1] for end in ends]])
+    # ConcatEvaluator entries: body, then head (0), then tail (m + 1)
+    ends = [e for e, end in ((0, head), (m + 1, tail)) if end is not None]
+    entries = np.array([*range(1, m + 1), *ends])
     h, t = m, m + (head is not None)  # rows of the head and tail points
     pairs = [("head->head", h, h), ("head->0", h, 0)] if head is not None else []
     pairs += [(f"{i}->{i + 1}", i, i + 1) for i in range(m - 1)]
     pairs += [(f"{m - 1}->tail", m - 1, t), ("tail->tail", t, t)] if tail is not None else []
-    images = _orbit_points(po.spec, rows, [1.0], tol, scale=taus)[:, 0]
+    evaluator = ConcatEvaluator(po, tol)
+    rows = evaluator._starts[entries]
+    images = evaluator._orbit(entries, [1.0])[:, 0]
     src, dst = [p[1] for p in pairs], [p[2] for p in pairs]
     values = np.linalg.norm(coord_difference(po.spec, images[src], rows[dst]), axis=-1)
     max_gap = float(values.max()) if len(values) else 0.0
@@ -224,19 +228,24 @@ class ConcatEvaluator:
         inner = local != 0.0
         if inner.any():
             keys, row = np.unique(entry[inner], return_inverse=True)
-            taus, starts = self._taus[keys], self._starts[keys]
-            try:
-                out[inner] = _orbit_points(
-                    po.spec, starts, local[inner] / taus[row], self.tol, self.norm_bound, taus, row
-                )
-            except FlowDivergenceError as err:
-                # the solve's clock runs 0 to 1 over each segment
-                hit = keys[err.rows]
-                t = self._begins[hit[0]] + err.t * self._taus[hit[0]]
-                raise FlowDivergenceError.crossing(
-                    po.spec, self._starts[hit[0]], self.norm_bound, t, "integration", hit - 1
-                ) from None
+            out[inner] = self._orbit(keys, local[inner] / self._taus[keys][row], row)
         return out
+
+    def _orbit(self, entries, u, row=None):
+        """``_orbit_points`` from the chain ``entries`` (rows of ``_starts``),
+        each scaled by its duration, so ``u`` runs 0 to 1 over a segment.  A
+        divergence is re-raised in chain time, with chain segments as rows."""
+        try:
+            return _orbit_points(
+                self.po.spec, self._starts[entries], u, self.tol, self.norm_bound,
+                self._taus[entries], row,
+            )
+        except FlowDivergenceError as err:
+            hit = entries[err.rows]
+            t = self._begins[hit[0]] + err.t * self._taus[hit[0]]
+            raise FlowDivergenceError.crossing(
+                self.po.spec, self._starts[hit[0]], self.norm_bound, t, "integration", hit - 1
+            ) from None
 
 
 def eval_concat(po: PseudoOrbit, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:

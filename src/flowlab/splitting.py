@@ -9,10 +9,12 @@ control even along strongly hyperbolic orbits.
 Both bundles are invariant by construction, so a rank-1 bundle's window
 norms need no window products: the estimate keeps one log-growth table per
 rank-1 bundle, the prefix sums ``P`` of its per-step log growths, and the
-norm over the window of length ``j`` at base ``k`` is
-``exp(P[k + j] - P[k])``.  Only a bundle of rank 2 or more is scanned with
+log norm over the window of length ``j`` at base ``k`` is
+``P[k + j] - P[k]``.  Only a bundle of rank 2 or more is scanned with
 SVDs, its bases pushed forward one batched transition multiply per step
-rather than forming full products.
+rather than forming full products.  One scan, :func:`_window_log_norms`,
+serves every diagnostic: domination, the fit, the arc partitions and the
+periodic estimates.
 """
 
 from __future__ import annotations
@@ -191,27 +193,23 @@ def estimate_splitting(
     return SplittingEstimate(cocycle, p, window, stable, unstable, gap_min, residual, log_prefix)
 
 
-def _extreme_singular_values(a: np.ndarray, largest: bool) -> np.ndarray:
-    """Largest (or smallest) singular value of each matrix in ``a``."""
-    return np.linalg.svd(a, compute_uv=False)[..., 0 if largest else -1]
+def _window_log_norms(est: SplittingEstimate, side: int, ks, js):
+    """Yield, for each window length ``j`` in the ascending ``js``, the log
+    of the extreme singular value per base ``ks`` of the window product
+    restricted to one bundle: the largest on the stable side (``side`` 0),
+    the smallest on the unstable side (1).
 
-
-def _bundle_scan(est: SplittingEstimate, side: int, ks: np.ndarray, js):
-    """Yield, for each window length ``j`` in the ascending ``js``, the
-    extreme singular value per base ``ks`` of the window product restricted
-    to one bundle: the largest on the stable side (``side`` 0), the smallest
-    on the unstable side (1).
-
-    A rank-1 bundle reads ``exp(P[k + j] - P[k])`` from the log-growth
-    table.  A wider one pushes its bases forward one batched transition
-    multiply per step and takes one batched SVD per length; the full product
-    is never formed.
+    A rank-1 bundle reads ``P[k + j] - P[k]`` from the log-growth table.  A
+    wider one pushes its bases forward one batched transition multiply per
+    step and takes one batched SVD per length; the full product is never
+    formed.
     """
+    ks = np.asarray(ks)
     bases = (est.stable, est.unstable)[side][ks]
     if bases.shape[-1] == 1:
         table = est.log_prefix[side]
         for j in js:
-            yield np.exp(table[ks + j] - table[ks])
+            yield table[ks + j] - table[ks]
         return
     trans = est.cocycle.trans
     done = 0
@@ -219,18 +217,7 @@ def _bundle_scan(est: SplittingEstimate, side: int, ks: np.ndarray, js):
         for i in range(done, j):
             bases = trans[ks + i] @ bases
         done = j
-        yield _extreme_singular_values(bases, side == 0)
-
-
-def _batched_window_scan(est: SplittingEstimate, ks: np.ndarray, js):
-    """Yield ``(j, norms, conorms)`` for window products of each length in
-    the ascending ``js``.
-
-    ``norms[k]`` is the largest singular value of the product restricted to
-    the stable basis at base ``ks[k]``; ``conorms[k]`` the smallest singular
-    value restricted to the unstable basis.
-    """
-    return zip(js, _bundle_scan(est, 0, ks, js), _bundle_scan(est, 1, ks, js))
+        yield np.log(np.linalg.svd(bases, compute_uv=False)[:, 0 if side == 0 else -1])
 
 
 @dataclass(frozen=True)
@@ -268,8 +255,10 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
     worst = -np.inf
     worst_base = worst_t = 0.0
     per_t = []
-    for j, norms, conorms in _batched_window_scan(est, ks, range(j_lo, j_hi + 1)):
-        products = norms / conorms
+    js = range(j_lo, j_hi + 1)
+    stable, unstable = (_window_log_norms(est, side, ks, js) for side in (0, 1))
+    for j, ls, lu in zip(js, stable, unstable):
+        products = np.exp(ls) / np.exp(lu)
         idx = int(np.argmax(products))
         if products[idx] > worst:
             worst = float(products[idx])
@@ -335,11 +324,11 @@ def fit_hyperbolic(
     j_grid = np.unique(np.linspace(j_lo, j_hi, n_times).astype(int))
 
     ts, log_s, log_u = [], [], []
-    for j, norms, conorms in _batched_window_scan(est, ks, j_grid):
-        t = j * dt
-        ts.extend([t] * len(ks))
-        log_s.extend(np.log(norms))
-        log_u.extend(np.log(1.0 / conorms))
+    stable, unstable = (_window_log_norms(est, side, ks, j_grid) for side in (0, 1))
+    for j, ls, lu in zip(j_grid, stable, unstable):
+        ts.extend([j * dt] * len(ks))
+        log_s.extend(ls)
+        log_u.extend(-lu)
     ts, log_s, log_u = np.asarray(ts), np.asarray(log_s), np.asarray(log_u)
 
     slope_s = np.polyfit(ts, log_s, 1)[0]
@@ -403,20 +392,13 @@ def _partition(cocycle: NormalCocycle, length: float, step: float) -> list:
 
 def _partition_log_norms(est: SplittingEstimate, idx) -> tuple:
     """Per-step stable log-norm and unstable log-conorm of the window
-    products between consecutive cocycle indices ``idx``; a rank-1 bundle
-    reads them from the log-growth table."""
-    idx = np.asarray(idx)
-    out = []
-    for side, bases in enumerate((est.stable, est.unstable)):
-        if bases.shape[-1] == 1:
-            out.append(est.log_prefix[side, idx[1:]] - est.log_prefix[side, idx[:-1]])
-            continue
-        values = [
-            _extreme_singular_values(est.cocycle.window_product(i, j) @ bases[i], side == 0)
-            for i, j in zip(idx, idx[1:])
-        ]
-        out.append(np.log(values))
-    return tuple(out)
+    products between consecutive cocycle indices ``idx``, each step read as
+    a one-base window of :func:`_window_log_norms`."""
+    steps = list(zip(idx, idx[1:]))
+    return tuple(
+        np.array([next(_window_log_norms(est, side, [i], [j - i]))[0] for i, j in steps])
+        for side in (0, 1)
+    )
 
 
 def check_quasi_hyperbolic(
@@ -540,9 +522,9 @@ def uniform_periodic_estimates(
             )
         j_grid = np.unique(np.linspace(j_lo, j_hi, 24).astype(int))
         slack_gap = np.inf
-        for j, norms, conorms in _batched_window_scan(est, ks, j_grid):
-            t = j * cocycle.dt
-            gap = (np.log(conorms) - np.log(norms)) / t - 2.0 * eta
+        stable, unstable = (_window_log_norms(est, side, ks, j_grid) for side in (0, 1))
+        for j, ls, lu in zip(j_grid, stable, unstable):
+            gap = (lu - ls) / (j * cocycle.dt) - 2.0 * eta
             slack_gap = min(slack_gap, float(gap.min()))
 
         idx = _partition(cocycle, period, t_min)

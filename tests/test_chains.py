@@ -291,6 +291,33 @@ def test_concat_eval_raises_on_a_queried_escaping_segment(scenarios):
         assert err.value.t == pytest.approx(1.0 + math.log(20.0), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "points, durations, head, begin, t, rows",
+    [
+        # z = 5 e^t crosses 1e6 at t = ln 2e5 into segment 1, which begins at 1
+        ([[0.1, 0.0, 0.1], [0.0, 0.0, 5.0], [0.2, 0.1, 0.0]], [1.0, 15.0, 1.0], None,
+         1.0, "13.2061", [1]),
+        # the head segment begins at -15
+        ([[0.1, 0.0, 0.1]], [1.0], ([0.0, 0.0, 5.0], 15.0), -15.0, "-2.79393", [-1]),
+    ],
+    ids=["body", "head"],
+)
+def test_verify_chain_reports_divergence_in_chain_time(
+    scenarios, points, durations, head, begin, t, rows
+):
+    """``verify_chain`` reports a divergence as ``ConcatEvaluator`` does: in
+    chain time, with chain segments as rows."""
+    spec = scenarios["linear_saddle3d"].spec
+    po = PseudoOrbit(spec, np.array(points), np.array(durations), 0.1, head=head)
+    with pytest.raises(FlowDivergenceError) as err:
+        verify_chain(po)
+    assert str(err.value) == (
+        f"linear_saddle3d: orbit from [0. 0. 5.] crossed norm 1e+06 at t={t} during integration"
+    )
+    assert list(err.value.rows) == rows
+    assert err.value.t == pytest.approx(begin + math.log(2e5), abs=1e-6)
+
+
 def test_generate_noisy_basic(scenarios):
     # isotropic kicks feed the expanding axis, so keep the chain short
     # enough that e^count * noise stays far from the divergence bound

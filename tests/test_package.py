@@ -1,7 +1,9 @@
 """Package-wide rules: the namespace and the argument check."""
 
+import ast
 import importlib
 import math
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -93,3 +95,30 @@ def test_nan_arguments_raise_value_error_naming_them(call, message, tmp_path):
     fail later in the solver."""
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
+
+
+def _readme_blocks():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+
+
+def test_readme_quick_start_runs_as_its_comments_say():
+    """Both README ``python`` blocks run in one namespace, and each bare
+    expression of the quick start evaluates to what its comment claims."""
+    quick, custom = _readme_blocks()
+    namespace, shown = {}, []
+    for node in ast.parse(quick).body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    chain_ok, lower_bound, (verdict, distance) = shown
+    assert chain_ok is True
+    assert lower_bound == 0.1
+    assert verdict == "shadowed" and distance < 5e-3
+
+    exec(custom, namespace)
+    spec = namespace["spec"]
+    # the batched routines accept the custom field
+    po = fl.PseudoOrbit(spec, [[0.1, 0.2], [0.3, -0.1]], [1.0, 1.0], 1e3)
+    assert len(fl.verify_chain(po).gaps) == 1

@@ -20,7 +20,7 @@ from flowlab import (
     uniform_periodic_estimates,
 )
 from flowlab import splitting
-from flowlab.splitting import _batched_window_scan
+from flowlab.splitting import _partition_log_norms, _window_log_norms
 
 # Normal rates on the r = 1 cycle of saddle_cycle: radial e^{-2t}, vertical e^{t}.
 RADIAL_RATE = -2.0
@@ -207,11 +207,16 @@ def test_splitting_arguments_must_be_positive_and_finite(cycle_arc_est, call, me
         call(est, np.array([1.0, 0.0, 0.0]))
 
 
-def _assert_scan_matches_svd(est, ks, js):
+def _scan(est, ks, js):
+    """``{j: (norms, conorms)}`` from both sides of the log-norm scan."""
+    stable, unstable = (_window_log_norms(est, side, ks, js) for side in (0, 1))
+    return {j: (np.exp(ls), np.exp(lu)) for j, ls, lu in zip(js, stable, unstable)}
+
+
+def _assert_scan_matches_svd(est, ks, js, scanned=None):
     """The scan's norms/conorms equal direct SVDs of the restricted window
     products ``window_product(k, k + j) @ basis`` to relative 1e-12."""
-    ks = np.asarray(ks)
-    scanned = {j: (n, c) for j, n, c in _batched_window_scan(est, ks, js)}
+    scanned = _scan(est, ks, js) if scanned is None else scanned
     assert sorted(scanned) == sorted(js)
     for j in js:
         norms, conorms = scanned[j]
@@ -272,7 +277,7 @@ def test_tie_rule_on_constant_diagonal_cocycle():
     j = round(dom.worst_t / dt)
     ks = np.arange(est.k_lo, min(est.k_hi, m - math.floor(3.0 * l / dt + 1e-9)) + 1)
     assert len(ks) == dom.n_bases
-    (_, norms, conorms), = _batched_window_scan(est, ks, [j])
+    norms, conorms = _scan(est, ks, [j])[j]
     products = norms / conorms
     first = int(np.flatnonzero(products == products.max())[0])
     assert dom.worst_base_time == coc.times[ks[first]]
@@ -288,10 +293,10 @@ def test_tie_rule_reports_first_maximum_on_exact_ties(saddle_est, monkeypatch):
     """With every product equal, the first base of the first time wins."""
     _, est = saddle_est
 
-    def flat_scan(est, ks, js):
-        return ((j, np.full(len(ks), 0.25), np.ones(len(ks))) for j in js)
+    def flat_scan(est, side, ks, js):
+        return (np.full(len(ks), math.log(0.25) if side == 0 else 0.0) for j in js)
 
-    monkeypatch.setattr(splitting, "_batched_window_scan", flat_scan)
+    monkeypatch.setattr(splitting, "_window_log_norms", flat_scan)
     dom = check_domination(est, 0.4)
     assert dom.worst_product == 0.25
     assert dom.worst_t == pytest.approx(0.4, abs=1e-12)
@@ -322,15 +327,42 @@ def test_window_scan_matches_direct_svd_wide_bundles(rotated_diagonal_cocycle, p
     assert np.all(np.isnan(est.log_prefix[wide]))
     assert np.all(np.isfinite(est.log_prefix[1 - wide, est.k_lo :]))
     seen = []
-    svd_branch = splitting._extreme_singular_values
+    svd = np.linalg.svd
 
-    def counted(a, largest):
-        seen.append((a.shape, largest))
-        return svd_branch(a, largest)
+    def counted(a, *args, **kwargs):
+        seen.append(a.shape)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(splitting, "_extreme_singular_values", counted)
-    _assert_scan_matches_svd(est, [300, 333, 380], (1, 9, 50))
-    assert seen == [((3, 3, 2), wide == 0)] * 3
+    ks, js = [300, 333, 380], (1, 9, 50)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counted)
+        scanned = _scan(est, ks, js)
+    _assert_scan_matches_svd(est, ks, js, scanned)
+    # one batched SVD of the three pushed rank-2 bases per length, none for rank 1
+    assert seen == [(3, 3, 2)] * 3
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_partition_log_norms_match_direct_svd_wide_bundles(rotated_diagonal_cocycle, p):
+    """Each partition step is a one-base window of the scan: its values equal
+    the logs of direct SVDs of ``window_product(i, j) @ basis`` to relative
+    1e-12, on both the rank-1 and the rank-2 bundle."""
+    est = estimate_splitting(rotated_diagonal_cocycle, p)
+    coc = est.cocycle
+    # the spec only measures the anchor gap, and every cocycle point is the origin
+    still = VectorFieldSpec("still", 4, lambda x: 0.0 * x, lambda x: np.zeros((4, 4)))
+    cert = check_quasi_hyperbolic(still, np.zeros(4), 0.5, est, 0.1, 0.15)
+    idx = [coc.index_of_time(b) for b in cert.boundaries]
+    assert len(idx) == 4
+    a, b = _partition_log_norms(est, idx)
+    assert cert.log_norms_stable == tuple(a) and cert.log_conorms_unstable == tuple(b)
+    for step, (i, j) in enumerate(zip(idx, idx[1:])):
+        w = coc.window_product(i, j)
+        bs, bu = est.basis_at(i)
+        norm = np.log(np.linalg.svd(w @ bs, compute_uv=False)[0])
+        conorm = np.log(np.linalg.svd(w @ bu, compute_uv=False)[-1])
+        assert a[step] == pytest.approx(norm, rel=1e-12)
+        assert b[step] == pytest.approx(conorm, rel=1e-12)
 
 
 def test_check_domination_flips_at_closed_form_with_wide_bundle(rotated_diagonal_cocycle):
