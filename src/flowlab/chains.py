@@ -89,8 +89,16 @@ class PseudoOrbit:
         object.__setattr__(self, "durations", dur)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", tail)
-        cum = np.concatenate([[0.0], np.cumsum(dur)])
-        object.__setattr__(self, "_cum", cum)
+        # the entry table: row k holds entry k - 1 (head -1, body 0 .. m-1,
+        # tail m): its start point and duration (NaN for an absent end) and
+        # the chain time it begins at; _entries lists the rows present
+        ends = [end or (np.full(self.spec.dim, np.nan), np.nan) for end in (head, tail)]
+        begins = np.concatenate([[-ends[0][1], 0.0], np.cumsum(dur)])
+        present = np.arange(head is None, len(pts) + 1 + (tail is not None))
+        object.__setattr__(self, "_starts", np.vstack([ends[0][0], pts, ends[1][0]]))
+        object.__setattr__(self, "_taus", np.concatenate([[ends[0][1]], dur, [ends[1][1]]]))
+        object.__setattr__(self, "_begins", begins)
+        object.__setattr__(self, "_entries", present)
 
     def _frozen_end(self, end, label):
         if end is None:
@@ -113,11 +121,11 @@ class PseudoOrbit:
     @property
     def boundary_times(self) -> np.ndarray:
         """Accumulated times ``S_0 = 0, S_1, ..., S_m`` of the body."""
-        return self._cum.copy()
+        return self._begins[1:].copy()
 
     @property
     def total_time(self) -> float:
-        return float(self._cum[-1])
+        return float(self._begins[-1])
 
 
 def accumulated_time(po: PseudoOrbit, i: int) -> float:
@@ -130,24 +138,26 @@ def accumulated_time(po: PseudoOrbit, i: int) -> float:
     i = int(i)
     m = po.size
     if 0 <= i <= m:
-        return float(po._cum[i])
+        return float(po._begins[i + 1])
     if i < 0:
         if po.head is None:
             raise IndexError(f"index {i} needs a head extension")
         return float(i) * po.head[1]
     if po.tail is None:
         raise IndexError(f"index {i} needs a tail extension")
-    return float(po._cum[-1]) + float(i - m) * po.tail[1]
+    return po.total_time + float(i - m) * po.tail[1]
 
 
 @dataclass(frozen=True)
 class ChainCheck:
-    """Result of :func:`verify_chain`: per-transition gaps and a verdict."""
+    """Result of :func:`verify_chain`: per-transition gaps and a verdict, and
+    the chain ``times`` at which each gap's source segment begins."""
 
     ok: bool
     delta: float
     max_gap: float
     gaps: tuple  # of (label, value)
+    times: tuple
 
 
 def verify_chain(po: PseudoOrbit, tol: float = DEFAULT_TOL) -> ChainCheck:
@@ -159,22 +169,20 @@ def verify_chain(po: PseudoOrbit, tol: float = DEFAULT_TOL) -> ChainCheck:
     divergence is reported as :class:`ConcatEvaluator` reports it, in chain
     time and chain segments.
     """
-    m, head, tail = po.size, po.head, po.tail
-    # ConcatEvaluator entries: body, then head (0), then tail (m + 1)
-    ends = [e for e, end in ((0, head), (m + 1, tail)) if end is not None]
-    entries = np.array([*range(1, m + 1), *ends])
-    h, t = m, m + (head is not None)  # rows of the head and tail points
-    pairs = [("head->head", h, h), ("head->0", h, 0)] if head is not None else []
-    pairs += [(f"{i}->{i + 1}", i, i + 1) for i in range(m - 1)]
-    pairs += [(f"{m - 1}->tail", m - 1, t), ("tail->tail", t, t)] if tail is not None else []
-    evaluator = ConcatEvaluator(po, tol)
-    rows = evaluator._starts[entries]
-    images = evaluator._orbit(entries, [1.0])[:, 0]
-    src, dst = [p[1] for p in pairs], [p[2] for p in pairs]
-    values = np.linalg.norm(coord_difference(po.spec, images[src], rows[dst]), axis=-1)
+    rows, n = po._entries, len(po._entries)
+    # consecutive entries, plus the self-pair of each end
+    pairs = [(0, 0)] * (po.head is not None) + [(i, i + 1) for i in range(n - 1)]
+    pairs += [(n - 1, n - 1)] * (po.tail is not None)
+    src, dst = np.array(pairs, dtype=int).reshape(-1, 2).T
+    images = ConcatEvaluator(po, tol)._orbit(rows, [1.0])[:, 0]
+    values = np.linalg.norm(coord_difference(po.spec, images[src], po._starts[rows[dst]]), axis=-1)
+    names = [{-1: "head", po.size: "tail"}.get(k, str(k)) for k in (rows - 1).tolist()]
     max_gap = float(values.max()) if len(values) else 0.0
-    gaps = tuple((p[0], g) for p, g in zip(pairs, values.tolist()))
-    return ChainCheck(ok=max_gap < po.delta, delta=po.delta, max_gap=max_gap, gaps=gaps)
+    gaps = tuple((f"{names[i]}->{names[j]}", g) for (i, j), g in zip(pairs, values.tolist()))
+    times = tuple(po._begins[rows[src]].tolist())
+    return ChainCheck(
+        ok=max_gap < po.delta, delta=po.delta, max_gap=max_gap, gaps=gaps, times=times
+    )
 
 
 class ConcatEvaluator:
@@ -196,11 +204,6 @@ class ConcatEvaluator:
         self.po = po
         self.tol = tol
         self.norm_bound = norm_bound
-        # entries in time order: head, body, tail (NaN where a chain has no end)
-        head, tail = (end or (np.full(po.spec.dim, np.nan), np.nan) for end in (po.head, po.tail))
-        self._starts = np.vstack([head[0], po.points, tail[0]])
-        self._taus = np.concatenate([[head[1]], po.durations, [tail[1]]])
-        self._begins = np.concatenate([[-head[1]], po._cum])  # chain time of each start
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many([t])[0]
@@ -210,9 +213,9 @@ class ConcatEvaluator:
         if not np.all(np.isfinite(ts)):
             raise ValueError("evaluation times must be finite")
         po = self.po
-        cum, total = po._cum, po._cum[-1]
+        cum, total = po._begins[1:], po._begins[-1]
         body = np.clip(np.searchsorted(cum, ts, side="right") - 1, 0, po.size - 1)
-        entry, local = body + 1, ts - cum[body]  # rows of _starts: head, body, tail
+        entry, local = body + 1, ts - cum[body]  # rows of the chain's entry table
         before, after = ts < 0.0, ts >= total
         if before.any():
             if po.head is None:
@@ -224,27 +227,28 @@ class ConcatEvaluator:
             entry[after], local[after] = po.size + 1, rest - np.floor(rest / tt) * tt
         elif np.any(late := ts > total + 1e-9 * max(1.0, total)):
             raise ValueError(f"t={ts[late][0]:.6g} is past the chain and there is no tail")
-        out = self._starts[entry]
+        out = po._starts[entry]
         inner = local != 0.0
         if inner.any():
             keys, row = np.unique(entry[inner], return_inverse=True)
-            out[inner] = self._orbit(keys, local[inner] / self._taus[keys][row], row)
+            out[inner] = self._orbit(keys, local[inner] / po._taus[keys][row], row)
         return out
 
     def _orbit(self, entries, u, row=None):
-        """``_orbit_points`` from the chain ``entries`` (rows of ``_starts``),
+        """``_orbit_points`` from the chain ``entries`` (rows of ``po._starts``),
         each scaled by its duration, so ``u`` runs 0 to 1 over a segment.  A
         divergence is re-raised in chain time, with chain segments as rows."""
+        po = self.po
         try:
             return _orbit_points(
-                self.po.spec, self._starts[entries], u, self.tol, self.norm_bound,
-                self._taus[entries], row,
+                po.spec, po._starts[entries], u, self.tol, self.norm_bound,
+                po._taus[entries], row,
             )
         except FlowDivergenceError as err:
             hit = entries[err.rows]
-            t = self._begins[hit[0]] + err.t * self._taus[hit[0]]
+            t = po._begins[hit[0]] + err.t * po._taus[hit[0]]
             raise FlowDivergenceError.crossing(
-                self.po.spec, self._starts[hit[0]], self.norm_bound, t, "integration", hit - 1
+                po.spec, po._starts[hit[0]], self.norm_bound, t, "integration", hit - 1
             ) from None
 
 
@@ -426,16 +430,10 @@ def save_chain(po: PseudoOrbit, path) -> None:
     lines = [
         f"{po.spec.dim} {_fmt(po.delta)} {int(po.head is not None)} {int(po.tail is not None)}"
     ]
-    if po.head is not None:
-        hp, ht = po.head
-        lines.append(" ".join(["-1", _fmt(ht)] + [_fmt(c) for c in hp]))
-    for i in range(po.size):
+    for k in po._entries:
         lines.append(
-            " ".join([str(i), _fmt(po.durations[i])] + [_fmt(c) for c in po.points[i]])
+            " ".join([str(k - 1), _fmt(po._taus[k])] + [_fmt(c) for c in po._starts[k]])
         )
-    if po.tail is not None:
-        tp, tt = po.tail
-        lines.append(" ".join([str(po.size), _fmt(tt)] + [_fmt(c) for c in tp]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -454,32 +452,23 @@ def load_chain(spec: VectorFieldSpec, path) -> PseudoOrbit:
         raise ValueError(f"{path}: chain dimension {dim} does not match spec {spec.dim}")
     delta = float(header[1])
     has_head, has_tail = int(header[2]), int(header[3])
-    body_rows = rows[1:]
-    expected = len(body_rows) - has_head - has_tail
-    if expected < 1:
+    if not {has_head, has_tail} <= {0, 1}:
+        raise ValueError(
+            f"{path}: header flags has_head has_tail must be 0 or 1 "
+            f"(got {header[2]} {header[3]})"
+        )
+    m = len(rows) - 1 - has_head - has_tail
+    if m < 1:
         raise ValueError(f"{path}: no body rows")
-
-    def parse(row, want_index):
+    entries = {}  # index -> (point, duration)
+    for want_index, row in zip(range(-has_head, m + has_tail), rows[1:]):
         if len(row) != 2 + dim:
             raise ValueError(f"{path}: row has {len(row)} fields, expected {2 + dim}")
         if int(row[0]) != want_index:
             raise ValueError(f"{path}: row index {row[0]}, expected {want_index}")
-        return float(row[1]), np.array([float(c) for c in row[2:]])
-
-    head = tail = None
-    at = 0
-    if has_head:
-        t, pt = parse(body_rows[at], -1)
-        head = (pt, t)
-        at += 1
-    pts = np.empty((expected, dim))
-    durs = np.empty(expected)
-    for i in range(expected):
-        durs[i], pts[i] = parse(body_rows[at], i)
-        at += 1
-    if has_tail:
-        t, pt = parse(body_rows[at], expected)
-        tail = (pt, t)
+        entries[want_index] = (np.array([float(c) for c in row[2:]]), float(row[1]))
+    pts, durs = zip(*(entries[i] for i in range(m)))
     return PseudoOrbit(
-        spec=spec, points=pts, durations=durs, delta=delta, head=head, tail=tail
+        spec=spec, points=np.array(pts), durations=np.array(durs), delta=delta,
+        head=entries.get(-1), tail=entries.get(m),
     )

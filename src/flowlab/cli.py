@@ -149,6 +149,11 @@ def _require(params, pipeline, *keys):
             raise ConfigError(f"pipeline {pipeline!r} requires the key {key!r}")
 
 
+def _given(params, *keys):
+    """The ``keys`` a config sets, so a library default applies to the rest."""
+    return {key: params[key] for key in keys if key in params}
+
+
 def _point(params, key, dim, default=None):
     if key not in params:
         if default is None:
@@ -177,9 +182,9 @@ def _build_chain(scenario, params, pipeline, seed):
             _point(params, "x0", spec.dim),
             int(params["count"]),
             noise=params["noise"],
-            step=params.get("step", 1.0),
             rng=seed,
             noise_subspace=subspace,
+            **_given(params, "step"),
         )
     if kind == "equilibrium_segment":
         _require(params, pipeline, "delta")
@@ -217,11 +222,7 @@ def _checked_chain(scenario, params, pipeline, seed):
         "verified": bool(check.ok),
         "max_gap": check.max_gap,
     }
-    bt = po.boundary_times
-    rows = [
-        ("chain_gap", i, float(bt[min(i, len(bt) - 1)]), float(gap))
-        for i, (_, gap) in enumerate(check.gaps)
-    ]
+    rows = [("chain_gap", i, t, gap) for i, ((_, gap), t) in enumerate(zip(check.gaps, check.times))]
     return po, summary, rows
 
 
@@ -229,11 +230,7 @@ def _run_shadow_search(scenario, params, seed, outdir):
     spec = scenario.spec
     po, chain, rows = _checked_chain(scenario, params, "shadow-search", seed)
     budget = SearchBudget(
-        candidates=int(params.get("candidates", 1000)),
-        refine_evals=int(params.get("refine_evals", 200)),
-        chain_samples=params.get("chain_samples"),
-        orbit_samples=params.get("orbit_samples"),
-        settle=float(params.get("settle", 3.0)),
+        **_given(params, "candidates", "refine_evals", "chain_samples", "orbit_samples", "settle")
     )
     half = float(params.get("seed_halfwidth", 0.1))
     center = po.points[0]
@@ -394,7 +391,7 @@ def _run_chain_graph(scenario, params, seed, outdir):
         params["hgrid"],
         params["delta"],
         params["t_max"],
-        t_samples=int(params.get("t_samples", 6)),
+        **_given(params, "t_samples"),
     )
     recurrent = chain_recurrent_cells(graph)
     labels = graph.scc_labels()

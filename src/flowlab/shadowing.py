@@ -616,7 +616,7 @@ def refute_by_conservation(
     if spec.conserved is None:
         raise ValueError(f"{spec.name} declares no conserved quantity to refute with")
     _require_positive(epsilon=epsilon)
-    pts = list(po.points) + [end[0] for end in (po.head, po.tail) if end is not None]
+    pts = po._starts[po._entries]
     values = [float(spec.conserved.func(p)) for p in pts]
     q_min, q_max = min(values), max(values)
     bound = (q_max - q_min) / (2.0 * spec.conserved.lipschitz)

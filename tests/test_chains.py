@@ -132,6 +132,8 @@ def test_verify_reports_labels_and_breaks(scenarios):
     assert not check.ok
     labels = [label for label, _ in check.gaps]
     assert labels == ["head->head", "head->0", "0->1", "1->2", "2->3", "3->tail", "tail->tail"]
+    # each gap at the start of its source segment; the unit head begins at -1
+    assert check.times == (-1.0, -1.0, *broken.boundary_times.tolist())
     by_label = dict(check.gaps)
     assert abs(by_label["1->2"] - 1e-3) <= 1e-5
     assert check.max_gap == max(v for _, v in check.gaps)
@@ -430,7 +432,12 @@ def test_periodic_family_chain_validation(scenarios):
         periodic_family_chain(cyc.spec, (1.0, 0.0, 0.0), (0.1, 0.0, 0.0), 5, TWO_PI)
 
 
-def test_save_load_roundtrip(tmp_path, scenarios):
+@pytest.mark.parametrize(
+    "has_head, has_tail",
+    [(0, 0), (1, 1), (0, 1), (1, 0)],
+    ids=["no-ends", "both-ends", "tail-only", "head-only"],
+)
+def test_save_load_roundtrip(tmp_path, scenarios, has_head, has_tail):
     scen = scenarios["linear_saddle3d"]
     po = generate_noisy(scen.spec, (0.3, -0.4, 0.1), count=12, noise=2e-3, rng=11)
     po = PseudoOrbit(
@@ -438,17 +445,28 @@ def test_save_load_roundtrip(tmp_path, scenarios):
         points=po.points,
         durations=po.durations,
         delta=po.delta,
-        head=(po.points[0], 1.25),
-        tail=(po.points[-1], 2.5),
+        head=(po.points[0], 1.25) if has_head else None,
+        tail=(po.points[-1], 2.5) if has_tail else None,
     )
     path = tmp_path / "chain.txt"
     save_chain(po, path)
+    lines = path.read_text().splitlines()
+    assert lines[0].split()[2:] == [str(has_head), str(has_tail)]
+    assert [line.split()[0] for line in lines[1:]] == [
+        str(i) for i in range(-has_head, po.size + has_tail)
+    ]
     back = load_chain(scen.spec, path)
     assert np.array_equal(back.points, po.points)
     assert np.array_equal(back.durations, po.durations)
     assert back.delta == po.delta
-    assert np.array_equal(back.head[0], po.head[0]) and back.head[1] == 1.25
-    assert np.array_equal(back.tail[0], po.tail[0]) and back.tail[1] == 2.5
+    if has_head:
+        assert np.array_equal(back.head[0], po.head[0]) and back.head[1] == 1.25
+    else:
+        assert back.head is None
+    if has_tail:
+        assert np.array_equal(back.tail[0], po.tail[0]) and back.tail[1] == 2.5
+    else:
+        assert back.tail is None
     path2 = tmp_path / "chain2.txt"
     save_chain(back, path2)
     assert path.read_bytes() == path2.read_bytes()
@@ -480,4 +498,10 @@ def test_load_chain_rejects_malformed(tmp_path, scenarios):
 
     p.write_text("3 0.1 0 0\n1 1.0 0.0 0.0 0.0\n")
     with pytest.raises(ValueError, match="row index"):
+        load_chain(spec, p)
+
+    # a flag other than 0 or 1 would misplace or drop rows
+    rows = "".join(f"{i} 1.0 0.0 0.0 0.0\n" for i in (-1, 0, 1, 2))
+    p.write_text("3 0.1 2 0\n" + rows)
+    with pytest.raises(ValueError, match="header flags .* must be 0 or 1"):
         load_chain(spec, p)

@@ -60,6 +60,17 @@ def test_refute_pipeline_produces_certificate(tmp_path):
     assert meta["elapsed_seconds"] > 0
 
 
+def test_chain_gap_rows_sit_at_source_segment_starts(tmp_path):
+    # six unit segments on [0, 6] between a unit head and a unit tail
+    code, out = run_cli(tmp_path, REFUTE_CFG.format(epsilon=0.05))
+    assert code == 2
+    rows = [line.split(",") for line in (out / "series.csv").read_text().splitlines()[1:]]
+    gaps = [row for row in rows if row[0] == "chain_gap"]
+    assert [int(row[1]) for row in gaps] == list(range(9))
+    # head->head, head->0, 0->1 .. 4->5, 5->tail, tail->tail
+    assert [float(row[2]) for row in gaps] == [-1.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
 def test_refute_pipeline_epsilon_above_bound(tmp_path):
     code, out = run_cli(tmp_path, REFUTE_CFG.format(epsilon=0.15))
     assert code == 0
@@ -356,6 +367,8 @@ def test_bad_configs_exit_one_with_message(tmp_path, capsys, body, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert fragment in err
+    # the output directory may exist, but no file is written into it
+    assert list((tmp_path / "out").glob("**/*")) == []
 
 
 def test_per_point_field_exits_one_with_message(tmp_path, capsys, monkeypatch):
