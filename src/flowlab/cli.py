@@ -37,6 +37,7 @@ from .chains import (
     periodic_family_chain,
     verify_chain,
 )
+from .flow import _plain
 from .poincare import build_cocycle, classify_periodic, classify_singularity
 from .scenarios import SCENARIO_PARAMS, builtin, scenario_names
 from .shadowing import SearchBudget, refute_by_conservation, search_shadowing
@@ -252,11 +253,9 @@ def _run_refute(scenario, params, seed, outdir):
         "refuted": cert is not None,
         "certificate": cert.to_dict() if cert is not None else None,
     }
-    bt = po.boundary_times
-    for i in range(po.size):
-        rows.append(
-            ("conserved", i, float(bt[i]), float(spec.conserved.func(po.points[i])))
-        )
+    for k in po._entries:
+        value = float(spec.conserved.func(po._starts[k]))
+        rows.append(("conserved", int(k) - 1, float(po._begins[k]), value))
     return (2 if cert is not None else 0), result, rows
 
 
@@ -271,27 +270,16 @@ def _run_classify(scenario, params, seed, outdir):
         )
     if not reports:
         raise ConfigError(f"scenario {spec.name} records no critical elements to classify")
-    result = {"elements": []}
-    rows = []
-    all_hyperbolic = True
-    for k, rep in enumerate(reports):
-        all_hyperbolic = all_hyperbolic and rep.hyperbolic
-        result["elements"].append(
-            {
-                "kind": rep.kind,
-                "point": [float(c) for c in rep.point],
-                "period": rep.period,
-                "spectrum": [[float(z.real), float(z.imag)] for z in rep.spectrum],
-                "margins": list(rep.margins),
-                "hyperbolic": rep.hyperbolic,
-                "index": rep.index,
-                "index_with_flow": rep.index_with_flow,
-            }
-        )
-        for j, margin in enumerate(rep.margins):
-            rows.append(("margin", k * 16 + j, 0.0, float(margin)))
-    result["all_hyperbolic"] = bool(all_hyperbolic)
-    return (0 if all_hyperbolic else 2), result, rows
+    result = {
+        "elements": [_plain(rep) for rep in reports],
+        "all_hyperbolic": all(rep.hyperbolic for rep in reports),
+    }
+    rows = [
+        ("margin", k * 16 + j, 0.0, float(margin))
+        for k, rep in enumerate(reports)
+        for j, margin in enumerate(rep.margins)
+    ]
+    return (0 if result["all_hyperbolic"] else 2), result, rows
 
 
 def _splitting_anchor(scenario, params, pipeline):
@@ -322,27 +310,12 @@ def _run_splitting(scenario, params, seed, outdir):
     dom = check_domination(est, params["l"])
     fit = fit_hyperbolic(est)
     result = {
-        "anchor": [float(c) for c in x0],
+        "anchor": _plain(x0),
         "stable_rank": est.p,
         "gap_ratio_min": est.gap_ratio_min,
         "invariance_residual": est.residual,
-        "domination": {
-            "l": dom.l,
-            "ok": dom.ok,
-            "worst_product": dom.worst_product,
-            "worst_base_time": dom.worst_base_time,
-            "worst_t": dom.worst_t,
-            "n_bases": dom.n_bases,
-        },
-        "fit": {
-            "ok": fit.ok,
-            "lambda_stable": fit.lambda_stable,
-            "c_stable": fit.c_stable,
-            "lambda_unstable": fit.lambda_unstable,
-            "c_unstable": fit.c_unstable,
-            "t_range": list(fit.t_range),
-            "reason": fit.reason,
-        },
+        "domination": _plain(dom, "products_per_t"),
+        "fit": _plain(fit, "stable_ok", "unstable_ok"),
     }
     rows = [
         ("domination_product", j, float(t), float(v))
@@ -359,15 +332,9 @@ def _run_quasi_hyperbolic(scenario, params, seed, outdir):
     cert = check_quasi_hyperbolic(
         spec, x0, float(params["tau"]), est, params["eta"], params["big_t"]
     )
-    result = {
-        "arc_start": [float(c) for c in x0],
-        "tau": cert.tau,
-        "eta": cert.eta,
-        "big_t": cert.big_t,
-        "ok": cert.ok,
-        "worst_slack": cert.worst_slack,
-        "boundaries": list(cert.boundaries),
-    }
+    per_step = ("log_norms_stable", "log_conorms_unstable", "slack_leading",
+                "slack_trailing", "slack_stepwise")
+    result = {"arc_start": _plain(x0), **_plain(cert, *per_step)}
     rows = []
     for j, v in enumerate(cert.slack_leading):
         rows.append(("slack_leading", j, float(cert.boundaries[j + 1]), float(v)))

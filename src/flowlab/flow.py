@@ -19,7 +19,7 @@ returns the reached part instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,6 +43,21 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 DEFAULT_NORM_BOUND = 1e6
+
+
+def _plain(value, *skip):
+    """``value`` as JSON-ready data: a dataclass as a dict of its fields except
+    ``skip``, a tuple or array as a list, and a complex number as its
+    ``[re, im]`` pair."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.name not in skip}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
 
 
 def _require(values, ok, rule):
@@ -286,14 +301,16 @@ def _peak_rows(y, dim: int, rows: int) -> np.ndarray:
 
 
 def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1,
-           t_eval=None, on_escape="raise"):
+           t_eval=None, on_escape="raise", events=()):
     """DOP853 solve with the divergence guard.
 
     ``y0`` holds ``rows`` equal problems; under an RMS error norm, tolerances
     over ``sqrt(rows)`` keep each row's error within a solo solve's.  An orbit
     that starts beyond or crosses ``norm_bound`` raises :class:`FlowDivergenceError`
     naming the start of the first row at the bound, unless it crosses with
-    ``on_escape="truncate"``: then the solution stops there with ``status`` 1."""
+    ``on_escape="truncate"``: then the solution stops there with ``status`` 1.
+    The caller's ``events`` follow the escape event, so their hits are
+    ``t_events[1:]``."""
     escape = _escape_event(norm_bound, spec.dim, rows)
     if not np.all(np.isfinite(y0)):
         raise ValueError("x0 must be finite")
@@ -317,7 +334,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
         t_eval=t_eval,
         rtol=tol,
         atol=tol / 100.0,
-        events=[escape],
+        events=[escape, *events],
     )
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .flow import (
+    DEFAULT_NORM_BOUND,
     DEFAULT_TOL,
     VectorFieldSpec,
     _require_finite,
     _require_positive,
+    _solve,
     coord_difference,
     distance,
     flow_at,
@@ -270,37 +271,33 @@ def _cross_plane(
     t_max: float,
     t_skip: float,
     tol: float,
-    scan_points: int = 600,
 ):
-    """First directional crossing of the plane through ``anchor`` after ``t_skip``.
-
-    Scans a dense trajectory of ``y`` on a uniform grid, then refines the
-    bracketing interval with Brent's method.  Only crossings in the field
-    direction (g increasing through 0) count.
+    """First directional crossing of the plane through ``anchor`` at or after
+    ``t_skip``, from the solver's event search over ``[0, t_max]``.  Only
+    crossings in the field direction (g increasing through 0) count.
     """
-    traj = integrate(spec, y, (0.0, t_max), tol=tol)
+    if y.shape != (spec.dim,):
+        raise ValueError(f"y has shape {y.shape}, expected ({spec.dim},)")
 
-    def g(t):
-        return float(normal @ (traj.at(t) - anchor))
+    def section(t, z):
+        return float(normal @ (z - anchor))
 
-    grid = np.linspace(t_skip, t_max, scan_points)
-    vals = (traj.at_many(grid) - anchor) @ normal
-    for k in range(1, len(grid)):
-        if vals[k - 1] < 0.0 <= vals[k]:
-            if vals[k] == 0.0 and vals[k - 1] >= 0.0:
-                continue
-            tau = brentq(g, grid[k - 1], grid[k], xtol=1e-12, rtol=8.9e-16)
-            point = traj.at(tau)
-            speed = spec.field_at(point)
-            rate = abs(float(speed @ normal))
-            if rate < 1e-6 * (1.0 + np.linalg.norm(speed)):
-                raise TangentialCrossingError(
-                    f"crossing at t={tau:.6g} is tangential (rate {rate:.3g})"
-                )
-            return point, float(tau)
-    raise NoCrossingError(
-        f"no forward crossing of the section in [{t_skip:.6g}, {t_max:.6g}]"
-    )
+    section.direction = 1
+
+    sol = _solve(spec, lambda t, z: spec.field_at(z), (0.0, t_max), y, tol,
+                 DEFAULT_NORM_BOUND, "integration", events=[section])
+    times, points = sol.t_events[1], sol.y_events[1]
+    later = np.flatnonzero(times >= t_skip)
+    if not later.size:
+        raise NoCrossingError(
+            f"no forward crossing of the section in [{t_skip:.6g}, {t_max:.6g}]"
+        )
+    tau, point = float(times[later[0]]), points[later[0]]
+    speed = spec.field_at(point)
+    rate = abs(float(speed @ normal))
+    if rate < 1e-6 * (1.0 + np.linalg.norm(speed)):
+        raise TangentialCrossingError(f"crossing at t={tau:.6g} is tangential (rate {rate:.3g})")
+    return point, tau
 
 
 def section_map(

@@ -23,6 +23,7 @@ from .flow import (
     FlowDivergenceError,
     VectorFieldSpec,
     _orbit_points,
+    _plain,
     _require_positive,
     _wrap_difference,
     coord_difference,
@@ -421,23 +422,7 @@ class ShadowingReport:
     notes: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "flowlab.shadow-search/1",
-            "verdict": self.verdict,
-            "epsilon": self.epsilon,
-            "distance": self.distance,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "reparam_knots_t": list(self.reparam_knots_t)
-            if self.reparam_knots_t is not None
-            else None,
-            "reparam_knots_u": list(self.reparam_knots_u)
-            if self.reparam_knots_u is not None
-            else None,
-            "horizon": list(self.horizon),
-            "coarse_candidates": self.coarse_candidates,
-            "evaluations": self.evaluations,
-            "notes": list(self.notes),
-        }
+        return {"schema": "flowlab.shadow-search/1", **_plain(self)}
 
 
 def _coarse_axes(seed_region: np.ndarray, n_points: int) -> list:
@@ -592,16 +577,7 @@ class ConservationCertificate:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "schema": "flowlab.conservation-refutation/1",
-            "quantity": self.quantity,
-            "lower_bound": self.lower_bound,
-            "epsilon": self.epsilon,
-            "q_min": self.q_min,
-            "q_max": self.q_max,
-            "lipschitz": self.lipschitz,
-            "n_points": self.n_points,
-        }
+        return {"schema": "flowlab.conservation-refutation/1", **_plain(self)}
 
 
 def refute_by_conservation(

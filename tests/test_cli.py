@@ -12,6 +12,8 @@ from flowlab import VectorFieldSpec, cli
 from flowlab.cli import main
 from flowlab.scenarios import builtin, scenario_names
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 REFUTE_CFG = """\
 [scenario]
 name = neutral_line
@@ -69,6 +71,20 @@ def test_chain_gap_rows_sit_at_source_segment_starts(tmp_path):
     assert [int(row[1]) for row in gaps] == list(range(9))
     # head->head, head->0, 0->1 .. 4->5, 5->tail, tail->tail
     assert [float(row[2]) for row in gaps] == [-1.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def test_conserved_rows_cover_every_certificate_point(tmp_path):
+    # the unit head sits at the segment's low end and the unit tail at its high end
+    code, out = run_cli(tmp_path, REFUTE_CFG.format(epsilon=0.05))
+    assert code == 2
+    cert = read_report(out)["result"]["certificate"]
+    rows = [line.split(",") for line in (out / "series.csv").read_text().splitlines()[1:]]
+    conserved = [row for row in rows if row[0] == "conserved"]
+    assert len(conserved) == cert["n_points"] == 8
+    assert [int(row[1]) for row in conserved] == list(range(-1, 7))
+    assert [float(row[2]) for row in conserved] == [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    values = [float(row[3]) for row in conserved]
+    assert (min(values), max(values)) == (cert["q_min"], cert["q_max"])
 
 
 def test_refute_pipeline_epsilon_above_bound(tmp_path):
@@ -278,6 +294,71 @@ def test_chain_graph_pipeline_writes_graph_files(tmp_path):
     assert len(cells) == 17
 
 
+CHAIN_SUMMARY = ["chain", "chain.size", "chain.delta", "chain.verified", "chain.max_gap"]
+
+# every key of ``result`` per pipeline, as docs/formats.md lists them
+RESULT_KEYS = {
+    "shadow-search": CHAIN_SUMMARY + [
+        "search", *(f"search.{key}" for key in (
+            "schema", "verdict", "epsilon", "distance", "witness", "reparam_knots_t",
+            "reparam_knots_u", "horizon", "coarse_candidates", "evaluations", "notes",
+        )),
+    ],
+    "refute": CHAIN_SUMMARY + [
+        "refuted", "certificate", *(f"certificate.{key}" for key in (
+            "schema", "quantity", "lower_bound", "epsilon", "q_min", "q_max",
+            "lipschitz", "n_points",
+        )),
+    ],
+    "classify": [
+        "all_hyperbolic", "elements", *(f"elements[*].{key}" for key in (
+            "kind", "point", "period", "spectrum", "margins", "hyperbolic", "index",
+            "index_with_flow",
+        )),
+    ],
+    "splitting": [
+        "anchor", "stable_rank", "gap_ratio_min", "invariance_residual",
+        "domination", *(f"domination.{key}" for key in (
+            "l", "ok", "worst_product", "worst_base_time", "worst_t", "n_bases",
+        )),
+        "fit", *(f"fit.{key}" for key in (
+            "ok", "lambda_stable", "c_stable", "lambda_unstable", "c_unstable", "t_range",
+            "reason",
+        )),
+    ],
+    "quasi-hyperbolic": [
+        "arc_start", "tau", "eta", "big_t", "ok", "worst_slack", "boundaries",
+    ],
+    "chain-graph": [
+        "cells", "shape", "edges", "reach", "recurrent_cells", "components",
+        "nontrivial_components", "recurrent_transitive", "outputs",
+    ],
+}
+
+
+def key_paths(value, prefix=""):
+    """Dotted paths of every key in nested dicts; list items of dicts share ``[*]``."""
+    if isinstance(value, dict):
+        paths = set()
+        for key, item in value.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths |= {path} | key_paths(item, path)
+        return paths
+    if isinstance(value, list):
+        return set().union(*(key_paths(item, f"{prefix}[*]") for item in value))
+    return set()
+
+
+@pytest.mark.parametrize(
+    "config", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.stem
+)
+def test_shipped_config_result_keys(tmp_path, config):
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) in (0, 2)
+    report = read_report(out)
+    assert sorted(key_paths(report["result"])) == sorted(RESULT_KEYS[report["pipeline"]])
+
+
 def test_list_scenarios_and_pipelines(capsys):
     assert main(["list", "scenarios"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -377,7 +458,7 @@ def test_per_point_field_exits_one_with_message(tmp_path, capsys, monkeypatch):
     spec = VectorFieldSpec(name="per_point", dim=3, field=lambda x: a @ x, jacobian=lambda x: a)
     saddle = dataclasses.replace(builtin("linear_saddle3d"), spec=spec)
     monkeypatch.setattr(cli, "builtin", lambda name, **params: saddle)
-    body = (Path(__file__).parents[1] / "configs" / "shadow_search.cfg").read_text()
+    body = (CONFIGS / "shadow_search.cfg").read_text()
     code, _ = run_cli(tmp_path, body)
     assert code == 1
     err = capsys.readouterr().err

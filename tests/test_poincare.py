@@ -101,6 +101,8 @@ def test_section_map_validation(scenarios):
         section_map(spec, p, p, 0.0)
     with pytest.raises(ValueError, match="singularity"):
         section_map(scenarios["linear_saddle3d"].spec, np.zeros(3), p, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        section_map(spec, p, p[:2], TWO_PI)
 
 
 def test_section_map_disc_radius(scenarios):
