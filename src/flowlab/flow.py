@@ -308,9 +308,9 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     over ``sqrt(rows)`` keep each row's error within a solo solve's.  An orbit
     that starts beyond or crosses ``norm_bound`` raises :class:`FlowDivergenceError`
     naming the start of the first row at the bound, unless it crosses with
-    ``on_escape="truncate"``: then the solution stops there with ``status`` 1.
-    The caller's ``events`` follow the escape event, so their hits are
-    ``t_events[1:]``."""
+    ``on_escape="truncate"``: then the solution stops there, the crossing in
+    ``t_events[0]``.  The caller's ``events`` follow the escape event, so their
+    hits are ``t_events[1:]``, and a terminal one among them is no escape."""
     escape = _escape_event(norm_bound, spec.dim, rows)
     if not np.all(np.isfinite(y0)):
         raise ValueError("x0 must be finite")
@@ -338,7 +338,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     )
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")
-    if sol.status == 1 and on_escape == "raise":
+    if len(sol.t_events[0]) and on_escape == "raise":
         raise diverged(sol.t_events[0][0], sol.y_events[0][0])
     return sol
 
@@ -375,7 +375,8 @@ def integrate(
 
     sol = _solve(spec, rhs, (t0, t1), x0, tol, norm_bound, "integration",
                  dense_output=True, on_escape=on_escape)
-    return Trajectory(spec, x0, t0, sol.t[-1], sol.sol, tol, sol.status == 1, requested_t1=t1)
+    escaped = len(sol.t_events[0]) > 0
+    return Trajectory(spec, x0, t0, sol.t[-1], sol.sol, tol, escaped, requested_t1=t1)
 
 
 def flow_at(
@@ -480,6 +481,12 @@ def tangent_flow(
         ``(dim, dim)``, with a leading ``N`` for a batch; ``V' = J(x(t)) V``
         is integrated from the identity alongside the base orbit.
     """
+    return _tangent_flow(spec, x, t, tol, norm_bound)
+
+
+def _tangent_flow(spec, x, t, tol, norm_bound=DEFAULT_NORM_BOUND, scale=None):
+    """:func:`tangent_flow`, row ``i`` of ``x`` following ``z' = scale_i X(z)`` when
+    ``scale`` is given, so that at ``t = 1`` its derivative is ``D X_{scale_i}(x_i)``."""
     x = np.asarray(x, dtype=float)
     n = spec.dim
     if x.ndim not in (1, 2) or x.shape[-1] != n or x.size == 0:
@@ -491,11 +498,13 @@ def tangent_flow(
         return x.copy(), eye.copy()
     if x.ndim == 2:
         _check_batch_contract(spec, x)
+    tau = None if scale is None else np.reshape(scale, (-1, 1))
 
     def rhs(s, y):
         y = y.reshape(lead + (n + n * n,))
         jv = spec.jacobian_at(y[..., :n]) @ y[..., n:].reshape(eye.shape)
-        return np.concatenate([spec.field_at(y[..., :n]), jv.reshape(lead + (-1,))], -1).ravel()
+        out = np.concatenate([spec.field_at(y[..., :n]), jv.reshape(lead + (-1,))], -1)
+        return (out if tau is None else tau * out).ravel()
 
     y0 = np.concatenate([rows, eye.reshape(len(rows), -1)], axis=1).ravel()
     sol = _solve(spec, rhs, (0.0, t), y0, tol, norm_bound, "variational integration",

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
 from .chains import ConcatEvaluator, PseudoOrbit
 from .flow import (
@@ -25,6 +26,7 @@ from .flow import (
     _orbit_points,
     _plain,
     _require_positive,
+    _tangent_flow,
     _wrap_difference,
     coord_difference,
     flow_at,
@@ -37,6 +39,8 @@ __all__ = [
     "shadow_distance",
     "ReparamFit",
     "best_reparam",
+    "NewtonShadow",
+    "newton_shadow",
     "SearchBudget",
     "ShadowingReport",
     "search_shadowing",
@@ -382,6 +386,63 @@ def best_reparam(
     return obj.fit(y)
 
 
+# Newton steps newton_shadow takes at most; criterion 3's chains converge in 1.
+_NEWTON_STEPS = 8
+
+
+@dataclass(frozen=True)
+class NewtonShadow:
+    """:func:`newton_shadow`'s last iterate: ``corrections`` ``(m, dim)``, ``shifts``
+    ``(m - 1,)``, largest gap ``residual``, Newton steps taken and ``|J^+|`` there."""
+
+    corrections: np.ndarray
+    shifts: np.ndarray
+    residual: float
+    iterations: int
+    inverse_norm: float
+
+
+def newton_shadow(spec: VectorFieldSpec, po: PseudoOrbit, tol: float = DEFAULT_TOL) -> NewtonShadow:
+    """Newton shadowing with time shifts on a chain of ``m >= 2`` points without ends.
+
+    ``F_i = X_{h_i+s_i}(x_i+c_i) - (x_{i+1}+c_{i+1})`` (angles wrapped) is solved for
+    corrections ``c_i`` and shifts ``s_0 .. s_{m-2}``.  Row ``i`` of its Jacobian is
+    ``[A_i | -I | X(end_i)]``, all ``A_i`` from one batched variational solve; each
+    step is the least-norm ``-J^T (J J^T)^{-1} F`` through a banded Cholesky factor
+    of the block-tridiagonal ``J J^T``, until every gap ``|F_i| <= tol`` or for
+    ``_NEWTON_STEPS`` steps.  ``inverse_norm`` is ``lambda_min(J J^T)^{-1/2}`` at the
+    last iterate (LAPACK's banded eigensolver); with the shifts absorbing the flow
+    direction it stays bounded as a chain in a hyperbolic set grows.  A divergence,
+    a failed solve or an overflowing ``J J^T`` raises.
+    """
+    if po.head is not None or po.tail is not None or po.size < 2:
+        raise ValueError("newton_shadow needs a chain of at least 2 points without head or tail")
+    (m, n), h = po.points.shape, po.durations
+    c, s = np.zeros((m, n)), np.zeros(m - 1)
+    (a, b), (p, q) = np.triu_indices(n), np.indices((n, n)).reshape(2, -1)
+    for step in range(_NEWTON_STEPS + 1):
+        ends, A = _tangent_flow(spec, po.points[:-1] + c[:-1], 1.0, tol, scale=h[:-1] + s)
+        gaps = coord_difference(spec, ends, po.points[1:] + c[1:])
+        v = spec.field_at(ends)
+        # J J^T in upper banded storage, entry (i, j) at [2n - 1 + i - j, j]
+        diag = A @ A.transpose(0, 2, 1) + np.eye(n) + v[:, :, None] * v[:, None, :]
+        band = np.zeros((2 * n, m - 1, n))
+        band[2 * n - 1 + a - b, :, b] = diag[:, a, b].T
+        band[n - 1 + p - q, 1:, q] = -A[1:, q, p].T
+        band = band.reshape(2 * n, -1)
+        if not np.all(np.isfinite(band)):
+            raise np.linalg.LinAlgError("J J^T of the chain overflows")
+        residual = float(np.linalg.norm(gaps, axis=1).max())
+        if residual <= tol or step == _NEWTON_STEPS:
+            break
+        w = cho_solve_banded((cholesky_banded(band), False), gaps.ravel()).reshape(gaps.shape)
+        c[:-1] -= np.einsum("kji,kj->ki", A, w)
+        c[1:] += w
+        s -= np.einsum("ki,ki->k", v, w)
+    smallest = eig_banded(band, eigvals_only=True, select="i", select_range=(0, 0))[0]
+    return NewtonShadow(c, s, residual, step, float(smallest**-0.5))
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Evaluation budget for :func:`search_shadowing`.
@@ -410,6 +471,10 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class ShadowingReport:
+    """Result of :func:`search_shadowing`.  ``stage`` is ``"newton"`` or ``"lattice"``;
+    ``operator_inverse_norm`` and ``newton_residual`` are :func:`newton_shadow`'s
+    ``inverse_norm`` and ``residual``, ``None`` when it did not run."""
+
     verdict: str
     epsilon: float
     distance: float
@@ -419,7 +484,10 @@ class ShadowingReport:
     horizon: tuple
     coarse_candidates: int
     evaluations: int
+    stage: str
     notes: tuple
+    operator_inverse_norm: Optional[float] = None
+    newton_residual: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {"schema": "flowlab.shadow-search/1", **_plain(self)}
@@ -478,20 +546,21 @@ def search_shadowing(
     slope_bounds=(0.1, 10.0),
     tol: float = DEFAULT_TOL,
 ) -> ShadowingReport:
-    """Search the seed box for a point whose reparametrized orbit stays
-    ``epsilon``-close to the chain.
+    """Search for a point whose reparametrized orbit stays ``epsilon``-close to
+    the chain (``spec`` must accept ``(N, dim)`` batches).
 
-    A centered coarse lattice is scanned with the matching objective in
-    batched blocks (``spec`` must accept ``(N, dim)`` batches).  The best
-    lattice point is polished by a compass search inside the seed box, one
-    batched scan per round of ``+-step`` moves along the live axes
-    (``lo < hi``); a flat axis never moves.  A point whose orbit leaves the
-    divergence bound scores ``inf``.  Each lattice and refinement point is
-    one evaluation, escaped points included.  A candidate below ``epsilon``
-    must additionally pass the dense :func:`shadow_distance` verification
-    before the verdict ``"shadowed"`` is issued.  The verdict ``"not_found"``
-    reports the best distance seen and is explicitly not a proof of
-    non-shadowability.
+    A chain without head or tail first takes :func:`newton_shadow`.  Its witness
+    ``x_0 + c_0``, with knots ``t`` at the boundary times and ``u`` at the sums of
+    ``h_i + s_i`` (the last segment unshifted), is kept when Newton converged, the
+    witness lies in the seed box, every ``|c_i| < epsilon``, every slope
+    ``(h_i + s_i) / h_i`` lies within ``slope_bounds`` and the dense
+    :func:`shadow_distance` is below ``epsilon``.  Otherwise a note says why, and
+    the lattice stage runs, as on every chain with a head or tail: a compass search
+    inside the seed box polishes the best point of a centered lattice, each lattice
+    block and compass round one batched scan of the matching objective; a point
+    whose orbit leaves the divergence bound scores ``inf`` and every point is one
+    evaluation.  Its best candidate must also pass the dense check.  The verdict
+    ``"not_found"`` is explicitly not a proof of non-shadowability.
     """
     _require_positive(epsilon=epsilon)
     budget = budget or SearchBudget()
@@ -500,7 +569,46 @@ def search_shadowing(
         raise ValueError(f"seed_region must have shape ({spec.dim}, 2)")
     if not np.all(np.isfinite(seed_region)) or np.any(seed_region[:, 0] > seed_region[:, 1]):
         raise ValueError("seed_region rows must be finite with lo <= hi")
+    search = (spec, po, epsilon, seed_region, budget, slope_bounds, tol)
+    if po.head is not None or po.tail is not None or po.size < 2:
+        return _lattice_search(*search)
+    try:
+        newton = newton_shadow(spec, po, tol)
+    except (RuntimeError, np.linalg.LinAlgError) as err:  # FlowDivergenceError included
+        report = _lattice_search(*search)
+        return replace(report, notes=report.notes + (f"the newton stage failed: {err}",))
+    y = po.points[0] + newton.corrections[0]
+    h, tau = po.durations, po.durations + np.append(newton.shifts, 0.0)
+    if newton.residual > tol:
+        reason = f"it did not converge (residual {newton.residual:.3g})"
+    elif np.any((y < seed_region[:, 0]) | (y > seed_region[:, 1])):
+        reason = "its witness lies outside the seed box"
+    elif (largest := float(np.linalg.norm(newton.corrections, axis=1).max())) >= epsilon:
+        reason = f"its largest correction {largest:.6g} is not below epsilon"
+    elif np.any((tau < slope_bounds[0] * h) | (tau > slope_bounds[1] * h)):
+        reason = "a time slope (h_i + s_i) / h_i leaves slope_bounds"
+    else:
+        horizon = (0.0, po.total_time)
+        reparam = Reparametrization(po.boundary_times, np.append(0.0, np.cumsum(tau)), slope_bounds)
+        dense = shadow_distance(spec, y, reparam, po, horizon, 4 * budget.eval_samples + 1, tol)
+        if dense < epsilon:
+            return ShadowingReport(
+                verdict="shadowed", epsilon=float(epsilon), distance=dense,
+                witness=tuple(y.tolist()), reparam_knots_t=tuple(reparam.knots_t.tolist()),
+                reparam_knots_u=tuple(reparam.knots_u.tolist()), horizon=horizon,
+                coarse_candidates=0, evaluations=0, stage="newton", notes=(),
+                operator_inverse_norm=newton.inverse_norm, newton_residual=newton.residual,
+            )
+        reason = f"its dense distance {dense:.6g} is not below epsilon"
+    report = _lattice_search(*search)
+    note = f"the newton witness was not kept: {reason}"
+    return replace(report, operator_inverse_norm=newton.inverse_norm,
+                   newton_residual=newton.residual, notes=report.notes + (note,))
 
+
+def _lattice_search(spec, po, epsilon, seed_region, budget, slope_bounds=(0.1, 10.0),
+                    tol=DEFAULT_TOL) -> ShadowingReport:
+    """The lattice stage of :func:`search_shadowing`, on its checked arguments."""
     lo = -budget.settle if po.head is not None else 0.0
     hi = po.total_time + (budget.settle if po.tail is not None else 0.0)
     obj = _MatchObjective(
@@ -555,6 +663,7 @@ def search_shadowing(
         horizon=(lo, hi),
         coarse_candidates=coarse,
         evaluations=obj.evaluations,
+        stage="lattice",
         notes=tuple(notes),
     )
 

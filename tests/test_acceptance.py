@@ -93,6 +93,7 @@ def test_criterion_1_segment_chain_refuted_not_shadowed(scenarios):
         seed_region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
         report = search_shadowing(spec, po, 0.05, seed_region, budget=SearchBudget())
         assert report.verdict == "not_found"
+        assert report.stage == "lattice"
         assert report.distance >= 0.08
         assert "not a proof" in report.notes[0]
 
@@ -141,6 +142,7 @@ def test_criterion_3_noisy_saddle_chains_shadowed(scenarios):
             assert verify_chain(po).ok
             report = search_shadowing(spec, po, 5e-3, seed_region, budget=budget)
             assert report.verdict == "shadowed"
+            assert report.stage == "newton"
             assert report.distance <= 5e-3
 
             # the corrected chain is an exact orbit of the diagonal flow

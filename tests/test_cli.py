@@ -301,7 +301,8 @@ RESULT_KEYS = {
     "shadow-search": CHAIN_SUMMARY + [
         "search", *(f"search.{key}" for key in (
             "schema", "verdict", "epsilon", "distance", "witness", "reparam_knots_t",
-            "reparam_knots_u", "horizon", "coarse_candidates", "evaluations", "notes",
+            "reparam_knots_u", "horizon", "coarse_candidates", "evaluations", "stage",
+            "operator_inverse_norm", "newton_residual", "notes",
         )),
     ],
     "refute": CHAIN_SUMMARY + [

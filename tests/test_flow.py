@@ -99,6 +99,24 @@ def test_flow_at_zero_time_returns_the_point_without_solving(scenarios, monkeypa
         assert np.array_equal(got, x) and got is not x
 
 
+def test_terminal_caller_event_is_no_escape(scenarios):
+    """A caller's terminal event stops the solve with status 1 but is not an
+    escape: z = e^t reaches 10 at ln 10, far inside the bound of 100."""
+    spec = scenarios["linear_saddle3d"].spec
+
+    def reach_ten(t, y):
+        return y[2] - 10.0
+
+    reach_ten.terminal = True
+    for on_escape in ("raise", "truncate"):
+        sol = flow._solve(spec, lambda t, y: spec.field_at(y), (0.0, 20.0), [0.0, 0.0, 1.0],
+                          1e-9, 100.0, "integration", on_escape=on_escape, events=(reach_ten,))
+        assert sol.status == 1
+        assert len(sol.t_events[0]) == 0
+        assert sol.t_events[1] == pytest.approx([math.log(10.0)], abs=1e-9)
+        assert sol.t[-1] == sol.t_events[1][0]
+
+
 def test_escape_raise_and_truncate(scenarios):
     spec = scenarios["linear_saddle3d"].spec
     x0 = np.array([0.0, 0.0, 1.0])

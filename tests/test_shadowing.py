@@ -1,7 +1,9 @@
 """Curve matching, reparametrized shadowing search, and refutation."""
 
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -441,10 +443,11 @@ def test_best_reparam_needs_zero_in_horizon(cycle_chain):
 
 
 def test_search_shadowing_finds_witness(noisy_saddle_chain):
+    # the lattice stage, which search_shadowing skips on this chain
     spec, po = noisy_saddle_chain
     budget = SearchBudget(candidates=60, refine_evals=25, eval_samples=65)
     region = np.array([[0.898, 0.902], [0.898, 0.902], [0.0, 0.0]])
-    report = search_shadowing(spec, po, 5e-3, region, budget=budget)
+    report = shadowing._lattice_search(spec, po, 5e-3, region, budget)
     assert report.verdict == "shadowed"
     assert report.distance < 5e-3
     w = np.asarray(report.witness)
@@ -470,6 +473,10 @@ def test_search_shadowing_deterministic(noisy_saddle_chain):
     a = search_shadowing(spec, po, 2e-3, region, budget=budget)
     b = search_shadowing(spec, po, 2e-3, region, budget=budget)
     assert a == b
+    assert a.stage == "newton"
+    a = shadowing._lattice_search(spec, po, 2e-3, region, budget)
+    b = shadowing._lattice_search(spec, po, 2e-3, region, budget)
+    assert a == b
 
 
 def test_search_counts_each_diverging_evaluation_once(noisy_saddle_chain, monkeypatch):
@@ -488,7 +495,7 @@ def test_search_counts_each_diverging_evaluation_once(noisy_saddle_chain, monkey
     monkeypatch.setattr(shadowing._MatchObjective, "fit", counted_fit)
     budget = SearchBudget(candidates=37, refine_evals=10, eval_samples=33)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [-100.0, 100.0]])
-    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    report = shadowing._lattice_search(spec, po, 2e-3, region, budget)
     assert report.coarse_candidates == 27
     values = np.concatenate([v for _, v in blocks])
     assert np.isinf(values).any() and np.isfinite(values).any()
@@ -512,7 +519,7 @@ def test_refinement_stays_in_the_seed_box(noisy_saddle_chain, monkeypatch):
     blocks = recorded_scans(monkeypatch)
     region = np.array([[0.9005, 0.902], [0.898, 0.902], [0.0, 0.0]])
     budget = SearchBudget(candidates=60, refine_evals=25, eval_samples=65)
-    report = search_shadowing(spec, po, 5e-3, region, budget=budget)
+    report = shadowing._lattice_search(spec, po, 5e-3, region, budget)
     ys, values = refinement_points(blocks, report.coarse_candidates)
     assert len(ys) == 25
     assert np.all(np.isfinite(values))
@@ -527,7 +534,7 @@ def test_search_evaluations_within_budget(noisy_saddle_chain, candidates, refine
     spec, po = noisy_saddle_chain
     budget = SearchBudget(candidates=candidates, refine_evals=refine_evals, eval_samples=33)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
-    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    report = shadowing._lattice_search(spec, po, 2e-3, region, budget)
     assert report.evaluations <= report.coarse_candidates + refine_evals + 1
     assert report.evaluations <= candidates + 1
     assert report.evaluations == report.coarse_candidates + refine_evals + 1
@@ -542,7 +549,7 @@ def test_refinement_values_match_solo_objective(noisy_saddle_chain, monkeypatch)
     blocks = recorded_scans(monkeypatch)
     budget = SearchBudget(candidates=57, refine_evals=30, eval_samples=33)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [-100.0, 100.0]])
-    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    report = shadowing._lattice_search(spec, po, 2e-3, region, budget)
     ys, batched = refinement_points(blocks, report.coarse_candidates)
     assert len(ys) == 30
     obj = shadowing._MatchObjective(spec, po, report.horizon)
@@ -589,9 +596,9 @@ def test_escaping_rows_cost_one_solve_per_escape_time(scenarios, monkeypatch):
 
 
 def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
-    """Criterion 3's search (seed 101) solves the chain samples, the 9-point
-    lattice, each of 10 compass rounds of 4 moves, the final fit and the dense
-    verification's chain and orbit: 15 solves in all."""
+    """Criterion 3's lattice stage (seed 101) solves the chain samples, the
+    9-point lattice, each of 10 compass rounds of 4 moves, the final fit and the
+    dense verification's chain and orbit: 15 solves in all."""
     spec = scenarios["linear_saddle3d"].spec
     po = generate_noisy(
         spec,
@@ -611,7 +618,7 @@ def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
     monkeypatch.setattr(flow, "_solve", counted_solve)
     region = np.array([[0.898, 0.902], [0.898, 0.902], [0.0, 0.0]])
     budget = SearchBudget(candidates=50, refine_evals=40)
-    report = search_shadowing(spec, po, 5e-3, region, budget=budget)
+    report = shadowing._lattice_search(spec, po, 5e-3, region, budget)
     assert report.verdict == "shadowed"
     assert (report.coarse_candidates, report.evaluations) == (9, 50)
     assert rows == [1, 9] + [4] * 10 + [1, po.size, 1]
@@ -622,8 +629,8 @@ def test_search_distance_independent_of_epsilon(noisy_saddle_chain):
     spec, po = noisy_saddle_chain
     budget = SearchBudget(candidates=30, refine_evals=10, eval_samples=33)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
-    tight = search_shadowing(spec, po, 1e-7, region, budget=budget)
-    loose = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    tight = shadowing._lattice_search(spec, po, 1e-7, region, budget)
+    loose = shadowing._lattice_search(spec, po, 2e-3, region, budget)
     assert tight.verdict == "not_found"
     assert loose.verdict == "shadowed"
     assert tight.witness == loose.witness
@@ -631,11 +638,204 @@ def test_search_distance_independent_of_epsilon(noisy_saddle_chain):
     assert loose.distance < 2e-3
 
 
+# noise-1e-6 chain starts; the expanding z axis of the saddles gets no noise
+NEWTON_CHAINS = {
+    "neutral_line": ([0.1, 0.05], None),
+    "neutral_rotation": ([0.1, 0.0, 0.0], None),
+    "center_cycle": ([5.0, 0.1, 0.05], None),
+    "linear_saddle3d": ([0.9, 0.9, 0.0], np.eye(3)[:, :2]),
+    "saddle_cycle": ([1.0, 0.0, 0.0], np.eye(3)[:, :2]),
+}
+
+
+def newton_chain(scenarios, name, m):
+    start, subspace = NEWTON_CHAINS[name]
+    spec = scenarios[name].spec
+    po = generate_noisy(
+        spec, np.array(start), m - 1, 1e-6, rng=np.random.default_rng(m), noise_subspace=subspace
+    )
+    return spec, po
+
+
+@pytest.mark.parametrize("m", [26, 51, 101])
+@pytest.mark.parametrize("name", sorted(NEWTON_CHAINS))
+def test_operator_inverse_norm_closed_forms(scenarios, name, m):
+    """|J^+| of an m-point chain.  A neutral coordinate orthogonal to the flow
+    makes J the difference operator there, |J^+| = 1/(2 sin(pi/(2m))).  A
+    multiplier lambda < 1 per step gives 1/sqrt(1 + lambda^2 - 2 lambda cos(pi/m)),
+    below 1/(1 - lambda) and within 1% of it at m = 101; the time shifts absorb
+    the neutral flow direction of the cycles."""
+    spec, po = newton_chain(scenarios, name, m)
+    newton = shadowing.newton_shadow(spec, po)
+    assert newton.iterations == 1
+    assert newton.residual <= 1e-9
+    assert np.linalg.norm(newton.corrections, axis=1).max() <= 1e-5
+    assert newton.corrections.shape == po.points.shape
+    assert newton.shifts.shape == (m - 1,)
+    limit = {"linear_saddle3d": 1.0 / (1.0 - math.exp(-1.0)),
+             "saddle_cycle": 1.0 / (1.0 - math.exp(-2.0))}.get(name)
+    if limit is None:
+        assert newton.inverse_norm == pytest.approx(0.5 / math.sin(math.pi / (2 * m)), rel=1e-9)
+    else:
+        assert newton.inverse_norm < limit
+        assert m < 101 or newton.inverse_norm > 0.99 * limit
+    if name == "center_cycle":
+        # the chain passes theta = 2 pi, where its stored angle drops
+        assert np.any(np.diff(po.points[:, 0]) < 0.0)
+
+
+def test_operator_inverse_norm_matches_a_dense_svd(scenarios):
+    """On a 26-point saddle_cycle chain the banded eigenvalue gives 1/sigma_min
+    of the dense Jacobian [A_i | -I | X(end_i)], each A_i from a solo tangent_flow."""
+    spec, po = newton_chain(scenarios, "saddle_cycle", 26)
+    newton = shadowing.newton_shadow(spec, po)
+    m, n = po.points.shape
+    jac = np.zeros(((m - 1) * n, m * n + m - 1))
+    for i in range(m - 1):
+        end, a = flow.tangent_flow(
+            spec, po.points[i] + newton.corrections[i], po.durations[i] + newton.shifts[i]
+        )
+        rows = slice(i * n, (i + 1) * n)
+        jac[rows, i * n : (i + 1) * n] = a
+        jac[rows, (i + 1) * n : (i + 2) * n] = -np.eye(n)
+        jac[rows, m * n + i] = spec.field_at(end)
+    dense = 1.0 / np.linalg.svd(jac, compute_uv=False).min()
+    assert newton.inverse_norm == pytest.approx(dense, rel=1e-8)
+
+
+def test_newton_shadow_validation(scenarios):
+    spec = scenarios["neutral_line"].spec
+    for po in (
+        equilibrium_segment_chain(spec, 0.4, 0.05),
+        PseudoOrbit(spec, np.array([[0.1, 0.0]]), np.array([1.0]), 0.1),
+    ):
+        with pytest.raises(ValueError, match="at least 2 points without head or tail"):
+            shadowing.newton_shadow(spec, po)
+
+
+def test_search_takes_the_newton_stage(noisy_saddle_chain, monkeypatch):
+    """The 10-step chain's Newton witness x_0 + c_0 is kept, with knots at the
+    boundary times and the shifted durations, and no lattice objective is built."""
+    spec, po = noisy_saddle_chain
+    newton = shadowing.newton_shadow(spec, po)
+
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice objective was built")
+
+    monkeypatch.setattr(shadowing, "_MatchObjective", no_lattice)
+    budget = SearchBudget(candidates=30, refine_evals=10, eval_samples=33)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
+    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    assert (report.stage, report.verdict) == ("newton", "shadowed")
+    assert (report.coarse_candidates, report.evaluations) == (0, 0)
+    assert report.operator_inverse_norm == newton.inverse_norm
+    assert report.newton_residual == newton.residual <= 1e-9
+    assert report.witness == tuple(po.points[0] + newton.corrections[0])
+    assert report.reparam_knots_t == tuple(po.boundary_times)
+    tau = po.durations + np.append(newton.shifts, 0.0)
+    assert report.reparam_knots_u == tuple(np.append(0.0, np.cumsum(tau)))
+    assert report.horizon == (0.0, po.total_time)
+    h = Reparametrization(report.reparam_knots_t, report.reparam_knots_u)
+    dense = shadow_distance(spec, report.witness, h, po, report.horizon, samples=133)
+    assert report.distance == dense < 2e-3
+    assert report.notes == ()
+    payload = report.to_dict()
+    assert (payload["stage"], payload["newton_residual"]) == ("newton", newton.residual)
+
+
+def test_search_falls_back_to_the_lattice(noisy_saddle_chain):
+    """Below the largest correction, or with x_0 + c_0 outside the seed box,
+    the lattice runs exactly as on its own and the Newton numbers stay."""
+    spec, po = noisy_saddle_chain
+    newton = shadowing.newton_shadow(spec, po)
+    largest = np.linalg.norm(newton.corrections, axis=1).max()
+    assert 1e-7 < largest < 2e-3
+    budget = SearchBudget(candidates=30, refine_evals=10, eval_samples=33)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
+    y = po.points[0] + newton.corrections[0]
+    excluding = region.copy()
+    excluding[0, 0] = y[0] + 1e-6
+    for epsilon, box, reason in (
+        (1e-7, region, "largest correction"),
+        (2e-3, excluding, "outside the seed box"),
+    ):
+        report = search_shadowing(spec, po, epsilon, box, budget=budget)
+        assert report.stage == "lattice"
+        assert report.operator_inverse_norm == newton.inverse_norm
+        assert report.newton_residual == newton.residual
+        assert reason in report.notes[-1]
+        alone = shadowing._lattice_search(spec, po, epsilon, box, budget)
+        assert (alone.operator_inverse_norm, alone.newton_residual) == (None, None)
+        assert report == dataclasses.replace(
+            alone,
+            operator_inverse_norm=newton.inverse_norm,
+            newton_residual=newton.residual,
+            notes=alone.notes + report.notes[-1:],
+        )
+
+
+def test_search_falls_back_when_newton_diverges(noisy_saddle_chain, monkeypatch):
+    spec, po = noisy_saddle_chain
+
+    def diverging(*args, **kwargs):
+        raise FlowDivergenceError("orbit escaped")
+
+    monkeypatch.setattr(shadowing, "newton_shadow", diverging)
+    budget = SearchBudget(candidates=30, refine_evals=10, eval_samples=33)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
+    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    assert (report.stage, report.verdict) == ("lattice", "shadowed")
+    assert (report.operator_inverse_norm, report.newton_residual) == (None, None)
+    assert report.notes[-1] == "the newton stage failed: orbit escaped"
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize(
+    "duration, error",
+    [(400.0, "J J^T of the chain overflows"), (800.0, "variational integration failed")],
+)
+def test_search_falls_back_when_newton_fails(scenarios, duration, error):
+    """A 3-point chain in the stable plane of linear_saddle3d with long segments:
+    D X_h grows like e^h along z, so at h = 400 J J^T overflows and at h = 800
+    the variational solve fails; the lattice then runs as it does on its own."""
+    spec = scenarios["linear_saddle3d"].spec
+    x0 = np.array([0.5, 0.5, 0.0])
+    pts = np.array([x0, x0 * [math.exp(-2.0 * duration), math.exp(-duration), 0.0], [0.0] * 3])
+    po = PseudoOrbit(spec, pts, np.full(3, duration), 1e-3)
+    with pytest.raises((RuntimeError, np.linalg.LinAlgError), match=re.escape(error)):
+        shadowing.newton_shadow(spec, po)
+    budget = SearchBudget(candidates=20, refine_evals=5, eval_samples=33)
+    region = np.column_stack([x0 - 0.01, x0 + 0.01])
+    report = search_shadowing(spec, po, 1e-2, region, budget=budget)
+    assert report.stage == "lattice"
+    assert (report.operator_inverse_norm, report.newton_residual) == (None, None)
+    assert report.notes[-1].startswith(f"the newton stage failed: {error}")
+    alone = shadowing._lattice_search(spec, po, 1e-2, region, budget)
+    assert report == dataclasses.replace(alone, notes=alone.notes + report.notes[-1:])
+
+
+def test_chains_with_ends_never_take_newton(scenarios, monkeypatch):
+    """Criterion 1's chain has a head and a tail: the lattice alone runs, with
+    the distance and evaluation count it had before the Newton stage existed."""
+    def no_newton(*args, **kwargs):
+        raise AssertionError("newton_shadow ran on a chain with ends")
+
+    monkeypatch.setattr(shadowing, "newton_shadow", no_newton)
+    spec = scenarios["neutral_line"].spec
+    po = equilibrium_segment_chain(spec, 0.4, 0.05)
+    region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
+    report = search_shadowing(spec, po, 0.05, region, budget=SearchBudget())
+    assert (report.stage, report.verdict) == ("lattice", "not_found")
+    assert (report.operator_inverse_norm, report.newton_residual) == (None, None)
+    assert (report.distance, report.evaluations) == (0.10000000000000002, 842)
+    assert len(report.notes) == 1
+
+
 def test_search_reports_total_divergence(noisy_saddle_chain):
     spec, po = noisy_saddle_chain
     budget = SearchBudget(candidates=8, refine_evals=4, eval_samples=33)
     region = np.array([[0.9, 0.9], [0.9, 0.9], [2e5, 3e5]])
-    report = search_shadowing(spec, po, 1e-2, region, budget=budget)
+    report = shadowing._lattice_search(spec, po, 1e-2, region, budget)
     assert report.verdict == "not_found"
     assert math.isinf(report.distance)
     assert report.witness is None
