@@ -96,6 +96,7 @@ def build_chain_graph(
             raise ValueError(f"region axis {i} is inverted: lo {a:g} is not below hi {b:g}")
     _require_positive(hgrid=hgrid, delta=delta)
     _require_positive(t_samples=t_samples)
+    _require_positive(tol=tol)
     if not 1.0 <= t_max < math.inf:
         raise ValueError(f"t_max must be at least 1 and finite, as chain steps need t >= 1 "
                          f"(got t_max={t_max})")
@@ -113,6 +114,7 @@ def build_chain_graph(
     reach = delta + 0.5 * math.sqrt(n) * hgrid
     if norm_bound is None:
         norm_bound = max(1e3, 100.0 * float(np.max(np.abs(region))))
+    _require_positive(norm_bound=norm_bound)
 
     # Wrap axes whose region spans one full period of an angle coordinate
     # (NaN periods of linear axes compare false).

@@ -176,7 +176,7 @@ def verify_chain(po: PseudoOrbit, tol: float = DEFAULT_TOL) -> ChainCheck:
     pairs = [(0, 0)] * (po.head is not None) + [(i, i + 1) for i in range(n - 1)]
     pairs += [(n - 1, n - 1)] * (po.tail is not None)
     src, dst = np.array(pairs, dtype=int).reshape(-1, 2).T
-    images = ConcatEvaluator(po, tol)._orbit(rows, [1.0])[:, 0]
+    images = ConcatEvaluator(po, tol)._orbit(rows, po._taus[rows])
     values = np.linalg.norm(coord_difference(po.spec, images[src], po._starts[rows[dst]]), axis=-1)
     names = [{-1: "head", po.size: "tail"}.get(k, str(k)) for k in (rows - 1).tolist()]
     max_gap = float(values.max()) if len(values) else 0.0
@@ -192,12 +192,13 @@ class ConcatEvaluator:
 
     On ``[S_i, S_{i+1}]`` the value is ``X_{t - S_i}(x_i)``; head and tail
     times wind through the single constant entry.  A boundary time returns
-    the stored point exactly; the other times share one batched solve over
-    the segments they fall in (``spec`` must accept ``(N, dim)`` batches).
-    Where a queried segment's orbit crosses ``norm_bound``, the
-    :class:`~flowlab.flow.FlowDivergenceError` gives the crossing in chain
-    time, and its ``rows`` are chain segments: indices into ``po.points``,
-    with -1 for the head and ``po.size`` for the tail.
+    the stored point exactly.  The other times are read in one batched solve
+    (``spec`` must accept ``(N, dim)`` batches): one row per queried time, which
+    ends at it, plus one row per queried segment over its whole duration.  So
+    where a queried segment's orbit crosses ``norm_bound``, even past the
+    queried times, the :class:`~flowlab.flow.FlowDivergenceError` gives the
+    crossing in chain time, and its ``rows`` are chain segments: indices into
+    ``po.points``, with -1 for the head and ``po.size`` for the tail.
     """
 
     def __init__(
@@ -232,23 +233,23 @@ class ConcatEvaluator:
         out = po._starts[entry]
         inner = local != 0.0
         if inner.any():
-            keys, row = np.unique(entry[inner], return_inverse=True)
-            out[inner] = self._orbit(keys, local[inner] / po._taus[keys][row], row)
+            keys = np.unique(entry[inner])
+            times = np.concatenate([po._taus[keys], local[inner]])
+            out[inner] = self._orbit(np.concatenate([keys, entry[inner]]), times)[len(keys):]
         return out
 
-    def _orbit(self, entries, u, row=None):
-        """``_orbit_points`` from the chain ``entries`` (rows of ``po._starts``),
-        each scaled by its duration, so ``u`` runs 0 to 1 over a segment.  A
-        divergence is re-raised in chain time, with chain segments as rows."""
+    def _orbit(self, entries, times):
+        """Points ``X_{times[i]}(x)`` from the start ``x`` of chain entry
+        ``entries[i]`` (a row of ``po._starts``), all in one solve.  A divergence
+        is re-raised in chain time, with chain segments as rows."""
         po = self.po
         try:
             return _orbit_points(
-                po.spec, po._starts[entries], u, self.tol, self.norm_bound,
-                po._taus[entries], row,
-            )
+                po.spec, po._starts[entries], [1.0], self.tol, self.norm_bound, times
+            )[:, 0]
         except FlowDivergenceError as err:
             hit = entries[err.rows]
-            t = po._begins[hit[0]] + err.t * po._taus[hit[0]]
+            t = po._begins[hit[0]] + err.t * times[err.rows[0]]
             raise FlowDivergenceError.crossing(
                 po.spec, po._starts[hit[0]], self.norm_bound, t, "integration", hit - 1
             ) from None

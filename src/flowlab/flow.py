@@ -311,6 +311,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     ``on_escape="truncate"``: then the solution stops there, the crossing in
     ``t_events[0]``.  The caller's ``events`` follow the escape event, so their
     hits are ``t_events[1:]``, and a terminal one among them is no escape."""
+    _require_positive(tol=tol, norm_bound=norm_bound)
     escape = _escape_event(norm_bound, spec.dim, rows)
     if not np.all(np.isfinite(y0)):
         raise ValueError("x0 must be finite")
@@ -394,23 +395,14 @@ def flow_at(
     return _orbit_points(spec, x, [float(t)], tol, norm_bound)[0]
 
 
-# Interpolated entries ``rows * dim * times`` per chunk of a dense ``_orbit_points`` read.
-# Reading 1229 times of a 201-row chain (tracemalloc peak, time on 2 cores): 2**12 0.50 MB
-# 39 ms, 2**14 0.81 MB 12 ms, 2**16 1.97 MB 11 ms; per-segment trajectories peaked at 1.01 MB.
-_DENSE_ENTRIES = 1 << 14
-
-
-def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND, scale=None, row=None):
+def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND, scale=None):
     """Points ``X_{scale_i u}(y_i)``: row ``i`` of ``y`` follows ``z' = scale_i X(z)``
     (``scale`` 1 when omitted), all rows in one solve per time direction.
 
     A point ``(dim,)`` gives ``(len(u), dim)`` and rows ``(N, dim)`` give
-    ``(N, len(u), dim)`` for increasing ``u``.  With ``row``, point ``j`` is row
-    ``row[j]`` at ``u[j] > 0``, ``(len(u), dim)``, read in chunks of ``_DENSE_ENTRIES``
-    from one dense solve that spans at least ``[0, 1]``, so an orbit that crosses
-    ``norm_bound`` there raises.  Rows ``(N, dim)`` must meet the batch contract.
-    A solve stops where the first orbit crosses ``norm_bound``; the error's
-    ``rows`` are the rows at the bound there."""
+    ``(N, len(u), dim)`` for increasing ``u``; rows ``(N, dim)`` must meet the
+    batch contract.  A solve stops where the first orbit crosses ``norm_bound``;
+    the error's ``rows`` are the rows at the bound there."""
     y = np.asarray(y, dtype=float)
     u = np.asarray(u_values, dtype=float)
     rows = y.reshape(-1, spec.dim)
@@ -422,23 +414,13 @@ def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND, scale=N
         v = np.asarray(spec.field(z.reshape(y.shape)), dtype=float)
         return (v if tau is None else tau * v).ravel()
 
-    def solve(t_end, **kwargs):
-        return _solve(spec, rhs, (0.0, t_end), y.ravel(), tol, norm_bound,
-                      "integration", rows=len(rows), **kwargs)
-
-    if row is not None:
-        dense = solve(max(1.0, u.max()), dense_output=True).sol
-        parts = np.arange(0, len(u), max(1, _DENSE_ENTRIES // rows.size))[1:]
-        return np.concatenate([
-            dense(s).reshape(len(rows), spec.dim, -1)[r, :, np.arange(len(s))]
-            for s, r in zip(np.split(u, parts), np.split(row, parts))
-        ])
     out = np.empty((len(rows), len(u), spec.dim))
     out[:, u == 0.0] = rows[:, None]
     for side, order in ((u > 0, slice(None)), (u < 0, slice(None, None, -1))):
         if side.any():
             ts = u[side][order]
-            sol = solve(ts[-1], t_eval=ts)
+            sol = _solve(spec, rhs, (0.0, ts[-1]), y.ravel(), tol, norm_bound, "integration",
+                         rows=len(rows), t_eval=ts)
             out[:, side] = sol.y.reshape(len(rows), spec.dim, -1)[..., order].transpose(0, 2, 1)
     return out.reshape(y.shape[:-1] + out.shape[1:])
 
@@ -469,10 +451,14 @@ def tangent_flow(
     t: float,
     tol: float = DEFAULT_TOL,
     norm_bound: float = DEFAULT_NORM_BOUND,
+    *,
+    scale=None,
 ):
     """Solve the variational equation along the orbit of ``x``.
 
     ``x`` is one point ``(dim,)`` or a batch ``(N, dim)`` solved as one system.
+    With ``scale``, row ``i`` follows ``z' = scale_i X(z)``, so that at ``t = 1``
+    its derivative is ``D X_{scale_i}(x_i)``.
 
     Returns
     -------
@@ -481,12 +467,6 @@ def tangent_flow(
         ``(dim, dim)``, with a leading ``N`` for a batch; ``V' = J(x(t)) V``
         is integrated from the identity alongside the base orbit.
     """
-    return _tangent_flow(spec, x, t, tol, norm_bound)
-
-
-def _tangent_flow(spec, x, t, tol, norm_bound=DEFAULT_NORM_BOUND, scale=None):
-    """:func:`tangent_flow`, row ``i`` of ``x`` following ``z' = scale_i X(z)`` when
-    ``scale`` is given, so that at ``t = 1`` its derivative is ``D X_{scale_i}(x_i)``."""
     x = np.asarray(x, dtype=float)
     n = spec.dim
     if x.ndim not in (1, 2) or x.shape[-1] != n or x.size == 0:
@@ -524,6 +504,7 @@ def validate_jacobian(
     The mismatch at entry ``(i, j)`` is scaled by ``1 + |row_i(J)|`` so the
     check is meaningful for both small and large derivative rows.
     """
+    _require_positive(step=step)
     worst = 0.0
     for x in points:
         x = np.asarray(x, dtype=float)

@@ -26,10 +26,10 @@ from .flow import (
     _orbit_points,
     _plain,
     _require_positive,
-    _tangent_flow,
     _wrap_difference,
     coord_difference,
     flow_at,
+    tangent_flow,
 )
 
 __all__ = [
@@ -226,6 +226,7 @@ def shadow_distance(
     ``dt/2 * max |h' * X(orbit) - X(chain)|`` at the interval ends, a
     first-order bound on what can happen between samples.
     """
+    _require_positive(samples=samples)
     lo, hi = float(horizon[0]), float(horizon[1])
     grid = _chain_time_grid(po, (lo, hi), samples)
     knots = h.knots_t
@@ -421,7 +422,7 @@ def newton_shadow(spec: VectorFieldSpec, po: PseudoOrbit, tol: float = DEFAULT_T
     c, s = np.zeros((m, n)), np.zeros(m - 1)
     (a, b), (p, q) = np.triu_indices(n), np.indices((n, n)).reshape(2, -1)
     for step in range(_NEWTON_STEPS + 1):
-        ends, A = _tangent_flow(spec, po.points[:-1] + c[:-1], 1.0, tol, scale=h[:-1] + s)
+        ends, A = tangent_flow(spec, po.points[:-1] + c[:-1], 1.0, tol, scale=h[:-1] + s)
         gaps = coord_difference(spec, ends, po.points[1:] + c[1:])
         v = spec.field_at(ends)
         # J J^T in upper banded storage, entry (i, j) at [2n - 1 + i - j, j]
@@ -462,6 +463,7 @@ class SearchBudget:
     settle: float = 3.0
 
     def __post_init__(self) -> None:
+        _require_positive(eval_samples=self.eval_samples)
         if not 0 <= self.refine_evals < self.candidates:
             raise ValueError(
                 f"need 0 <= refine_evals < candidates (so candidates >= 1); got "

@@ -291,6 +291,14 @@ def test_concat_eval_raises_on_a_queried_escaping_segment(scenarios):
         )
         assert list(err.value.rows) == [1]
         assert err.value.t == pytest.approx(1.0 + math.log(20.0), abs=1e-6)
+    # a head segment begins at -15 and z = 5 e^t crosses 1e6 at t = ln 2e5 into it;
+    # a query at -10, 5 into the segment, comes before the crossing and raises too
+    head = PseudoOrbit(spec, pts[:1], np.array([1.0]), 0.1, head=((0.0, 0.0, 5.0), 15.0))
+    for ts in ([-1.0], [-10.0]):
+        with pytest.raises(FlowDivergenceError, match=r"crossed norm 1e\+06 at t=-2.79393 ") as err:
+            ConcatEvaluator(head).at_many(ts)
+        assert list(err.value.rows) == [-1]
+        assert err.value.t == pytest.approx(-15.0 + math.log(2e5), abs=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,9 @@ CYCLE = fl.builtin("saddle_cycle").spec
 SADDLE = fl.builtin("linear_saddle3d").spec
 P = np.array([1.0, 0.0, 0.0])
 BOX = np.array([[0.0, 0.1], [0.0, 0.0], [0.0, 0.0]])
+GRAPH_REGION = [[-1.0, 1.0]] * 3
+IDENTITY = fl.Reparametrization([0.0, 1.0], [0.0, 1.0])
+ONE_POINT = fl.PseudoOrbit(SADDLE, [P], [1.0], 0.1)
 
 
 @pytest.mark.parametrize(
@@ -87,6 +90,31 @@ BOX = np.array([[0.0, 0.1], [0.0, 0.0], [0.0, 0.0]])
                      r"head duration must be >= 1 and finite \(got nan\)", id="load_chain-head"),
         pytest.param(lambda tmp: fl.flow_at(SADDLE, P, NAN),
                      r"t must be finite \(got t=nan\)", id="flow_at-t"),
+        # a NaN tol must not hang a solver, nor a NaN norm_bound switch off the divergence guard
+        pytest.param(lambda tmp: fl.integrate(SADDLE, P, (0.0, 1.0), tol=NAN),
+                     r"\(got tol=nan, norm_bound=1000000.0\)", id="integrate-tol"),
+        pytest.param(lambda tmp: fl.integrate(SADDLE, P, (0.0, 1.0), norm_bound=NAN),
+                     r"\(got tol=1e-09, norm_bound=nan\)", id="integrate-norm_bound"),
+        pytest.param(lambda tmp: fl.flow_at(SADDLE, P, 1.0, tol=NAN),
+                     r"\(got tol=nan, norm_bound=1000000.0\)", id="flow_at-tol"),
+        pytest.param(lambda tmp: fl.tangent_flow(SADDLE, P, 1.0, tol=NAN),
+                     r"\(got tol=nan, norm_bound=1000000.0\)", id="tangent_flow-tol"),
+        pytest.param(lambda tmp: fl.build_chain_graph(SADDLE, GRAPH_REGION, 1.0, 0.5, 2.0, tol=NAN),
+                     r"^tol must be positive and finite \(got tol=nan\)$",
+                     id="build_chain_graph-tol"),
+        pytest.param(lambda tmp: fl.build_chain_graph(SADDLE, GRAPH_REGION, 1.0, 0.5, 2.0,
+                                                      norm_bound=NAN),
+                     r"^norm_bound must be positive and finite \(got norm_bound=nan\)$",
+                     id="build_chain_graph-norm_bound"),
+        # a NaN sample count must not shrink the dense gate to the boundary times
+        pytest.param(lambda tmp: fl.shadow_distance(SADDLE, P, IDENTITY, ONE_POINT, (0.0, 1.0),
+                                                    samples=NAN),
+                     r"\(got samples=nan\)", id="shadow_distance-samples"),
+        pytest.param(lambda tmp: fl.SearchBudget(eval_samples=NAN),
+                     r"\(got eval_samples=nan\)", id="SearchBudget-eval_samples"),
+        # a NaN step must not read as a perfect match, 0.0
+        pytest.param(lambda tmp: fl.validate_jacobian(SADDLE, [P], step=NAN),
+                     r"\(got step=nan\)", id="validate_jacobian-step"),
     ],
 )
 def test_nan_arguments_raise_value_error_naming_them(call, message, tmp_path):

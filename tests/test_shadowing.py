@@ -598,7 +598,10 @@ def test_escaping_rows_cost_one_solve_per_escape_time(scenarios, monkeypatch):
 def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
     """Criterion 3's lattice stage (seed 101) solves the chain samples, the
     9-point lattice, each of 10 compass rounds of 4 moves, the final fit and the
-    dense verification's chain and orbit: 15 solves in all."""
+    dense verification's chain and orbit: 15 solves in all.  A chain read has one
+    row per queried segment over its whole duration plus one per queried time:
+    1 segment and 1 time for the chain samples, 200 segments and 1,029 times for
+    the dense verification."""
     spec = scenarios["linear_saddle3d"].spec
     po = generate_noisy(
         spec,
@@ -621,7 +624,7 @@ def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
     report = shadowing._lattice_search(spec, po, 5e-3, region, budget)
     assert report.verdict == "shadowed"
     assert (report.coarse_candidates, report.evaluations) == (9, 50)
-    assert rows == [1, 9] + [4] * 10 + [1, po.size, 1]
+    assert rows == [2, 9] + [4] * 10 + [1, 1229, 1]
 
 
 def test_search_distance_independent_of_epsilon(noisy_saddle_chain):
@@ -711,6 +714,24 @@ def test_newton_shadow_validation(scenarios):
     ):
         with pytest.raises(ValueError, match="at least 2 points without head or tail"):
             shadowing.newton_shadow(spec, po)
+
+
+def test_newton_shadow_solves_through_tangent_flow(noisy_saddle_chain, monkeypatch):
+    """Each Newton step's batched variational solve is a call of the public
+    ``tangent_flow``, so a wrapper on that name sees all of them: one for the
+    step and one at the converged iterate."""
+    spec, po = noisy_saddle_chain
+    batches = []
+    tangent = shadowing.tangent_flow
+
+    def counted(spec, x, *args, **kwargs):
+        batches.append(len(x))
+        return tangent(spec, x, *args, **kwargs)
+
+    monkeypatch.setattr(shadowing, "tangent_flow", counted)
+    newton = shadowing.newton_shadow(spec, po)
+    assert newton.iterations == 1
+    assert batches == [po.size - 1] * 2
 
 
 def test_search_takes_the_newton_stage(noisy_saddle_chain, monkeypatch):
