@@ -1,9 +1,9 @@
 """Vector fields, trajectories, and tangent flows.
 
-Integration is delegated to scipy's adaptive Runge-Kutta solvers behind a
-dense-output :class:`Trajectory`.  Angle coordinates are integrated on the
-universal cover (never wrapped mid-integration); wrapping happens only in
-:func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
+Integration is delegated to scipy's DOP853 solver; only :func:`integrate` keeps
+its dense output, as a :class:`Trajectory`.  Angle coordinates are integrated
+on the universal cover (never wrapped mid-integration); wrapping happens only
+in :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
 
 Two rules hold across the package.  A length, time, rate, radius or count
 argument that is NaN, infinite or out of range raises ``ValueError`` naming
@@ -12,12 +12,13 @@ the argument (:func:`_require_positive` checks the positive ones and
 integrator here solves through :func:`_solve`, where an orbit that crosses the
 divergence bound raises one :class:`FlowDivergenceError`: "<spec>: orbit from
 <start> crossed norm <bound> at t=<t> during <what>", whose ``rows`` index the
-rows of the solve at the bound.  Only ``integrate(on_escape="truncate")``
-returns the reached part instead.
+rows of the solve at the bound.  Only :func:`integrate` with
+``on_escape="truncate"`` returns the reached part instead.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Optional, Sequence
@@ -257,11 +258,7 @@ class Trajectory:
         raise ValueError(f"t={t:.6g} outside integrated span [{lo:.6g}, {hi:.6g}]")
 
     def at(self, t: float) -> np.ndarray:
-        t = float(t)
-        self._check_time(t)
-        if t == self.t0:
-            return self.x0.copy()
-        return np.asarray(self._interp(t), dtype=float)
+        return self.at_many([float(t)])[0]
 
     def at_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -310,7 +307,8 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     naming the start of the first row at the bound, unless it crosses with
     ``on_escape="truncate"``: then the solution stops there, the crossing in
     ``t_events[0]``.  The caller's ``events`` follow the escape event, so their
-    hits are ``t_events[1:]``, and a terminal one among them is no escape."""
+    hits are ``t_events[1:]``, and a terminal one among them is no escape.
+    The solver and its stage arrays are freed as soon as the solve returns."""
     _require_positive(tol=tol, norm_bound=norm_bound)
     escape = _escape_event(norm_bound, spec.dim, rows)
     if not np.all(np.isfinite(y0)):
@@ -337,6 +335,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
         atol=tol / 100.0,
         events=[escape, *events],
     )
+    gc.collect(0)  # the solver sits in a reference cycle with its fun wrapper, in generation 0
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")
     if len(sol.t_events[0]) and on_escape == "raise":
@@ -370,12 +369,8 @@ def integrate(
         raise ValueError("integration span must have nonzero length")
     if on_escape not in ("raise", "truncate"):
         raise ValueError("on_escape must be 'raise' or 'truncate'")
-
-    def rhs(t, y):
-        return np.asarray(spec.field(y), dtype=float)
-
-    sol = _solve(spec, rhs, (t0, t1), x0, tol, norm_bound, "integration",
-                 dense_output=True, on_escape=on_escape)
+    sol = _solve(spec, lambda t, y: spec.field_at(y), (t0, t1), x0, tol, norm_bound,
+                 "integration", dense_output=True, on_escape=on_escape)
     escaped = len(sol.t_events[0]) > 0
     return Trajectory(spec, x0, t0, sol.t[-1], sol.sol, tol, escaped, requested_t1=t1)
 

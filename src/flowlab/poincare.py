@@ -18,13 +18,13 @@ from .flow import (
     DEFAULT_NORM_BOUND,
     DEFAULT_TOL,
     VectorFieldSpec,
+    _orbit_points,
     _require_finite,
     _require_positive,
     _solve,
     coord_difference,
     distance,
     flow_at,
-    integrate,
     tangent_flow,
     wrap_point,
 )
@@ -217,12 +217,6 @@ class NormalCocycle:
         return out
 
 
-# Steps per variational solve: a scipy solver's stage arrays wait for the cyclic
-# GC, so blocks cap memory.  splitting-sweep peak RSS / wall_ref: 32 90.6 MB / 67,
-# 64 92.8 MB / 60, all 3200 at once 110 MB / 61, one per step 86.4 MB / 209.
-_COCYCLE_BLOCK = 32
-
-
 def build_cocycle(
     spec: VectorFieldSpec,
     x,
@@ -234,9 +228,10 @@ def build_cocycle(
     """Sample the normal cocycle along the orbit of ``x`` on a uniform grid.
 
     The orbit segment covers ``[t_start, t_start + t_total]`` (``t_start``
-    may be negative to pad backward).  One orbit integration gives the
-    samples; batched steps from them give derivatives, compressed between
-    consecutive frames.  Each step must transport the flow direction and
+    may be negative to pad backward).  One orbit integration gives the samples,
+    and one batched solve of all ``m`` steps from them, in a working set of about
+    ``16 m (n + n^2)`` floats in dimension ``n``, gives the derivatives compressed
+    between consecutive frames.  Each step must transport the flow direction and
     land on the next sample, both to 1e-5 relative accuracy.
     """
     _require_positive(dt=dt, t_total=t_total)
@@ -245,14 +240,11 @@ def build_cocycle(
     if m < 2:
         raise ValueError("the sampled span must contain at least two steps")
     dt = t_total / m
-    x = np.asarray(x, dtype=float)
     start = flow_at(spec, x, t_start, tol=tol)
 
     offsets = dt * np.arange(m + 1)
-    points = integrate(spec, start, (0.0, t_total), tol=tol).at_many(offsets)
-    steps = [tangent_flow(spec, points[k : min(k + _COCYCLE_BLOCK, m)], dt, tol=tol)
-             for k in range(0, m, _COCYCLE_BLOCK)]
-    ends, derivs = (np.concatenate(part) for part in zip(*steps))
+    points = _orbit_points(spec, start, offsets, tol)
+    ends, derivs = tangent_flow(spec, points[:-1], dt, tol=tol)
     _check_transport(spec, points[:-1], ends, derivs, "at step {}")
     gap = np.linalg.norm(ends - points[1:], axis=1) / (1.0 + np.linalg.norm(points[1:], axis=1))
     if np.any(gap > 1e-5):
@@ -321,6 +313,8 @@ def section_map(
     y = np.asarray(y, dtype=float)
     t = float(t)
     _require_positive(t=t)
+    if radius is not None:
+        _require_positive(radius=radius)
     anchor = flow_at(spec, x, t, tol=tol)
     speed = spec.field_at(anchor)
     norm = np.linalg.norm(speed)
@@ -354,6 +348,7 @@ def find_periodic_newton(
     non-isolated periodic orbits are rejected rather than silently drifted
     along.
     """
+    _require_positive(residual_tol=residual_tol)
     base = np.asarray(x_guess, dtype=float)
     speed = spec.field_at(base)
     norm = np.linalg.norm(speed)

@@ -198,6 +198,11 @@ def frechet_match(dist_matrix) -> tuple:
     return float(value), np.asarray(pairs[::-1], dtype=int)
 
 
+def _require_counts(**counts):
+    """:func:`_require_positive` over the sample counts that are given."""
+    _require_positive(**{name: v for name, v in counts.items() if v is not None})
+
+
 def _chain_time_grid(po: PseudoOrbit, horizon, target: Optional[int] = None) -> np.ndarray:
     lo, hi = float(horizon[0]), float(horizon[1])
     if not -math.inf < lo < hi < math.inf:
@@ -287,6 +292,7 @@ class _MatchObjective:
         slope_bounds=(0.1, 10.0),
         tol=DEFAULT_TOL,
     ):
+        _require_counts(chain_samples=chain_samples, orbit_samples=orbit_samples)
         self.spec = spec
         self.po = po
         self.horizon = (float(horizon[0]), float(horizon[1]))
@@ -463,7 +469,8 @@ class SearchBudget:
     settle: float = 3.0
 
     def __post_init__(self) -> None:
-        _require_positive(eval_samples=self.eval_samples)
+        _require_counts(eval_samples=self.eval_samples, chain_samples=self.chain_samples,
+                        orbit_samples=self.orbit_samples)
         if not 0 <= self.refine_evals < self.candidates:
             raise ValueError(
                 f"need 0 <= refine_evals < candidates (so candidates >= 1); got "

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .flow import DEFAULT_TOL, VectorFieldSpec, _require_positive, distance, integrate
+from .flow import DEFAULT_TOL, VectorFieldSpec, _orbit_points, _require_positive, distance
 from .poincare import CriticalElementReport, NormalCocycle, build_cocycle, find_periodic_newton
 from .shadowing import frechet_match, pairwise_distances
 
@@ -416,6 +416,7 @@ def check_quasi_hyperbolic(
     window on each side).  Step boundaries snap to the cocycle grid.
     """
     _require_positive(eta=eta, big_t=big_t)
+    _require_positive(tau=tau)
     tau = float(tau)
     if tau < big_t:
         raise ValueError(f"arc length {tau:.6g} is shorter than one step {big_t:.6g}")
@@ -574,21 +575,20 @@ def arc_to_periodic_orbit(
     The reported distance is the optimal monotone-matching maximum between
     dense samples of the arc and of the found orbit.
     """
+    _require_positive(tau=tau, delta=delta)
+    if not 2 <= samples < math.inf:  # the grid must end at the arc's end, X_tau(x)
+        raise ValueError(f"samples must be at least 2 and finite (got samples={samples})")
     if not cert.ok:
         raise ValueError("the quasi-hyperbolicity certificate does not hold")
-    x = np.asarray(x, dtype=float)
-    tau = float(tau)
-    arc = integrate(spec, x, (0.0, tau), tol=tol)
-    gap = distance(spec, arc.at(tau), x)
+    arc_pts = _orbit_points(spec, x, np.linspace(0.0, tau, samples), tol)
+    gap = distance(spec, arc_pts[-1], x)
     if gap >= delta:
         raise ValueError(
             f"endpoint gap {gap:.3g} is not below delta={delta:.3g}; "
             "the arc does not nearly close up"
         )
     pp = find_periodic_newton(spec, x, tau, tol=tol)
-    cycle = integrate(spec, pp.point, (0.0, pp.period), tol=tol)
-    arc_pts = arc.at_many(np.linspace(0.0, tau, samples))
-    cyc_pts = cycle.at_many(np.linspace(0.0, pp.period, samples))
+    cyc_pts = _orbit_points(spec, pp.point, np.linspace(0.0, pp.period, samples), tol)
     value, _ = frechet_match(pairwise_distances(spec, arc_pts, cyc_pts))
     return PeriodicShadow(
         point=pp.point,

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from flowlab import flow
 from flowlab import (
@@ -200,6 +202,16 @@ def test_batch_contract_probed_once_per_spec(scenarios):
     for _ in range(3):
         tangent_flow(spec, xs, 0.5)
     assert len(probed) == spec.dim + 1
+
+
+def test_solver_is_freed_when_its_solve_returns(scenarios):
+    """A solver and its ``fun`` wrapper form a reference cycle; the solve frees
+    it at once, so a batch's stage arrays never wait for a full collection."""
+    spec = scenarios["saddle_cycle"].spec
+    xs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.1]])
+    gc.collect()
+    tangent_flow(spec, xs, 0.5)
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
 
 
 def test_batched_tangent_flow_escape(scenarios):

@@ -46,6 +46,16 @@ BOX = np.array([[0.0, 0.1], [0.0, 0.0], [0.0, 0.0]])
 GRAPH_REGION = [[-1.0, 1.0]] * 3
 IDENTITY = fl.Reparametrization([0.0, 1.0], [0.0, 1.0])
 ONE_POINT = fl.PseudoOrbit(SADDLE, [P], [1.0], 0.1)
+TWO_PI = 2.0 * math.pi
+ARC_START = np.array([1.001, 0.0, 1e-5])
+
+
+def _certificate(tau):
+    """The quasi-hyperbolicity certificate of the saddle_cycle arc from ARC_START
+    over [0, tau]; over one period it holds and the arc nearly closes up."""
+    coc = fl.build_cocycle(CYCLE, ARC_START, 10.8, 0.05, t_start=-2.0)
+    est = fl.estimate_splitting(coc, 1, window_time=2.0)
+    return fl.check_quasi_hyperbolic(CYCLE, ARC_START, tau, est, 0.5, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -112,6 +122,37 @@ ONE_POINT = fl.PseudoOrbit(SADDLE, [P], [1.0], 0.1)
                      r"\(got samples=nan\)", id="shadow_distance-samples"),
         pytest.param(lambda tmp: fl.SearchBudget(eval_samples=NAN),
                      r"\(got eval_samples=nan\)", id="SearchBudget-eval_samples"),
+        pytest.param(lambda tmp: fl.SearchBudget(chain_samples=NAN),
+                     r"\(got eval_samples=257, chain_samples=nan\)", id="SearchBudget-chain_samples"),
+        pytest.param(lambda tmp: fl.SearchBudget(orbit_samples=NAN),
+                     r"\(got eval_samples=257, orbit_samples=nan\)", id="SearchBudget-orbit_samples"),
+        pytest.param(lambda tmp: fl.best_reparam(SADDLE, P, ONE_POINT, (0.0, 1.0), chain_samples=NAN),
+                     r"^chain_samples must be positive and finite \(got chain_samples=nan\)$",
+                     id="best_reparam-chain_samples"),
+        pytest.param(lambda tmp: fl.best_reparam(SADDLE, P, ONE_POINT, (0.0, 1.0), orbit_samples=NAN),
+                     r"^orbit_samples must be positive and finite \(got orbit_samples=nan\)$",
+                     id="best_reparam-orbit_samples"),
+        pytest.param(lambda tmp: _certificate(NAN),
+                     r"^tau must be positive and finite \(got tau=nan\)$",
+                     id="check_quasi_hyperbolic-tau"),
+        pytest.param(lambda tmp: _certificate(math.inf),
+                     r"^tau must be positive and finite \(got tau=inf\)$",
+                     id="check_quasi_hyperbolic-tau-inf"),
+        # a NaN delta must not switch off the arc's closing-gap precondition
+        pytest.param(lambda tmp: fl.arc_to_periodic_orbit(CYCLE, ARC_START, TWO_PI,
+                                                          _certificate(TWO_PI), NAN),
+                     r"\(got tau=6.28\d*, delta=nan\)$", id="arc_to_periodic_orbit-delta"),
+        pytest.param(lambda tmp: fl.arc_to_periodic_orbit(CYCLE, ARC_START, TWO_PI,
+                                                          _certificate(TWO_PI), 0.01, samples=NAN),
+                     r"^samples must be at least 2 and finite \(got samples=nan\)$",
+                     id="arc_to_periodic_orbit-samples"),
+        # a NaN radius must not switch off the section disc check
+        pytest.param(lambda tmp: fl.section_map(CYCLE, P, P, TWO_PI, radius=NAN),
+                     r"^radius must be positive and finite \(got radius=nan\)$",
+                     id="section_map-radius"),
+        pytest.param(lambda tmp: fl.find_periodic_newton(CYCLE, P, TWO_PI, residual_tol=NAN),
+                     r"^residual_tol must be positive and finite \(got residual_tol=nan\)$",
+                     id="find_periodic_newton-residual_tol"),
         # a NaN step must not read as a perfect match, 0.0
         pytest.param(lambda tmp: fl.validate_jacobian(SADDLE, [P], step=NAN),
                      r"\(got step=nan\)", id="validate_jacobian-step"),

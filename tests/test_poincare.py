@@ -238,18 +238,22 @@ def test_batched_calls_reject_per_point_fields(spec):
             search_shadowing(spec, po, 0.1, region, budget=budget)
 
 
-def test_criterion_4_cocycle_matches_closed_form(scenarios):
+@pytest.mark.parametrize(
+    "t_total, dt, steps",
+    [(16.0, 0.005, 3200), (14.0, 0.05, 280)],  # the second is splitting.cfg's grid
+)
+def test_criterion_4_cocycle_matches_closed_form(scenarios, t_total, dt, steps):
     """On the cycle every normal step has singular values e^dt and e^-2dt,
-    and each batched step equals a solo linear Poincare map."""
+    and each step of the one batched solve equals a solo linear Poincare map."""
     spec = scenarios["saddle_cycle"].spec
-    coc = build_cocycle(spec, np.array([1.0, 0.0, 0.0]), 16.0, 0.005, t_start=-3.0)
+    coc = build_cocycle(spec, np.array([1.0, 0.0, 0.0]), t_total, dt, t_start=-3.0)
     dt = coc.dt
-    assert coc.steps == 3200
+    assert coc.steps == steps
     sv = np.linalg.svd(coc.trans, compute_uv=False)
     assert np.max(np.abs(sv[:, 0] - math.exp(dt))) <= 1e-9
     assert np.max(np.abs(sv[:, 1] - math.exp(-2.0 * dt))) <= 1e-9
-    for k in (0, 31, 32, 1000, 3199):
-        assert np.max(np.abs(coc.trans[k] - linear_poincare(spec, coc.points[k], dt))) <= 1e-9
+    for k in (0, 31, 32, steps // 3, steps - 1):
+        assert np.max(np.abs(coc.trans[k] - linear_poincare(spec, coc.points[k], dt))) <= 1e-12
     assert np.array_equal(coc.points[0], flow_at(spec, np.array([1.0, 0.0, 0.0]), -3.0))
 
 

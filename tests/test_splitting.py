@@ -628,3 +628,9 @@ def test_arc_to_periodic_orbit_validation(cycle_arc_est):
     # theta advances 6 radians, 0.28 short of closing the loop
     with pytest.raises(ValueError, match="does not nearly close up"):
         arc_to_periodic_orbit(spec, x, 6.0, good, 0.01)
+    # the arc runs forward in time from x
+    with pytest.raises(ValueError, match=r"^tau and delta must be positive and finite \(got tau=-6.0"):
+        arc_to_periodic_orbit(spec, x, -6.0, good, 0.01)
+    # one sample is the arc's start alone, and its gap to itself is 0
+    with pytest.raises(ValueError, match=r"^samples must be at least 2 and finite \(got samples=1\)$"):
+        arc_to_periodic_orbit(spec, x, 6.0, good, 0.01, samples=1)
