@@ -255,6 +255,29 @@ def build_cocycle(
     return NormalCocycle(spec, t_start + offsets, points, frames, trans, tol)
 
 
+def _periodic_cocycle(spec, x, period, dt, window_time, tol) -> NormalCocycle:
+    """The normal cocycle of the periodic orbit through ``x`` over
+    ``[-w dt, 4 period + w dt]``, with ``w = round(window_time / dt)``, built
+    over one period and indexed periodically (the linearised flow along a
+    periodic orbit is periodic).  ``dt`` snaps to ``period / round(period / dt)``.
+    The period's end must land on ``x`` to 1e-5 relative accuracy, or the glue
+    would join two points that do not match.
+    """
+    _require_positive(dt=dt, window_time=window_time)
+    m_p = max(1, round(period / dt))
+    dt = period / m_p
+    one = build_cocycle(spec, x, period, dt, tol=tol)
+    gap = distance(spec, one.points[-1], one.points[0]) / (1.0 + np.linalg.norm(one.points[0]))
+    if gap > 1e-5:
+        raise ConsistencyError(
+            f"orbit ends {gap:.3g} off its start after period {period:.6g}; not periodic"
+        )
+    w = max(1, round(window_time / dt))
+    steps = np.arange(4 * m_p + 2 * w + 1) - w
+    k = steps % m_p
+    return NormalCocycle(spec, dt * steps, one.points[k], one.frames[k], one.trans[k[:-1]], tol)
+
+
 def _cross_plane(
     spec: VectorFieldSpec,
     anchor: np.ndarray,

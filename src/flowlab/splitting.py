@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flow import DEFAULT_TOL, VectorFieldSpec, _orbit_points, _require_positive, distance
-from .poincare import CriticalElementReport, NormalCocycle, build_cocycle, find_periodic_newton
+from .poincare import CriticalElementReport, NormalCocycle, _periodic_cocycle, find_periodic_newton
 from .shadowing import frechet_match, pairwise_distances
 
 __all__ = [
@@ -487,6 +487,13 @@ def uniform_periodic_estimates(
     partition of one period (the whole period as one step when ``t_min``
     exceeds it) has averaged stable log-norms at most ``-eta`` and averaged
     unstable log-conorms at least ``eta``.
+
+    The cocycle is built over one period from ``rep.point``, with ``dt``
+    snapped to ``period / round(period / dt)``, and indexed periodically to
+    pad the four periods and two windows the scan needs; so a point slightly
+    off the orbit cannot drift along its unstable direction.  Raises
+    :class:`~flowlab.poincare.ConsistencyError` when the period's end misses
+    its start by more than 1e-5 relative, which a wrong period does.
     """
     _require_positive(t_min=t_min, eta=eta)
     results = []
@@ -503,24 +510,14 @@ def uniform_periodic_estimates(
             raise ValueError(f"t_min={t_min:.6g} exceeds three periods of the orbit")
         if not 1 <= rep.index <= spec.dim - 2:
             raise ValueError("orbit must have nontrivial stable and unstable parts")
-        total = 4.0 * period + 2.0 * window_time
-        cocycle = build_cocycle(
-            spec, np.asarray(rep.point, dtype=float), total, dt, t_start=-window_time, tol=tol
-        )
+        cocycle = _periodic_cocycle(spec, rep.point, period, dt, window_time, tol)
         est = estimate_splitting(cocycle, rep.index, window_time)
 
         base_times = np.linspace(0.0, period, 17)[:-1]
         ks = np.unique([cocycle.index_of_time(t) for t in base_times])
-        j_hi = min(
-            int(math.floor(3.0 * period / cocycle.dt + 1e-9)),
-            cocycle.steps - int(ks.max()),
-        )
+        # 3 * period is a grid time, at least 3 periods before the cocycle's end
+        j_hi = int(math.floor(3.0 * period / cocycle.dt + 1e-9))
         j_lo = max(1, int(math.ceil(t_min / cocycle.dt - 1e-9)))
-        if j_hi < j_lo:
-            raise ValueError(
-                f"no grid time of step dt={cocycle.dt:.6g} lies in [t_min, 3 * period] = "
-                f"[{t_min:.6g}, {3.0 * period:.6g}]"
-            )
         j_grid = np.unique(np.linspace(j_lo, j_hi, 24).astype(int))
         slack_gap = np.inf
         stable, unstable = (_window_log_norms(est, side, ks, j_grid) for side in (0, 1))

@@ -153,6 +153,13 @@ def _certificate(tau):
         pytest.param(lambda tmp: fl.find_periodic_newton(CYCLE, P, TWO_PI, residual_tol=NAN),
                      r"^residual_tol must be positive and finite \(got residual_tol=nan\)$",
                      id="find_periodic_newton-residual_tol"),
+        # the window pads the periodic cocycle before the splitting estimate checks it
+        pytest.param(lambda tmp: fl.uniform_periodic_estimates(
+                         CYCLE, [fl.classify_periodic(CYCLE, P, TWO_PI)], 1.0, 0.5,
+                         window_time=NAN),
+                     r"^dt and window_time must be positive and finite "
+                     r"\(got dt=0.05, window_time=nan\)$",
+                     id="uniform_periodic_estimates-window_time"),
         # a NaN step must not read as a perfect match, 0.0
         pytest.param(lambda tmp: fl.validate_jacobian(SADDLE, [P], step=NAN),
                      r"\(got step=nan\)", id="validate_jacobian-step"),

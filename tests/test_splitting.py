@@ -1,11 +1,13 @@
 """Splitting estimates, domination checks, fits, and arc certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from flowlab import (
+    ConsistencyError,
     DominationGapError,
     NormalCocycle,
     VectorFieldSpec,
@@ -558,14 +560,34 @@ def test_uniform_estimates_validation(scenarios, cycle_report):
         uniform_periodic_estimates(spec, [cycle_report], t_min=0.0, eta=0.5)
     with pytest.raises(ValueError, match="exceeds three periods"):
         uniform_periodic_estimates(spec, [cycle_report], t_min=25.0, eta=0.5)
-    # the first grid time at or past t_min = 3 * period lies beyond three periods
-    with pytest.raises(ValueError, match=r"no grid time of step dt=0\.04997\d* lies in \[t_min"):
-        uniform_periodic_estimates(spec, [cycle_report], t_min=3.0 * cycle_report.period, eta=0.5)
+    # dt snaps to period / 126, so t_min = 3 * period is itself a grid time
+    out = uniform_periodic_estimates(spec, [cycle_report], t_min=3.0 * cycle_report.period, eta=0.5)
+    assert out.ok and out.orbits[0]["slack_rate_gap"] == pytest.approx(2.0, rel=1e-2)
     sing = classify_singularity(scenarios["linear_saddle3d"].spec, np.zeros(3))
     with pytest.raises(ValueError, match="periodic-orbit reports only"):
         uniform_periodic_estimates(spec, [sing], t_min=1.0, eta=0.5)
     out = uniform_periodic_estimates(spec, [], t_min=1.0, eta=0.5)
     assert out.ok and out.orbits == ()
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0])
+def test_uniform_estimates_hold_off_the_cycle(scenarios, cycle_report, eta):
+    """A point 1e-9 off the cycle, the accuracy of find_periodic_newton, must
+    not drift along the unstable direction into the rate gap."""
+    spec = scenarios["saddle_cycle"].spec
+    rep = dataclasses.replace(cycle_report, point=cycle_report.point + np.array([0.0, 0.0, 1e-9]))
+    out = uniform_periodic_estimates(spec, [rep], t_min=1.0, eta=eta)
+    assert out.ok
+    assert out.orbits[0]["slack_rate_gap"] == pytest.approx(3.0 - 2.0 * eta, rel=2e-2)
+
+
+def test_uniform_estimates_reject_a_wrong_period(scenarios, cycle_report):
+    """One period is glued end to start, so a period that does not close the
+    orbit must raise rather than join two points that do not match."""
+    spec = scenarios["saddle_cycle"].spec
+    rep = dataclasses.replace(cycle_report, period=1.01 * cycle_report.period)
+    with pytest.raises(ConsistencyError, match="off its start after period 6.34602"):
+        uniform_periodic_estimates(spec, [rep], t_min=1.0, eta=0.5)
 
 
 def test_uniform_estimates_reject_nonhyperbolic(scenarios):
