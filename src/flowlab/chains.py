@@ -27,7 +27,7 @@ from .flow import (
     flow_at,
     wrap_point,
 )
-from .poincare import linear_poincare, normal_frame, section_map
+from .poincare import _cross_plane, _section_at, linear_poincare, normal_frame, section_map
 
 __all__ = [
     "PseudoOrbit",
@@ -397,17 +397,23 @@ def periodic_family_chain(
             "needs a modulus-one direction"
         )
 
+    # every return lands on the one section through X_period(p), as section_map's would
+    anchor, normal = _section_at(spec, p, period, tol)
+
+    def return_time(y):
+        return _cross_plane(spec, anchor, normal, y, 2.0 * period, period / 3.0, tol)[1]
+
     m = int(n_points)
     pts = np.empty((m, spec.dim))
     durations = np.empty(m)
     u = v_frame.copy()
     for i in range(m):
         pts[i] = wrap_point(spec, p + frame @ ((i / m) * u))
-        durations[i] = section_map(spec, p, pts[i], period, tol=tol).tau
+        durations[i] = return_time(pts[i])
         u = ret @ u
         u *= speed / np.linalg.norm(u)
     tail_point = wrap_point(spec, p + frame @ u)
-    tail_tau = section_map(spec, p, tail_point, period, tol=tol).tau
+    tail_tau = return_time(tail_point)
     if delta is None:
         delta = 1.5 * speed / m
     return PseudoOrbit(

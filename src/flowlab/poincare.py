@@ -315,6 +315,16 @@ def _cross_plane(
     return point, tau
 
 
+def _section_at(spec: VectorFieldSpec, x: np.ndarray, t: float, tol: float):
+    """Anchor ``X_t(x)`` and unit normal of the normal section there."""
+    anchor = flow_at(spec, x, t, tol=tol)
+    speed = spec.field_at(anchor)
+    norm = np.linalg.norm(speed)
+    if norm < 1e-12:
+        raise ValueError("the target point is a singularity; no section there")
+    return anchor, speed / norm
+
+
 def section_map(
     spec: VectorFieldSpec,
     x,
@@ -338,12 +348,7 @@ def section_map(
     _require_positive(t=t)
     if radius is not None:
         _require_positive(radius=radius)
-    anchor = flow_at(spec, x, t, tol=tol)
-    speed = spec.field_at(anchor)
-    norm = np.linalg.norm(speed)
-    if norm < 1e-12:
-        raise ValueError("the target point is a singularity; no section there")
-    normal = speed / norm
+    anchor, normal = _section_at(spec, x, t, tol)
     point, tau = _cross_plane(spec, anchor, normal, y, 2.0 * t, t / 3.0, tol)
     if radius is not None and distance(spec, point, anchor) > radius:
         raise NoCrossingError(

@@ -455,7 +455,9 @@ class SearchBudget:
     """Evaluation budget for :func:`search_shadowing`.
 
     ``candidates`` caps the lattice and refinement evaluations (the final fit
-    adds one); ``refine_evals < candidates`` of them refine locally.  ``eval_samples``
+    adds one); ``refine_evals < candidates`` of them cap the refinement: a
+    lattice of the largest odd ``k`` points per live axis with ``k**n <=
+    refine_evals``, so with 3 live axes a budget below 27 refines nothing.  ``eval_samples``
     controls the final dense verification grid (used at four times this
     count).  ``settle`` is the extra horizon time granted to chains with
     head or tail extensions.
@@ -502,48 +504,25 @@ class ShadowingReport:
         return {"schema": "flowlab.shadow-search/1", **_plain(self)}
 
 
-def _coarse_axes(seed_region: np.ndarray, n_points: int) -> list:
-    """Axes of a centered lattice over the seed box with odd per-axis counts,
-    so the exact box center (and exact coordinate subspaces through it) are
-    grid points.  Only live axes (``lo < hi``) share the ``n_points``; a flat
+def _coarse_axes(box: np.ndarray, n_points: int) -> list:
+    """Axes of a centered lattice over ``box`` (rows ``lo, hi``) with odd per-axis
+    counts, so the exact box center (and exact coordinate subspaces through it)
+    are grid points.  Only live axes (``lo < hi``) share the ``n_points``: each
+    holds the largest odd ``k`` with ``k**live <= n_points`` (1 at least); a flat
     axis holds its one value."""
-    n = max(1, int(np.count_nonzero(seed_region[:, 0] < seed_region[:, 1])))
-    k = max(1, int(math.floor(n_points ** (1.0 / n))))
-    if k > 1 and k % 2 == 0:
+    n = max(1, int(np.count_nonzero(box[:, 0] < box[:, 1])))
+    k = round(n_points ** (1.0 / n))
+    while k**n > n_points:
         k -= 1
+    k = max(1, k - (k % 2 == 0))
     axes = []
-    for lo, hi in seed_region:
+    for lo, hi in box:
         center = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         offsets = np.linspace(0.0, half, (k + 1) // 2)
         points = np.unique(np.concatenate([center - offsets, center + offsets]))
         axes.append(np.clip(points, lo, hi))  # center - half may round past lo
     return axes
-
-
-def _compass(obj, seed_region, axes, y, f, evals):
-    """Compass search from the lattice point ``y`` (value ``f``) that never
-    leaves the seed box.  A round scores the ``+-step`` moves along the live
-    axes, clipped to the box, in one :meth:`_MatchObjective.scan`; it moves to
-    the first strictly better point, or else halves the step.  The first step
-    is the lattice spacing (the half-width on an axis with one lattice point).
-    The search ends when ``evals`` moves are scored or the step is below 1e-10."""
-    lo, hi = seed_region.T
-    step = np.array(
-        [a[1] - a[0] if len(a) > 1 else 0.5 * (h - l) for a, l, h in zip(axes, lo, hi)]
-    )
-    unit = np.eye(len(y))[step > 0]
-    polls = np.concatenate([unit, -unit])
-    while evals > 0 and len(polls) and step.max() >= 1e-10:
-        moves = np.clip(y + polls * step, lo, hi)
-        moves = moves[np.any(moves != y, axis=1)][:evals]
-        evals -= len(moves)
-        values = np.concatenate([np.empty(0)] + [v for _, v in obj.scan(moves)])
-        if len(values) and values.min() < f:
-            y, f = moves[np.argmin(values)], float(values.min())
-        else:
-            step = step / 2.0
-    return y, f
 
 
 def search_shadowing(
@@ -564,12 +543,12 @@ def search_shadowing(
     witness lies in the seed box, every ``|c_i| < epsilon``, every slope
     ``(h_i + s_i) / h_i`` lies within ``slope_bounds`` and the dense
     :func:`shadow_distance` is below ``epsilon``.  Otherwise a note says why, and
-    the lattice stage runs, as on every chain with a head or tail: a compass search
-    inside the seed box polishes the best point of a centered lattice, each lattice
-    block and compass round one batched scan of the matching objective; a point
-    whose orbit leaves the divergence bound scores ``inf`` and every point is one
-    evaluation.  Its best candidate must also pass the dense check.  The verdict
-    ``"not_found"`` is explicitly not a proof of non-shadowability.
+    the lattice stage runs, as on every chain with a head or tail: a centered lattice
+    over the seed box, then one over its best point's cell, each one batched scan of
+    the matching objective; the refinement's best point is kept only when strictly
+    better.  A point whose orbit leaves the divergence bound scores ``inf`` and every
+    point is one evaluation.  The best candidate must also pass the dense check.  The
+    verdict ``"not_found"`` is explicitly not a proof of non-shadowability.
     """
     _require_positive(epsilon=epsilon)
     budget = budget or SearchBudget()
@@ -636,7 +615,16 @@ def _lattice_search(spec, po, epsilon, seed_region, budget, slope_bounds=(0.1, 1
     f_best, y_best = min(((v.min(), ys[np.argmin(v)]) for ys, v in blocks), key=lambda b: b[0])
 
     if np.isfinite(f_best):
-        y_best, f_best = _compass(obj, seed_region, axes, y_best, f_best, budget.refine_evals)
+        # one centered lattice over the best point's cell, less that point: half a spacing
+        # each way (the whole axis where the lattice holds one point), within the seed box
+        half = [a[1] - a[0] if len(a) > 1 else h - l for a, (l, h) in zip(axes, seed_region)]
+        half = np.array(half)[:, None] / 2
+        cell = np.clip(seed_region - y_best[:, None], -half, half)
+        offsets = np.array(list(itertools.product(*_coarse_axes(cell, budget.refine_evals))))
+        moves = np.clip(y_best + offsets[np.any(offsets != 0.0, axis=1)], *seed_region.T)
+        values = np.concatenate([np.empty(0)] + [v for _, v in obj.scan(moves)])
+        if len(values) and values.min() < f_best:
+            y_best = moves[np.argmin(values)]
 
     notes = [
         "not_found reports the best distance over a finite search; "

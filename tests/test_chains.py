@@ -20,6 +20,7 @@ from flowlab import (
     save_chain,
     verify_chain,
 )
+from flowlab import flow, poincare
 
 from oracles import CLOSED_FLOWS, sample_box_points
 
@@ -420,6 +421,28 @@ def test_periodic_family_chain_structure(scenarios):
     assert max(gaps) <= 0.01 + 1e-6
     assert abs(po.delta - 1.5 * 0.2 / 20) <= 1e-12
     assert distance(scen.spec, po.tail[0], np.array([0.0, 0.2, 0.0])) <= 1e-6
+
+
+def test_periodic_family_chain_builds_its_section_once(scenarios, monkeypatch):
+    """A 50-point chain takes 55 solves: two for the period (the hinted
+    section and p's return to it), one for the return derivative, one for the
+    target section and one first return per point and for the tail.  Each
+    duration is section_map's own return time, to the bit."""
+    spec = scenarios["center_cycle"].spec
+    solves = []
+    solve = flow._solve
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_solve", counted_solve)
+    monkeypatch.setattr(poincare, "_solve", counted_solve)
+    po = periodic_family_chain(spec, np.zeros(3), (0.0, 0.2, 0.0), 50, TWO_PI)
+    assert len(solves) == 55
+    monkeypatch.undo()
+    for y, tau in [*zip(po.points[[0, 17, 49]], po.durations[[0, 17, 49]]), po.tail]:
+        assert tau == poincare.section_map(spec, np.zeros(3), y, po.head[1], tol=1e-10).tau
 
 
 def test_periodic_family_chain_validation(scenarios):

@@ -215,12 +215,16 @@ def test_coarse_axes_share_the_budget_among_live_axes():
     axes = shadowing._coarse_axes(region, 800)
     assert [len(a) for a in axes] == [27, 27]
     assert all(a[0] == lo and a[-1] == hi for a, (lo, hi) in zip(axes, region))
+    # an exact integer root: 125 ** (1/3) reads 4.999..., which floors to 3 x 3 x 3
+    cube = np.array([[0.0, 1.0]] * 3)
+    sizes = [[len(a) for a in shadowing._coarse_axes(cube, n)] for n in (26, 27, 124, 125, 342, 343)]
+    assert sizes == [[k] * 3 for k in (1, 3, 3, 5, 5, 7)]
 
 
 def test_lattice_scan_matches_per_candidate_objective(scenarios, monkeypatch):
     """Criterion 1's 729-point lattice: one batched block whose values agree
     with the per-candidate objective to 1e-9, so the search is unchanged when
-    the lattice and every refinement round are scored point by point."""
+    the lattice and the refinement are scored point by point."""
     spec = scenarios["neutral_line"].spec
     po = equilibrium_segment_chain(spec, 0.4, 0.05)
     region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
@@ -239,7 +243,7 @@ def test_lattice_scan_matches_per_candidate_objective(scenarios, monkeypatch):
 
     def replay(self, lattice):
         # the lattice's per-candidate values computed above, without scoring
-        # them again; refinement rounds are scored point by point
+        # them again; the refinement is scored point by point
         lattice = list(lattice)
         if np.array_equal(lattice, ys):
             self.evaluations += len(ys)
@@ -493,19 +497,19 @@ def test_search_counts_each_diverging_evaluation_once(noisy_saddle_chain, monkey
         return fit(self, y)
 
     monkeypatch.setattr(shadowing._MatchObjective, "fit", counted_fit)
-    budget = SearchBudget(candidates=37, refine_evals=10, eval_samples=33)
+    budget = SearchBudget(candidates=54, refine_evals=27, eval_samples=33)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [-100.0, 100.0]])
     report = shadowing._lattice_search(spec, po, 2e-3, region, budget)
     assert report.coarse_candidates == 27
+    assert len(fits) == 1 and fits[0][2] == 0.0
     values = np.concatenate([v for _, v in blocks])
     assert np.isinf(values).any() and np.isfinite(values).any()
-    assert np.isinf(values[27:]).any()
-    assert len(fits) == 1
+    assert len(values) == 27 + 26 and np.isinf(values[27:]).any()
     assert report.evaluations == len(values) + len(fits)
 
 
 def refinement_points(blocks, coarse):
-    # the points and values the compass search scored, after the lattice's
+    # the points and values the refinement scored, after the lattice's
     ys = np.concatenate([ys for ys, _ in blocks])
     values = np.concatenate([v for _, v in blocks])
     return ys[coarse:], values[coarse:]
@@ -513,37 +517,39 @@ def refinement_points(blocks, coarse):
 
 def test_refinement_stays_in_the_seed_box(noisy_saddle_chain, monkeypatch):
     """The box's lower x edge sits above the witness (x near 0.9), so the
-    search presses against that edge; no scored point leaves the box and the
-    flat z axis never moves."""
+    lattice's best point lies on that edge and its cell is clipped there; no
+    scored point leaves the box and the flat z axis never moves."""
     spec, po = noisy_saddle_chain
     blocks = recorded_scans(monkeypatch)
     region = np.array([[0.9005, 0.902], [0.898, 0.902], [0.0, 0.0]])
     budget = SearchBudget(candidates=60, refine_evals=25, eval_samples=65)
     report = shadowing._lattice_search(spec, po, 5e-3, region, budget)
     ys, values = refinement_points(blocks, report.coarse_candidates)
-    assert len(ys) == 25
+    assert len(ys) == 24
     assert np.all(np.isfinite(values))
     assert np.all((region[:, 0] <= ys) & (ys <= region[:, 1]))
     assert np.all(ys[:, 2] == 0.0)
     assert np.any(ys[:, 0] == region[0, 0])
 
 
-@pytest.mark.parametrize("candidates, refine_evals", [(30, 10), (60, 25), (12, 11), (10, 0)])
-def test_search_evaluations_within_budget(noisy_saddle_chain, candidates, refine_evals):
-    # a round of 4 moves is cut to the evaluations left
+@pytest.mark.parametrize(
+    "candidates, refine_evals, k", [(30, 10, 3), (60, 25, 5), (12, 11, 3), (10, 0, 1)]
+)
+def test_search_evaluations_within_budget(noisy_saddle_chain, candidates, refine_evals, k):
+    # the refinement scores a k x k lattice over the best point's cell, less
+    # that point, with k the largest odd k with k**2 <= refine_evals
     spec, po = noisy_saddle_chain
     budget = SearchBudget(candidates=candidates, refine_evals=refine_evals, eval_samples=33)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
     report = shadowing._lattice_search(spec, po, 2e-3, region, budget)
     assert report.evaluations <= report.coarse_candidates + refine_evals + 1
     assert report.evaluations <= candidates + 1
-    assert report.evaluations == report.coarse_candidates + refine_evals + 1
+    assert report.evaluations == report.coarse_candidates + k**2 - 1 + 1
 
 
 def test_refinement_values_match_solo_objective(noisy_saddle_chain, monkeypatch):
-    """Each compass round is one batched scan; its values equal the objective
-    of each point on its own to 1e-9 (relative above 1: a move to z = 25
-    nearly reaches the bound, at distances near 7e5), and escaped points read
+    """The refinement is one batched scan; its values equal the objective of
+    each point on its own to 1e-9 (relative above 1), and escaped points read
     inf in both."""
     spec, po = noisy_saddle_chain
     blocks = recorded_scans(monkeypatch)
@@ -551,13 +557,76 @@ def test_refinement_values_match_solo_objective(noisy_saddle_chain, monkeypatch)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [-100.0, 100.0]])
     report = shadowing._lattice_search(spec, po, 2e-3, region, budget)
     ys, batched = refinement_points(blocks, report.coarse_candidates)
-    assert len(ys) == 30
+    assert len(ys) == 26
     obj = shadowing._MatchObjective(spec, po, report.horizon)
     solo = np.array([objective(obj, y) for y in ys])
     assert np.isinf(solo).any() and np.isfinite(solo).any()
     assert np.array_equal(np.isinf(batched), np.isinf(solo))
     finite = np.isfinite(solo)
     assert np.all(np.abs(batched[finite] - solo[finite]) <= 1e-9 * (1.0 + solo[finite]))
+
+
+@pytest.mark.parametrize(
+    "region",
+    [[[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]], [[0.9005, 0.902], [0.898, 0.902], [0.0, 0.0]]],
+)
+def test_refinement_lies_in_the_best_cell(noisy_saddle_chain, monkeypatch, region):
+    """Every refinement point lies within half a lattice spacing of the
+    lattice's best point on each axis and inside the seed box, and none is a
+    lattice point; the second box clips the best point's cell at its x edge."""
+    spec, po = noisy_saddle_chain
+    blocks = recorded_scans(monkeypatch)
+    region = np.array(region)
+    budget = SearchBudget(candidates=60, refine_evals=25, eval_samples=65)
+    shadowing._lattice_search(spec, po, 5e-3, region, budget)
+    coarse = np.concatenate([ys for ys, _ in blocks])[:25]
+    best = coarse[np.argmin(np.concatenate([v for _, v in blocks])[:25])]
+    ys, _ = refinement_points(blocks, 25)
+    assert len(ys) == 24
+    spacing = np.array([a[1] - a[0] for a in shadowing._coarse_axes(region, 35)[:2]])
+    assert np.all(np.abs(ys[:, :2] - best[:2]) <= 0.5 * spacing * (1.0 + 1e-12))
+    assert np.all((region[:, 0] <= ys) & (ys <= region[:, 1]))
+    assert not np.any(np.all(ys[:, None, :] == coarse[None, :, :], axis=2))
+
+
+def test_refinement_is_one_scan_after_the_lattice(noisy_saddle_chain, monkeypatch):
+    spec, po = noisy_saddle_chain
+    calls = []
+    scan = shadowing._MatchObjective.scan
+
+    def counted_scan(self, lattice):
+        calls.append(len(lattice := list(lattice)))
+        yield from scan(self, lattice)
+
+    monkeypatch.setattr(shadowing._MatchObjective, "scan", counted_scan)
+    budget = SearchBudget(candidates=60, refine_evals=25, eval_samples=65)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
+    report = shadowing._lattice_search(spec, po, 5e-3, region, budget)
+    assert calls == [25, 24]
+    assert report.evaluations == 25 + 24 + 1
+
+
+def test_refinement_needs_three_points_per_live_axis(noisy_saddle_chain, monkeypatch):
+    """With 3 live axes a refinement budget below 27 holds a 1-point lattice,
+    the best point itself: nothing is refined and the lattice best is fitted."""
+    spec, po = noisy_saddle_chain
+    blocks = recorded_scans(monkeypatch)
+    fits = []
+    fit = shadowing._MatchObjective.fit
+
+    def counted_fit(self, y):
+        fits.append(y)
+        return fit(self, y)
+
+    monkeypatch.setattr(shadowing._MatchObjective, "fit", counted_fit)
+    budget = SearchBudget(candidates=53, refine_evals=26, eval_samples=33)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [-1e-3, 1e-3]])
+    report = shadowing._lattice_search(spec, po, 2e-3, region, budget)
+    ys = np.concatenate([ys for ys, _ in blocks])
+    values = np.concatenate([v for _, v in blocks])
+    assert report.coarse_candidates == len(ys) == 27
+    assert report.evaluations == 27 + 1
+    assert np.array_equal(fits, [ys[np.argmin(values)]])
 
 
 def test_escaping_rows_cost_one_solve_per_escape_time(scenarios, monkeypatch):
@@ -597,8 +666,8 @@ def test_escaping_rows_cost_one_solve_per_escape_time(scenarios, monkeypatch):
 
 def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
     """Criterion 3's lattice stage (seed 101) solves the chain samples, the
-    9-point lattice, each of 10 compass rounds of 4 moves, the final fit and the
-    dense verification's chain and orbit: 15 solves in all.  A chain read has one
+    9-point lattice, the 24-point refinement, the final fit and the dense
+    verification's chain and orbit: 6 solves in all.  A chain read has one
     row per queried segment over its whole duration plus one per queried time:
     1 segment and 1 time for the chain samples, 200 segments and 1,029 times for
     the dense verification."""
@@ -623,8 +692,8 @@ def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
     budget = SearchBudget(candidates=50, refine_evals=40)
     report = shadowing._lattice_search(spec, po, 5e-3, region, budget)
     assert report.verdict == "shadowed"
-    assert (report.coarse_candidates, report.evaluations) == (9, 50)
-    assert rows == [2, 9] + [4] * 10 + [1, 1229, 1]
+    assert (report.coarse_candidates, report.evaluations) == (9, 34)
+    assert rows == [2, 9, 24, 1, 1229, 1]
 
 
 def test_search_distance_independent_of_epsilon(noisy_saddle_chain):
@@ -848,7 +917,7 @@ def test_chains_with_ends_never_take_newton(scenarios, monkeypatch):
     report = search_shadowing(spec, po, 0.05, region, budget=SearchBudget())
     assert (report.stage, report.verdict) == ("lattice", "not_found")
     assert (report.operator_inverse_norm, report.newton_residual) == (None, None)
-    assert (report.distance, report.evaluations) == (0.10000000000000002, 842)
+    assert (report.distance, report.evaluations) == (0.10000000000000002, 898)
     assert len(report.notes) == 1
 
 
