@@ -83,10 +83,11 @@ def build_chain_graph(
 ) -> ChainGraph:
     """Build the transition graph of cell centers under sampled flow times.
 
-    Times are uniform on ``[1, t_max]``.  Orbits that leave the divergence
-    bound contribute only the samples reached before escaping.  The per-axis
-    cell counts are ``round(extent / hgrid)``; the region should be an exact
-    multiple of ``hgrid`` per axis.
+    The ``t_samples`` times, an integer count of at least 1, are uniform on
+    ``[1, t_max]``; a single sample is ``t_max``.  Orbits that leave the
+    divergence bound contribute only the samples reached before escaping.
+    The per-axis cell counts are ``round(extent / hgrid)``; the region should
+    be an exact multiple of ``hgrid`` per axis.
     """
     region = np.asarray(region, dtype=float)
     if region.shape != (spec.dim, 2):
@@ -95,7 +96,8 @@ def build_chain_graph(
         if not a < b:
             raise ValueError(f"region axis {i} is inverted: lo {a:g} is not below hi {b:g}")
     _require_positive(hgrid=hgrid, delta=delta)
-    _require_positive(t_samples=t_samples)
+    if not (isinstance(t_samples, (int, np.integer)) and t_samples >= 1):
+        raise ValueError(f"t_samples must be an integer of at least 1 (got t_samples={t_samples})")
     _require_positive(tol=tol)
     if not 1.0 <= t_max < math.inf:
         raise ValueError(f"t_max must be at least 1 and finite, as chain steps need t >= 1 "
@@ -110,7 +112,7 @@ def build_chain_graph(
     n = spec.dim
     shape = tuple(int(c) for c in counts)
     lo = region[:, 0]
-    ts = np.linspace(1.0, t_max, int(t_samples)) if t_samples > 1 else np.array([t_max])
+    ts = np.linspace(1.0, t_max, t_samples) if t_samples > 1 else np.array([t_max])
     reach = delta + 0.5 * math.sqrt(n) * hgrid
     if norm_bound is None:
         norm_bound = max(1e3, 100.0 * float(np.max(np.abs(region))))

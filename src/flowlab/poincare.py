@@ -167,12 +167,14 @@ def linear_poincare(
     flow-direction transport ``DX_t X(x) = X(X_t x)`` is verified to 1e-5
     relative accuracy as a guard against integration drift.
     """
-    x = np.asarray(x, dtype=float)
-    x_end, deriv = tangent_flow(spec, x, t, tol=tol)
+    return _compress_to_frames(spec, x, t, *tangent_flow(spec, x, t, tol=tol))
+
+
+def _compress_to_frames(spec, x, t, x_end, deriv) -> np.ndarray:
+    """:func:`linear_poincare` from the solved endpoint and derivative."""
     _check_transport(spec, x, x_end, deriv, f"over t={t:.6g}; tighten tol or shorten the span")
     f0 = normal_frame(spec, x)
-    f1 = normal_frame(spec, x_end)
-    return f1.T @ deriv @ f0
+    return normal_frame(spec, x_end).T @ deriv @ f0
 
 
 class NormalCocycle:
@@ -470,21 +472,22 @@ def classify_periodic(
 ) -> CriticalElementReport:
     """Report the normal multipliers of a periodic point known to precision.
 
-    ``p`` must return to itself after ``period`` within 1e-8; use
-    :func:`find_periodic_newton` first if it does not.  Margins are the
-    distances of the multiplier moduli from 1; hyperbolicity requires all
-    of them above 1e-6.  ``index`` counts multipliers inside the unit
-    circle; ``index_with_flow`` adds the flow direction.
+    One variational solve over ``period`` gives the return derivative; its
+    endpoint must meet ``p`` within 1e-8 (see :func:`find_periodic_newton`).
+    Margins are the distances of the multiplier moduli from 1; hyperbolicity
+    requires all of them above 1e-6.  ``index`` counts multipliers inside
+    the unit circle; ``index_with_flow`` adds the flow direction.
     """
     p = np.asarray(p, dtype=float)
+    if p.shape != (spec.dim,):
+        raise ValueError(f"x has shape {p.shape}, expected ({spec.dim},)")
+    _require_finite(t=period)
     period = float(period)
-    closure = distance(spec, flow_at(spec, p, period, tol=tol), p)
+    p_end, deriv = tangent_flow(spec, p, period, tol=tol)
+    closure = distance(spec, p_end, p)
     if closure > 1e-8 * max(1.0, float(np.linalg.norm(p))):
-        raise ValueError(
-            f"point is not {period:.6g}-periodic (closure gap {closure:.3g})"
-        )
-    ret = linear_poincare(spec, p, period, tol=tol)
-    mult = np.linalg.eigvals(ret)
+        raise ValueError(f"point is not {period:.6g}-periodic (closure gap {closure:.3g})")
+    mult = np.linalg.eigvals(_compress_to_frames(spec, p, period, p_end, deriv))
     order = np.lexsort((np.angle(mult), np.abs(mult)))
     mult = mult[order]
     index = int(np.sum(np.abs(mult) < 1.0))

@@ -1,10 +1,10 @@
 """Dominated splittings, hyperbolicity fits, and quasi-hyperbolic arcs.
 
 All diagnostics run over a sampled :class:`~flowlab.poincare.NormalCocycle`.
-Stable bundles are recovered from backward window products, unstable ones
-from forward products; long products are composed from the per-step
-transitions (inverting only single steps), which keeps conditioning under
-control even along strongly hyperbolic orbits.
+The estimate forms its eight gap windows in one batched pass and seeds the
+unstable bundle from the first, the stable one from the last; the seeds are
+pushed along the per-step transitions (inverting only single steps), which
+keeps conditioning under control even along strongly hyperbolic orbits.
 
 Both bundles are invariant by construction, so a rank-1 bundle's window
 norms need no window products: the estimate keeps one log-growth table per
@@ -55,6 +55,7 @@ class SplittingDegenerateError(RuntimeError):
     """Estimated stable and unstable bundles are nearly tangent somewhere."""
 
 
+@dataclass(eq=False, repr=False)
 class SplittingEstimate:
     """Sampled stable/unstable normal bundles along one orbit.
 
@@ -71,17 +72,14 @@ class SplittingEstimate:
     the unstable row below ``k_lo``.
     """
 
-    def __init__(
-        self, cocycle, p, window_steps, stable, unstable, gap_ratio_min, residual, log_prefix
-    ):
-        self.cocycle = cocycle
-        self.p = p
-        self.window_steps = window_steps
-        self.stable = stable
-        self.unstable = unstable
-        self.gap_ratio_min = gap_ratio_min
-        self.residual = residual
-        self.log_prefix = log_prefix
+    cocycle: NormalCocycle
+    p: int
+    window_steps: int
+    stable: np.ndarray
+    unstable: np.ndarray
+    gap_ratio_min: float
+    residual: float
+    log_prefix: np.ndarray
 
     @property
     def k_lo(self) -> int:
@@ -127,15 +125,16 @@ def estimate_splitting(
 ) -> SplittingEstimate:
     """Estimate a rank-``p`` stable / rank-``(n-1-p)`` unstable splitting.
 
-    The unstable bundle at the end of the leading window is the span of the
-    dominant left singular vectors of that window's product, then pushed
-    forward; the stable bundle comes symmetrically from the trailing window
-    pulled backward one step at a time, and is pushed forward across the
-    trailing window as well.  A singular-value ratio below 1.2 between ranks
-    ``q`` and ``q+1`` raises :class:`DominationGapError`; nearly tangent
-    bundles raise :class:`SplittingDegenerateError`.
+    One batched pass forms the eight gap windows' products, the first at the
+    cocycle's start and the last at its end.  The first's dominant left
+    singular vectors seed the unstable bundle, pushed forward; the last's
+    trailing right ones seed the stable bundle, pulled backward one step at a
+    time and pushed forward across that window.  A singular-value ratio below
+    1.2 between ranks ``q`` and ``q+1`` raises :class:`DominationGapError`;
+    nearly tangent bundles raise :class:`SplittingDegenerateError`.
     """
-    n1 = cocycle.trans.shape[1]
+    trans = cocycle.trans
+    n1 = trans.shape[1]
     if not 1 <= p <= n1 - 1:
         raise ValueError(f"p must be between 1 and {n1 - 1}")
     _require_positive(window_time=window_time)
@@ -148,13 +147,17 @@ def estimate_splitting(
             f"cocycle has {m} steps; need more than {2 * window + 2} for window {window_time}"
         )
 
-    trans = cocycle.trans
+    # the eight gap windows, pushed together; the first and last seed the bundles
+    ks = np.unique(np.linspace(0, m - window, 8).astype(int))
+    prods = np.repeat(np.eye(n1)[None], len(ks), axis=0)
+    for i in range(window):
+        prods = trans[ks + i] @ prods
+    u, _, vt = np.linalg.svd(prods[[0, -1]])
     log_prefix = np.full((2, m + 1), np.nan)
     unstable = np.full((m + 1, n1, q), np.nan)
-    first = np.linalg.svd(cocycle.window_product(0, window))[0][:, :q]
-    unstable[window:], log_prefix[1, window:] = _push_basis(trans[window:], first)
+    unstable[window:], log_prefix[1, window:] = _push_basis(trans[window:], u[0][:, :q])
 
-    last = np.linalg.svd(cocycle.window_product(m - window, m))[2].T[:, n1 - p :]
+    last = vt[1].T[:, n1 - p :]
     back, back_logs = _push_basis(np.linalg.inv(trans[: m - window])[::-1], last)
     ahead, ahead_logs = _push_basis(trans[m - window :], last)
     # P is 0 at m - window; below it, P[k] is the log growth of the pull-back
@@ -162,34 +165,27 @@ def estimate_splitting(
     stable = np.concatenate([back[::-1], ahead[1:]])
     log_prefix[0] = np.concatenate([back_logs[::-1], ahead_logs[1:]])
 
-    gap_min = np.inf
-    for k in np.unique(np.linspace(0, m - window, 8).astype(int)):
-        svals = np.linalg.svd(cocycle.window_product(k, k + window), compute_uv=False)
-        gap_min = min(gap_min, float(svals[q - 1] / svals[q]))
+    svals = np.linalg.svd(prods, compute_uv=False)
+    gap_min = float(np.min(svals[:, q - 1] / svals[:, q]))
     if gap_min < 1.2:
         raise DominationGapError(
             f"singular-value ratio {gap_min:.3f} < 1.2 at rank {q} over windows of "
             f"{window * dt:.3g} time units; no dominated splitting at this rank"
         )
 
-    k_lo, k_hi = window, m - window
-    residual = 0.0
-    probe = np.unique(np.linspace(k_lo, k_hi, min(50, k_hi - k_lo + 1)).astype(int))
-    for k in probe:
-        combined = np.hstack([stable[k], unstable[k]])
-        smin = np.linalg.svd(combined, compute_uv=False)[-1]
-        if smin < 1e-6:
-            raise SplittingDegenerateError(
-                f"stable and unstable bundles nearly tangent at sample {k} "
-                f"(sigma_min = {smin:.3g})"
-            )
-        if k < k_hi:
-            img = trans[k] @ stable[k]
-            proj = stable[k + 1] @ (stable[k + 1].T @ img)
-            residual = max(
-                residual,
-                float(np.linalg.norm(img - proj) / max(np.linalg.norm(img), 1e-300)),
-            )
+    probe = np.unique(np.linspace(window, m - window, min(50, m - 2 * window + 1)).astype(int))
+    smin = np.linalg.svd(np.dstack([stable[probe], unstable[probe]]), compute_uv=False)[:, -1]
+    if np.any(smin < 1e-6):
+        i = int(np.argmax(smin < 1e-6))
+        raise SplittingDegenerateError(
+            f"stable and unstable bundles nearly tangent at sample {probe[i]} "
+            f"(sigma_min = {smin[i]:.3g})"
+        )
+    inner = probe[:-1]  # every probe but the last, k_hi
+    img, nxt = trans[inner] @ stable[inner], stable[inner + 1]
+    proj = nxt @ (np.swapaxes(nxt, 1, 2) @ img)
+    miss, size = (np.linalg.norm(a, axis=(1, 2)) for a in (img - proj, img))
+    residual = float(max([0.0, *(miss / np.maximum(size, 1e-300))]))
     return SplittingEstimate(cocycle, p, window, stable, unstable, gap_min, residual, log_prefix)
 
 
@@ -212,11 +208,9 @@ def _window_log_norms(est: SplittingEstimate, side: int, ks, js):
             yield table[ks + j] - table[ks]
         return
     trans = est.cocycle.trans
-    done = 0
-    for j in js:
+    for j, done in zip(js, [0, *js]):
         for i in range(done, j):
             bases = trans[ks + i] @ bases
-        done = j
         yield np.log(np.linalg.svd(bases, compute_uv=False)[:, 0 if side == 0 else -1])
 
 

@@ -155,6 +155,8 @@ def test_time_sample_grid(scenarios):
     assert np.allclose(g.t_samples, np.linspace(1.0, 3.0, 6))
     g1 = build_chain_graph(spec, region, 0.1, 0.05, 2.0, t_samples=1)
     assert np.array_equal(g1.t_samples, [2.0])
+    g2 = build_chain_graph(spec, region, 0.1, 0.05, 2.0, t_samples=np.int64(2))
+    assert np.array_equal(g2.t_samples, [1.0, 2.0])
 
 
 @pytest.mark.parametrize(
@@ -167,12 +169,15 @@ def test_time_sample_grid(scenarios):
         ({"t_max": math.nan}, r"t_max must be at least 1 and finite.*\(got t_max=nan\)"),
         ({"t_max": math.inf}, r"\(got t_max=inf\)"),
         ({"hgrid": math.nan}, r"hgrid and delta must be positive .*\(got hgrid=nan"),
-        ({"t_samples": math.nan}, r"t_samples must be positive and finite \(got t_samples=nan\)"),
+        ({"t_samples": math.nan}, r"t_samples must be an integer of at least 1 \(got t_samples=nan\)"),
         ({"region": [[-0.25, 0.25]] * 2 + [[-0.23, 0.25]]},
          "integer multiple of hgrid"),
         ({"cell_cap": 10}, "125 cells exceed the cap 10"),
         ({"region": [[-0.25, 0.25], [0.25, -0.25], [-0.25, 0.25]]},
          "region axis 1 is inverted"),
+        ({"t_samples": 1.5}, r"t_samples must be an integer of at least 1 \(got t_samples=1\.5\)"),
+        ({"t_samples": 2.0}, r"t_samples must be an integer of at least 1 \(got t_samples=2\.0\)"),
+        ({"t_samples": 0}, r"t_samples must be an integer of at least 1 \(got t_samples=0\)"),
     ],
 )
 def test_build_rejects_bad_arguments(scenarios, kwargs, message):

@@ -26,6 +26,7 @@ from flowlab import (
     tangent_flow,
     verify_chain,
 )
+from flowlab import flow, poincare
 from flowlab.scenarios import scenario_names
 
 from oracles import sample_box_points
@@ -376,3 +377,21 @@ def test_classify_periodic_rejects_nonperiodic(scenarios):
     spec = scenarios["saddle_cycle"].spec
     with pytest.raises(ValueError, match="closure gap"):
         classify_periodic(spec, (1.1, 0.0, 0.0), TWO_PI)
+
+
+def test_classify_periodic_takes_one_solve(scenarios, monkeypatch):
+    """The closure check reads the endpoint of the variational solve that
+    gives the return derivative, so one classification is one solve."""
+    spec = scenarios["saddle_cycle"].spec
+    solves = []
+    solve = flow._solve
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_solve", counted_solve)
+    monkeypatch.setattr(poincare, "_solve", counted_solve)
+    rep = classify_periodic(spec, (1.0, 0.0, 0.0), TWO_PI)
+    assert len(solves) == 1
+    assert rep.hyperbolic and rep.index == 1

@@ -10,6 +10,7 @@ from flowlab import (
     ConsistencyError,
     DominationGapError,
     NormalCocycle,
+    SplittingDegenerateError,
     VectorFieldSpec,
     arc_to_periodic_orbit,
     build_cocycle,
@@ -22,7 +23,7 @@ from flowlab import (
     uniform_periodic_estimates,
 )
 from flowlab import splitting
-from flowlab.splitting import _partition_log_norms, _window_log_norms
+from flowlab.splitting import _partition_log_norms, _push_basis, _window_log_norms
 
 # Normal rates on the r = 1 cycle of saddle_cycle: radial e^{-2t}, vertical e^{t}.
 RADIAL_RATE = -2.0
@@ -133,6 +134,85 @@ def test_estimate_reports_missing_gap():
     # a window shorter than one step is one step long, and the message says so
     with pytest.raises(DominationGapError, match="over windows of 0.05 time units"):
         estimate_splitting(coc, 1, 0.001)
+
+
+def test_estimate_reports_nearly_tangent_bundles():
+    """A constant cocycle whose contracting and expanding eigenvectors are
+    1e-8 apart has a wide gap but bundles at angle 1e-8, so the first probed
+    sample fails with sigma_min = 1e-8 / sqrt(2)."""
+    dt, m = 0.05, 400
+    v = np.array([[1.0, 1.0], [0.0, 1e-8]])
+    step = v @ np.diag(np.exp(np.array([-2.0, 1.0]) * dt)) @ np.linalg.inv(v)
+    coc = NormalCocycle(
+        None,
+        dt * np.arange(m + 1),
+        np.zeros((m + 1, 3)),
+        np.broadcast_to(np.eye(3)[:, 1:], (m + 1, 3, 2)),
+        np.broadcast_to(step, (m, 2, 2)).copy(),
+        1e-10,
+    )
+    with pytest.raises(
+        SplittingDegenerateError,
+        match=r"nearly tangent at sample 60 \(sigma_min = 7\.07e-09\)$",
+    ):
+        estimate_splitting(coc, 1, 3.0)
+
+
+def _sequential_estimate(coc, p, window):
+    """The estimate's seeds, bundles, log-growth table, gap and residual
+    rebuilt one ``window_product`` and one sample at a time."""
+    trans, m = coc.trans, coc.steps
+    n1 = trans.shape[1]
+    q = n1 - p
+    first = np.linalg.svd(coc.window_product(0, window))[0][:, :q]
+    last = np.linalg.svd(coc.window_product(m - window, m))[2].T[:, n1 - p :]
+    unstable, unstable_logs = _push_basis(trans[window:], first)
+    back, back_logs = _push_basis(np.linalg.inv(trans[: m - window])[::-1], last)
+    ahead, ahead_logs = _push_basis(trans[m - window :], last)
+    stable = np.concatenate([back[::-1], ahead[1:]])
+    stable_logs = np.concatenate([back_logs[::-1], ahead_logs[1:]])
+    gap = np.inf
+    for k in np.unique(np.linspace(0, m - window, 8).astype(int)):
+        svals = np.linalg.svd(coc.window_product(k, k + window), compute_uv=False)
+        gap = min(gap, float(svals[q - 1] / svals[q]))
+    residual = 0.0
+    for k in np.unique(np.linspace(window, m - window, min(50, m - 2 * window + 1)).astype(int)):
+        if k < m - window:
+            img = trans[k] @ stable[k]
+            proj = stable[k + 1] @ (stable[k + 1].T @ img)
+            residual = max(residual, float(np.linalg.norm(img - proj) / np.linalg.norm(img)))
+    return first, last, stable, unstable, stable_logs, unstable_logs, gap, residual
+
+
+@pytest.mark.parametrize("name, p", [("saddle", 1), ("rotated", 1), ("rotated", 2)])
+def test_batched_estimate_matches_sequential_windows(
+    name, p, saddle_est, rotated_diagonal_cocycle
+):
+    """Every estimate output equals, bit for bit, the one rebuilt from
+    sequential window products."""
+    coc = {"saddle": saddle_est[1].cocycle, "rotated": rotated_diagonal_cocycle}[name]
+    est = estimate_splitting(coc, p)
+    w, m = est.window_steps, coc.steps
+    first, last, stable, unstable, stable_logs, unstable_logs, gap, residual = (
+        _sequential_estimate(coc, p, w)
+    )
+    assert np.array_equal(est.unstable[w], first) and np.array_equal(est.stable[m - w], last)
+    assert np.array_equal(est.stable, stable)
+    assert np.array_equal(est.unstable[w:], unstable)
+    assert np.all(np.isnan(est.unstable[:w]))
+    np.testing.assert_array_equal(est.log_prefix, [stable_logs, np.r_[[np.nan] * w, unstable_logs]])
+    assert est.gap_ratio_min == gap
+    assert est.residual == residual
+
+
+def test_estimate_forms_no_sequential_window_product(saddle_est, monkeypatch):
+    def refuse(self, i, j):
+        raise AssertionError("estimate_splitting formed a sequential window product")
+
+    coc = saddle_est[1].cocycle
+    monkeypatch.setattr(NormalCocycle, "window_product", refuse)
+    est = estimate_splitting(coc, 1)
+    assert est.gap_ratio_min > 100.0
 
 
 def test_check_domination_passes_beyond_threshold(saddle_est):
