@@ -480,8 +480,8 @@ def classify_periodic(
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (spec.dim,):
-        raise ValueError(f"x has shape {p.shape}, expected ({spec.dim},)")
-    _require_finite(t=period)
+        raise ValueError(f"p has shape {p.shape}, expected ({spec.dim},)")
+    _require_finite(period=period)
     period = float(period)
     p_end, deriv = tangent_flow(spec, p, period, tol=tol)
     closure = distance(spec, p_end, p)

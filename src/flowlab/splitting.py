@@ -2,9 +2,13 @@
 
 All diagnostics run over a sampled :class:`~flowlab.poincare.NormalCocycle`.
 The estimate forms its eight gap windows in one batched pass and seeds the
-unstable bundle from the first, the stable one from the last; the seeds are
-pushed along the per-step transitions (inverting only single steps), which
-keeps conditioning under control even along strongly hyperbolic orbits.
+unstable bundle from the first, the stable one from the last.  Each bundle
+is pushed only the way it dominates, the unstable one forward along the
+per-step transitions and the stable one backward through them (inverting
+only single steps), which keeps conditioning under control even along
+strongly hyperbolic orbits.  The push is a blocked prefix scan, about
+``2 sqrt(m)`` batched steps over ``m`` transitions, each prefix product
+rescaled as it is formed so that none overflows.
 
 Both bundles are invariant by construction, so a rank-1 bundle's window
 norms need no window products: the estimate keeps one log-growth table per
@@ -100,24 +104,62 @@ def _push_basis(mats, basis):
     ``mats[1] @ mats[0]``, and so on, each image re-orthonormalised.
 
     Returns the bases (``basis`` first) and, for a single column, ``logs``
-    with ``logs[i]`` the log norm of ``mats[i-1] @ ... @ mats[0] @ basis``,
-    summed one step at a time (all NaN for a wider basis).
+    with ``logs[i]`` the log norm of ``mats[i-1] @ ... @ mats[0] @ basis``
+    (all NaN for a wider basis).
+
+    A blocked prefix scan with no loop over single steps.  The ``m`` steps
+    are cut into blocks of ``isqrt(m)``, the last padded with identities,
+    and every block's prefix products are formed together, one batched
+    multiply per position in the block.  Each prefix is divided by its norm
+    as it is formed and the log of that scale is summed along the block, so
+    no product overflows.  The basis is carried across the blocks one
+    multiply each; then every image is one batched multiply and one batched
+    normalisation: norms for a single column, QR for a wider basis.
+
+    A wider basis spanning the dominant directions loses the spread
+    ``s_1 / s_c`` of a prefix's singular values to rounding when that
+    prefix's image is orthonormalised, and the spread grows with the block.
+    Its blocks are therefore cut short, to the first position where some
+    prefix spreads by more than 1e3, until none does.
     """
-    bases = np.empty((len(mats) + 1,) + basis.shape)
-    logs = np.full(len(mats) + 1, np.nan)
-    bases[0] = basis
-    if basis.shape[1] > 1:
-        for i, a in enumerate(mats):
-            bases[i + 1] = np.linalg.qr(a @ bases[i])[0]
-        return bases, logs
-    vecs = bases[:, :, 0]
-    logs[0] = 0.0
-    for i, a in enumerate(mats):
-        img = a @ vecs[i]
-        norm = math.sqrt(img @ img)
-        vecs[i + 1] = img / norm
-        logs[i + 1] = logs[i] + math.log(norm)
-    return bases, logs
+    m, (n, c) = len(mats), basis.shape
+    size = max(1, math.isqrt(m))
+    while True:
+        blocks = -(-m // size)
+        prefix = np.concatenate([mats, np.broadcast_to(np.eye(n), (blocks * size - m, n, n))])
+        prefix = prefix.reshape(blocks, size, n, n)
+        norms = np.empty((blocks, size))
+        for r in range(size):
+            if r:
+                prefix[:, r] = prefix[:, r] @ prefix[:, r - 1]
+            norms[:, r] = np.linalg.norm(prefix[:, r], axis=(1, 2))
+            prefix[:, r] /= norms[:, r, None, None]
+        if c == 1 or size == 1:
+            break
+        svals = np.linalg.svd(prefix, compute_uv=False)
+        kept = np.all(svals[..., 0] <= 1e3 * svals[..., c - 1], axis=0)
+        if kept.all():
+            break
+        size = max(1, int(np.argmin(kept)))
+    scale = np.cumsum(np.log(norms), axis=1)
+
+    def orthonormal(imgs):
+        if c > 1:
+            return np.linalg.qr(imgs)[0], 0.0
+        norm = np.linalg.norm(imgs, axis=(-2, -1))
+        return imgs / norm[..., None, None], np.log(norm)
+
+    starts, offsets = [basis], [0.0]
+    for b in range(blocks - 1):
+        start, log_norm = orthonormal(prefix[b, -1] @ starts[-1])
+        starts.append(start)
+        offsets.append(offsets[-1] + scale[b, -1] + log_norm)
+    images, log_norms = orthonormal(prefix @ np.array(starts)[:, None])
+    bases = np.concatenate([basis[None], images.reshape(-1, n, c)[:m]])
+    if c > 1:
+        return bases, np.full(m + 1, np.nan)
+    logs = log_norms + scale + np.array(offsets)[:, None]
+    return bases, np.concatenate([[0.0], logs.ravel()[:m]])
 
 
 def estimate_splitting(
@@ -128,10 +170,12 @@ def estimate_splitting(
     One batched pass forms the eight gap windows' products, the first at the
     cocycle's start and the last at its end.  The first's dominant left
     singular vectors seed the unstable bundle, pushed forward; the last's
-    trailing right ones seed the stable bundle, pulled backward one step at a
-    time and pushed forward across that window.  A singular-value ratio below
-    1.2 between ranks ``q`` and ``q+1`` raises :class:`DominationGapError`;
-    nearly tangent bundles raise :class:`SplittingDegenerateError`.
+    trailing right ones seed the stable bundle, pulled backward through the
+    inverted steps, and its trailing left ones, their images, seed it at
+    the cocycle's end, pulled backward across that window.  A singular-value
+    ratio below 1.2 between ranks ``q`` and ``q+1`` raises
+    :class:`DominationGapError`; nearly tangent bundles raise
+    :class:`SplittingDegenerateError`.
     """
     trans = cocycle.trans
     n1 = trans.shape[1]
@@ -157,13 +201,18 @@ def estimate_splitting(
     unstable = np.full((m + 1, n1, q), np.nan)
     unstable[window:], log_prefix[1, window:] = _push_basis(trans[window:], u[0][:, :q])
 
-    last = vt[1].T[:, n1 - p :]
-    back, back_logs = _push_basis(np.linalg.inv(trans[: m - window])[::-1], last)
-    ahead, ahead_logs = _push_basis(trans[m - window :], last)
+    # the stable bundle dominates the inverted steps, so it is only pulled
+    # back: from m - window, seeded by the last window's trailing right
+    # singular vectors, and across that window from m, seeded by its trailing
+    # left ones, their images
+    inverse = np.linalg.inv(trans)[::-1]
+    back, back_logs = _push_basis(inverse[window:], vt[1].T[:, n1 - p :])
+    tail, tail_logs = _push_basis(inverse[:window], u[1][:, n1 - p :])
     # P is 0 at m - window; below it, P[k] is the log growth of the pull-back
-    # from m - window to k, which the forward steps from k undo
-    stable = np.concatenate([back[::-1], ahead[1:]])
-    log_prefix[0] = np.concatenate([back_logs[::-1], ahead_logs[1:]])
+    # from m - window to k, which the forward steps from k undo; above it,
+    # the growth of those steps from m - window, read off the tail's pull-back
+    stable = np.concatenate([back[::-1], tail[-2::-1]])
+    log_prefix[0] = np.concatenate([back_logs[::-1], tail_logs[-2::-1] - tail_logs[-1]])
 
     svals = np.linalg.svd(prods, compute_uv=False)
     gap_min = float(np.min(svals[:, q - 1] / svals[:, q]))

@@ -379,6 +379,21 @@ def test_classify_periodic_rejects_nonperiodic(scenarios):
         classify_periodic(spec, (1.1, 0.0, 0.0), TWO_PI)
 
 
+@pytest.mark.parametrize(
+    "p, period, message",
+    [
+        ((1.0, 0.0), TWO_PI, r"^p has shape \(2,\), expected \(3,\)$"),
+        ((1.0, 0.0, 0.0), math.nan, r"^period must be finite \(got period=nan\)$"),
+        ((1.0, 0.0, 0.0), math.inf, r"^period must be finite \(got period=inf\)$"),
+    ],
+)
+def test_classify_periodic_names_its_arguments(scenarios, p, period, message):
+    """A bad point or period is reported under ``classify_periodic``'s own
+    argument names, not those of the flow map it calls."""
+    with pytest.raises(ValueError, match=message):
+        classify_periodic(scenarios["saddle_cycle"].spec, p, period)
+
+
 def test_classify_periodic_takes_one_solve(scenarios, monkeypatch):
     """The closure check reads the endpoint of the variational solve that
     gives the return derivative, so one classification is one solve."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -158,19 +159,54 @@ def test_estimate_reports_nearly_tangent_bundles():
         estimate_splitting(coc, 1, 3.0)
 
 
+def _sequential_push(mats, basis):
+    """``_push_basis`` one step at a time: each image re-orthonormalised,
+    and a single column's log norms summed step by step."""
+    bases = np.empty((len(mats) + 1,) + basis.shape)
+    logs = np.full(len(mats) + 1, np.nan)
+    bases[0] = basis
+    if basis.shape[1] == 1:
+        logs[0] = 0.0
+    for i, a in enumerate(mats):
+        img = a @ bases[i]
+        if basis.shape[1] > 1:
+            bases[i + 1] = np.linalg.qr(img)[0]
+        else:
+            norm = np.linalg.norm(img)
+            bases[i + 1] = img / norm
+            logs[i + 1] = logs[i] + math.log(norm)
+    return bases, logs
+
+
+def _assert_push_matches(got, ref):
+    """Bases within 1e-12 (spans, through their projectors, for a wider
+    basis, whose QR column signs may differ) and logs within
+    ``1e-12 * max(1, |P|)``."""
+    (bases, logs), (ref_bases, ref_logs) = got, ref
+    assert bases.shape == ref_bases.shape and np.all(np.isfinite(bases))
+    if bases.shape[2] > 1:
+        bases, ref_bases = (b @ np.swapaxes(b, 1, 2) for b in (bases, ref_bases))
+        assert np.all(np.isnan(logs)) and np.all(np.isnan(ref_logs))
+    else:
+        assert np.all(np.abs(logs - ref_logs) <= 1e-12 * np.maximum(1.0, np.abs(ref_logs)))
+    assert np.max(np.abs(bases - ref_bases)) <= 1e-12
+
+
 def _sequential_estimate(coc, p, window):
     """The estimate's seeds, bundles, log-growth table, gap and residual
-    rebuilt one ``window_product`` and one sample at a time."""
+    rebuilt one ``window_product``, one step and one sample at a time."""
     trans, m = coc.trans, coc.steps
     n1 = trans.shape[1]
     q = n1 - p
     first = np.linalg.svd(coc.window_product(0, window))[0][:, :q]
-    last = np.linalg.svd(coc.window_product(m - window, m))[2].T[:, n1 - p :]
-    unstable, unstable_logs = _push_basis(trans[window:], first)
-    back, back_logs = _push_basis(np.linalg.inv(trans[: m - window])[::-1], last)
-    ahead, ahead_logs = _push_basis(trans[m - window :], last)
-    stable = np.concatenate([back[::-1], ahead[1:]])
-    stable_logs = np.concatenate([back_logs[::-1], ahead_logs[1:]])
+    left, _, right = np.linalg.svd(coc.window_product(m - window, m))
+    last = right.T[:, n1 - p :]
+    unstable, unstable_logs = _sequential_push(trans[window:], first)
+    inverse = np.linalg.inv(trans)[::-1]
+    back, back_logs = _sequential_push(inverse[window:], last)
+    tail, tail_logs = _sequential_push(inverse[:window], left[:, n1 - p :])
+    stable = np.concatenate([back[::-1], tail[-2::-1]])
+    stable_logs = np.concatenate([back_logs[::-1], tail_logs[-2::-1] - tail_logs[-1]])
     gap = np.inf
     for k in np.unique(np.linspace(0, m - window, 8).astype(int)):
         svals = np.linalg.svd(coc.window_product(k, k + window), compute_uv=False)
@@ -188,8 +224,11 @@ def _sequential_estimate(coc, p, window):
 def test_batched_estimate_matches_sequential_windows(
     name, p, saddle_est, rotated_diagonal_cocycle
 ):
-    """Every estimate output equals, bit for bit, the one rebuilt from
-    sequential window products."""
+    """The seeds and the gap equal, bit for bit, the ones rebuilt from
+    sequential window products; the bundles and the log-growth table match
+    the step-by-step push within 1e-12, and the residual, rounding on these
+    invariant bundles, lies within four units of rounding of the one the
+    step-by-step bundles give."""
     coc = {"saddle": saddle_est[1].cocycle, "rotated": rotated_diagonal_cocycle}[name]
     est = estimate_splitting(coc, p)
     w, m = est.window_steps, coc.steps
@@ -197,12 +236,102 @@ def test_batched_estimate_matches_sequential_windows(
         _sequential_estimate(coc, p, w)
     )
     assert np.array_equal(est.unstable[w], first) and np.array_equal(est.stable[m - w], last)
-    assert np.array_equal(est.stable, stable)
-    assert np.array_equal(est.unstable[w:], unstable)
-    assert np.all(np.isnan(est.unstable[:w]))
-    np.testing.assert_array_equal(est.log_prefix, [stable_logs, np.r_[[np.nan] * w, unstable_logs]])
+    _assert_push_matches((est.stable, est.log_prefix[0]), (stable, stable_logs))
+    _assert_push_matches((est.unstable[w:], est.log_prefix[1, w:]), (unstable, unstable_logs))
+    assert np.all(np.isnan(est.unstable[:w])) and np.all(np.isnan(est.log_prefix[1, :w]))
     assert est.gap_ratio_min == gap
-    assert est.residual == residual
+    assert abs(est.residual - residual) <= 4 * np.finfo(float).eps
+
+
+def _random_steps(m, n, seed):
+    """``m`` well-conditioned steps near the identity with a drift that
+    expands the first axis."""
+    rng = np.random.default_rng(seed)
+    drift = np.diag(np.linspace(0.3, -0.3, n))
+    return np.array([np.eye(n) + drift + 0.2 * rng.normal(size=(n, n)) for _ in range(m)])
+
+
+@pytest.mark.parametrize("m", [1, 2, 15, 16, 17])
+def test_push_matches_sequential_across_block_boundaries(m):
+    """One step; two blocks of one step; whole blocks (5 of 3 steps, 4 of 4);
+    and 17 steps, whose fifth block is one step padded with three identities."""
+    mats = _random_steps(m, 2, m)
+    basis = np.array([[0.6], [0.8]])
+    _assert_push_matches(_push_basis(mats, basis), _sequential_push(mats, basis))
+
+
+@pytest.mark.parametrize("m", [1, 16, 17, 700])
+def test_push_matches_sequential_wide_basis(m, rotated_diagonal_cocycle):
+    """A rank-2 basis in three normal directions takes the batched QR path;
+    its spans match the step-by-step push."""
+    mats = _random_steps(m, 3, m) if m < 700 else rotated_diagonal_cocycle.trans
+    basis = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 2)))[0]
+    _assert_push_matches(_push_basis(mats, basis), _sequential_push(mats, basis))
+
+
+def test_push_keeps_wide_basis_on_exact_span_over_long_cocycle():
+    """A constant step with rates -2, 1, 2 in a rotated frame over 40,000
+    steps of 0.05: blocks of ``isqrt(m)`` = 200 steps would spread the
+    pushed span's singular values by e^200 forward and e^600 pulled back.
+    Pushed forward from the exact unstable span, and pulled back from the
+    exact stable span through the inverted step, every base stays on it."""
+    frame = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0]
+    step = frame @ np.diag(np.exp(np.array([-2.0, 1.0, 2.0]) * 0.05)) @ frame.T
+    for a, span in ((step, frame[:, 1:]), (np.linalg.inv(step), frame[:, :2])):
+        bases, logs = _push_basis(np.broadcast_to(a, (40_000, 3, 3)), span)
+        assert bases.shape == (40_001, 3, 2) and np.all(np.isnan(logs))
+        exact = span @ span.T
+        assert np.max(np.abs(bases @ np.swapaxes(bases, 1, 2) - exact)) <= 1e-12
+
+
+def test_push_matches_sequential_pull_back(saddle_est):
+    """The stable seed pulled back through the inverted steps of saddle_cycle."""
+    est = saddle_est[1]
+    w, trans = est.window_steps, est.cocycle.trans
+    inverse = np.linalg.inv(trans[: est.cocycle.steps - w])[::-1]
+    seed = est.stable[est.k_hi]
+    _assert_push_matches(_push_basis(inverse, seed), _sequential_push(inverse, seed))
+
+
+def test_push_cannot_overflow():
+    """A constant step ``R diag(e^8, e^-8) R^T`` over 10,000 steps grows each
+    block's product by e^800, past the largest double: the scaled prefixes
+    keep every log and basis finite and on the step-by-step push."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    mats = np.broadcast_to(rot @ np.diag([math.exp(8.0), math.exp(-8.0)]) @ rot.T, (10_000, 2, 2))
+    for basis in (np.array([[1.0], [0.0]]), rot[:, :1]):
+        bases, logs = _push_basis(mats, basis)
+        ref_bases, ref_logs = _sequential_push(mats, basis)
+        assert np.all(np.isfinite(bases)) and np.all(np.isfinite(logs))
+        assert np.all(np.abs(logs - ref_logs) <= 1e-12 * np.abs(ref_logs).clip(min=1.0))
+        assert np.max(np.abs(bases - ref_bases)) <= 1e-12
+    # from the expanding eigenvector the growth is exactly e^8 per step
+    np.testing.assert_allclose(logs[1:], 8.0 * np.arange(1, 10_001), rtol=1e-12)
+
+
+def test_push_has_no_per_step_loop():
+    """The push loops once per position in a block and once per block
+    carried across, about ``2 sqrt(m)`` iterations of a few lines each: far
+    fewer lines of ``splitting`` run than there are steps (3200, as in a
+    cocycle over 16 time units at dt 0.005)."""
+    trans = _random_steps(3200, 2, 0)
+    lines = []
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != splitting.__file__:
+            return None
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        _push_basis(trans, np.array([[0.0], [1.0]]))
+    finally:
+        sys.settrace(None)
+    m = len(trans)
+    assert 0 < len(lines) <= 16 * math.isqrt(m)  # 896 lines; the push runs 700
 
 
 def test_estimate_forms_no_sequential_window_product(saddle_est, monkeypatch):
@@ -397,6 +526,24 @@ def rotated_diagonal_cocycle():
     frames = np.broadcast_to(np.eye(4)[:, 1:], (m + 1, 4, 3))
     trans = np.broadcast_to(step, (m, 3, 3)).copy()
     return NormalCocycle(None, times, points, frames, trans, 1e-10)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_estimate_lies_on_exact_bundles_of_rotated_cocycle(rotated_diagonal_cocycle, p):
+    """Both bundles lie on the cocycle's invariant spans, the stable one also
+    across the last window, where pushing it forward against its contraction
+    would amplify rounding by e^12; the rank-1 bundle's log-growth table is
+    its rate times the elapsed time."""
+    coc = rotated_diagonal_cocycle
+    est = estimate_splitting(coc, p)
+    w, m, dt = est.window_steps, coc.steps, coc.dt
+    frame = np.linalg.qr(np.random.default_rng(7).normal(size=(3, 3)))[0]
+    for bases, span in ((est.stable, frame[:, :p]), (est.unstable[w:], frame[:, p:])):
+        assert np.max(np.abs(bases @ np.swapaxes(bases, 1, 2) - span @ span.T)) <= 1e-12
+    side, rate, origin = (0, -2.0, m - w) if p == 1 else (1, 2.0, w)
+    exact = rate * dt * (np.arange(origin if side else 0, m + 1) - origin)
+    logs = est.log_prefix[side, origin if side else 0 :]
+    assert np.all(np.abs(logs - exact) <= 1e-12 * np.maximum(1.0, np.abs(exact)))
 
 
 @pytest.mark.parametrize("p", [1, 2])
