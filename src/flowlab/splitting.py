@@ -1,33 +1,35 @@
 """Dominated splittings, hyperbolicity fits, and quasi-hyperbolic arcs.
 
 All diagnostics run over a sampled :class:`~flowlab.poincare.NormalCocycle`.
-The estimate forms its eight gap windows in one batched pass and seeds the
-unstable bundle from the first, the stable one from the last.  Each bundle
-is pushed only the way it dominates, the unstable one forward along the
-per-step transitions and the stable one backward through them (inverting
-only single steps), which keeps conditioning under control even along
-strongly hyperbolic orbits.  The push is a blocked prefix scan, about
-``2 sqrt(m)`` batched steps over ``m`` transitions, each prefix product
-rescaled as it is formed so that none overflows.
+The estimate forms its eight gap windows together from blocks of steps
+and seeds the unstable bundle from the first, the stable one from the
+last.  Each bundle is pushed only the way it dominates, the unstable one
+forward along the per-step transitions and the stable one backward through
+them (inverting only single steps), which keeps conditioning under control
+even along strongly hyperbolic orbits.  The push is a blocked prefix scan,
+about ``2 sqrt(m)`` batched steps over ``m`` transitions, each prefix
+product rescaled as it is formed so that none overflows.
 
 Both bundles are invariant by construction, so a rank-1 bundle's window
 norms need no window products: the estimate keeps one log-growth table per
 rank-1 bundle, the prefix sums ``P`` of its per-step log growths, and the
 log norm over the window of length ``j`` at base ``k`` is
-``P[k + j] - P[k]``.  Only a bundle of rank 2 or more is scanned with
-SVDs, its bases pushed forward one batched transition multiply per step
-rather than forming full products.  One scan, :func:`_window_log_norms`,
-serves every diagnostic: domination, the fit, the arc partitions and the
-periodic estimates.
+``P[k + j] - P[k]``.  One scan over ``P``, :func:`_window_log_norms`,
+gives the log norms at every length and base as one array and serves every
+diagnostic: domination, the fit, the arc partitions and the periodic
+estimates.  Only a bundle of rank 2 or more is scanned with SVDs, its bases
+pushed forward one batched transition multiply per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .flow import DEFAULT_TOL, VectorFieldSpec, _orbit_points, _require_positive, distance
 from .poincare import CriticalElementReport, NormalCocycle, _periodic_cocycle, find_periodic_newton
@@ -167,20 +169,20 @@ def estimate_splitting(
 ) -> SplittingEstimate:
     """Estimate a rank-``p`` stable / rank-``(n-1-p)`` unstable splitting.
 
-    One batched pass forms the eight gap windows' products, the first at the
-    cocycle's start and the last at its end.  The first's dominant left
-    singular vectors seed the unstable bundle, pushed forward; the last's
-    trailing right ones seed the stable bundle, pulled backward through the
-    inverted steps, and its trailing left ones, their images, seed it at
-    the cocycle's end, pulled backward across that window.  A singular-value
-    ratio below 1.2 between ranks ``q`` and ``q+1`` raises
-    :class:`DominationGapError`; nearly tangent bundles raise
+    The eight gap windows' products are formed together from blocks of
+    steps, the first at the cocycle's start and the last at its end.  The
+    first's dominant left singular vectors seed the unstable bundle, pushed
+    forward; the last's trailing right ones seed the stable bundle, pulled
+    backward through the inverted steps, and its trailing left ones, their
+    images, seed it at the cocycle's end, pulled backward across that
+    window.  A singular-value ratio below 1.2 between ranks ``q`` and
+    ``q+1`` raises :class:`DominationGapError`; nearly tangent bundles raise
     :class:`SplittingDegenerateError`.
     """
     trans = cocycle.trans
     n1 = trans.shape[1]
-    if not 1 <= p <= n1 - 1:
-        raise ValueError(f"p must be between 1 and {n1 - 1}")
+    if isinstance(p, bool) or not (isinstance(p, (int, np.integer)) and 1 <= p <= n1 - 1):
+        raise ValueError(f"p must be an integer between 1 and {n1 - 1} (got p={p})")
     _require_positive(window_time=window_time)
     q = n1 - p
     dt = cocycle.dt
@@ -191,11 +193,15 @@ def estimate_splitting(
             f"cocycle has {m} steps; need more than {2 * window + 2} for window {window_time}"
         )
 
-    # the eight gap windows, pushed together; the first and last seed the bundles
+    # the eight gap windows, each the product of its blocks of isqrt(window) steps
+    # (the last padded with identities); the first and last seed the bundles
     ks = np.unique(np.linspace(0, m - window, 8).astype(int))
-    prods = np.repeat(np.eye(n1)[None], len(ks), axis=0)
-    for i in range(window):
-        prods = trans[ks + i] @ prods
+    size = math.isqrt(window)
+    steps = trans[ks[:, None] + np.minimum(np.arange(-(-window // size) * size), window - 1)]
+    steps[:, window:] = np.eye(n1)
+    steps = steps.reshape(len(ks), -1, size, n1, n1)
+    block = reduce(lambda prod, step: step @ prod, np.moveaxis(steps, 2, 0))
+    prods = reduce(lambda prod, step: step @ prod, np.moveaxis(block, 1, 0))
     u, _, vt = np.linalg.svd(prods[[0, -1]])
     log_prefix = np.full((2, m + 1), np.nan)
     unstable = np.full((m + 1, n1, q), np.nan)
@@ -238,29 +244,29 @@ def estimate_splitting(
     return SplittingEstimate(cocycle, p, window, stable, unstable, gap_min, residual, log_prefix)
 
 
-def _window_log_norms(est: SplittingEstimate, side: int, ks, js):
-    """Yield, for each window length ``j`` in the ascending ``js``, the log
-    of the extreme singular value per base ``ks`` of the window product
-    restricted to one bundle: the largest on the stable side (``side`` 0),
-    the smallest on the unstable side (1).
+def _window_log_norms(est: SplittingEstimate, side: int, ks, js) -> np.ndarray:
+    """The log of the extreme singular value of the window product
+    restricted to one bundle, at row ``r`` and column ``c`` for length
+    ``js[r]`` (ascending) and base ``ks[c]``: the largest on the stable side
+    (``side`` 0), the smallest on the unstable side (1).
 
-    A rank-1 bundle reads ``P[k + j] - P[k]`` from the log-growth table.  A
-    wider one pushes its bases forward one batched transition multiply per
-    step and takes one batched SVD per length; the full product is never
-    formed.
+    A rank-1 bundle is one gather from the log-growth table,
+    ``P[k + j] - P[k]``.  A wider one pushes its bases forward one batched
+    transition multiply per step and takes one batched SVD per length; the
+    full product is never formed.
     """
-    ks = np.asarray(ks)
+    ks, js = np.asarray(ks), np.asarray(js)
     bases = (est.stable, est.unstable)[side][ks]
     if bases.shape[-1] == 1:
         table = est.log_prefix[side]
-        for j in js:
-            yield table[ks + j] - table[ks]
-        return
+        return table[ks + js[:, None]] - table[ks]
     trans = est.cocycle.trans
+    rows = []
     for j, done in zip(js, [0, *js]):
         for i in range(done, j):
             bases = trans[ks + i] @ bases
-        yield np.log(np.linalg.svd(bases, compute_uv=False)[:, 0 if side == 0 else -1])
+        rows.append(np.log(np.linalg.svd(bases, compute_uv=False)[:, 0 if side == 0 else -1]))
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -279,9 +285,18 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
     for every sampled base point and every ``t`` in ``[l, 3l]`` on the grid.
 
     The backward norm on the unstable bundle is the reciprocal of the
-    forward conorm, so the checked product is ``norm / conorm``.  The worst
-    product is the first maximum in scan order (``t`` ascending, then base
-    time ascending), which fixes ``worst_base_time`` among tied bases.
+    forward conorm, so the checked product is ``exp(ls) / exp(lu)`` for the
+    window's log norm ``ls`` and log conorm ``lu``.  The worst product is the
+    first maximum in scan order (``t`` ascending, then base time ascending),
+    which fixes ``worst_base_time`` among tied bases.
+
+    Between rank-1 bundles the log products are ``D[k + j] - D[k]``,
+    ``D = P_stable - P_unstable``, one strided difference per 16 lengths,
+    and products are formed only within ``1e-12 (1 + max |P|)`` of each
+    length's largest.  With every ``exp`` normal, a product's computed log is
+    within ``10 eps (1 + max |P|)`` of its difference, so any base outside
+    the band has a smaller product than the largest difference's base: the
+    products and ties are a full scan's.  Wider bundles take every base.
     """
     dt = est.cocycle.dt
     l = float(l)
@@ -294,27 +309,37 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
     if hi_base < est.k_lo:
         raise ValueError("cocycle too short for the requested window; extend the orbit")
     ks = np.arange(est.k_lo, hi_base + 1)
+    js = np.arange(j_lo, j_hi + 1)
 
-    worst = -np.inf
-    worst_base = worst_t = 0.0
-    per_t = []
-    js = range(j_lo, j_hi + 1)
-    stable, unstable = (_window_log_norms(est, side, ks, js) for side in (0, 1))
-    for j, ls, lu in zip(js, stable, unstable):
+    # the tables from the first base on: P[k + j] - P[k] is span[c + j] - span[c]
+    span = est.log_prefix[:, ks[0] : ks[-1] + j_hi + 1]
+    d, logs, band = span[0] - span[1], None, np.inf
+    if np.isnan(d).any():  # a wider bundle has no table
+        logs = np.stack([_window_log_norms(est, side, ks, js) for side in (0, 1)])
+    elif j_hi * np.abs(np.diff(span)).max() < 350.0:  # every |ls|, |lu| < 350: exp normal
+        band = 1e-12 * (1.0 + np.abs(span).max())
+    tops, picks = np.empty(len(js)), np.empty(len(js), dtype=int)
+    for lo in range(0, len(js), 16):
+        jc, rows = js[lo : lo + 16], slice(lo, lo + 16)
+        if logs is None:
+            diff = sliding_window_view(d[jc[0] : jc[-1] + len(ks)], len(ks)) - d[: len(ks)]
+        else:
+            diff = logs[0, rows] - logs[1, rows]
+        r, c = np.divmod(np.flatnonzero(diff >= diff.max(axis=1, keepdims=True) - band), len(ks))
+        ls, lu = span[:, c + jc[r]] - span[:, c] if logs is None else logs[:, lo + r, c]
         products = np.exp(ls) / np.exp(lu)
-        idx = int(np.argmax(products))
-        if products[idx] > worst:
-            worst = float(products[idx])
-            worst_base = float(est.cocycle.times[ks[idx]])
-            worst_t = j * dt
-        per_t.append((j * dt, float(products[idx])))
+        # each row's first largest product: by row, then largest first, stably
+        best = np.lexsort((-products, r))[np.searchsorted(r, np.arange(len(jc)))]
+        picks[rows], tops[rows] = c[best], products[best]
+    w = int(np.argmax(tops))
+    worst = float(tops[w])
     return DominationCheck(
         ok=bool(worst <= 0.5 + 1e-12),
         l=l,
         worst_product=worst,
-        worst_base_time=worst_base,
-        worst_t=worst_t,
-        products_per_t=tuple(per_t),
+        worst_base_time=float(est.cocycle.times[ks[picks[w]]]),
+        worst_t=float(js[w] * dt),
+        products_per_t=tuple(zip((js * dt).tolist(), tops.tolist())),
         n_bases=len(ks),
     )
 
@@ -347,10 +372,9 @@ def fit_hyperbolic(
     sample.  A bundle fails when its fitted rate is not below 1 by at least
     1e-3, and the overall fit fails if either side does.
     """
-    if not n_times >= 2:
-        raise ValueError(f"n_times must be at least 2 to fit a slope, got {n_times}")
-    if not n_bases >= 1:
-        raise ValueError(f"n_bases must be at least 1, got {n_bases}")
+    for name, value, least in (("n_times", n_times, 2), ("n_bases", n_bases, 1)):
+        if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+            raise ValueError(f"{name} must be at least {least}, as an integer (got {name}={value})")
     _require_positive(t_lo=t_lo)
     dt = est.cocycle.dt
     m = est.cocycle.steps
@@ -366,22 +390,13 @@ def fit_hyperbolic(
     ks = np.unique(np.linspace(est.k_lo, hi_base, min(n_bases, hi_base - est.k_lo + 1)).astype(int))
     j_grid = np.unique(np.linspace(j_lo, j_hi, n_times).astype(int))
 
-    ts, log_s, log_u = [], [], []
-    stable, unstable = (_window_log_norms(est, side, ks, j_grid) for side in (0, 1))
-    for j, ls, lu in zip(j_grid, stable, unstable):
-        ts.extend([j * dt] * len(ks))
-        log_s.extend(ls)
-        log_u.extend(-lu)
-    ts, log_s, log_u = np.asarray(ts), np.asarray(log_s), np.asarray(log_u)
-
-    slope_s = np.polyfit(ts, log_s, 1)[0]
-    slope_u = np.polyfit(ts, log_u, 1)[0]
-    lam_s = float(np.exp(slope_s))
-    lam_u = float(np.exp(slope_u))
+    ls, lu = (_window_log_norms(est, side, ks, j_grid) for side in (0, 1))
+    ts, log_s, log_u = np.repeat(j_grid * dt, len(ks)), ls.ravel(), -lu.ravel()
+    slope_s, slope_u = (np.polyfit(ts, logs, 1)[0] for logs in (log_s, log_u))
+    lam_s, lam_u = float(np.exp(slope_s)), float(np.exp(slope_u))
     c_s = float(np.exp(np.max(log_s - slope_s * ts)))
     c_u = float(np.exp(np.max(log_u - slope_u * ts)))
-    stable_ok = lam_s < 1.0 - 1e-3
-    unstable_ok = lam_u < 1.0 - 1e-3
+    stable_ok, unstable_ok = lam_s < 1.0 - 1e-3, lam_u < 1.0 - 1e-3
     reasons = []
     if not stable_ok:
         reasons.append(f"stable bundle rate {lam_s:.6g} not below 1")
@@ -437,9 +452,8 @@ def _partition_log_norms(est: SplittingEstimate, idx) -> tuple:
     """Per-step stable log-norm and unstable log-conorm of the window
     products between consecutive cocycle indices ``idx``, each step read as
     a one-base window of :func:`_window_log_norms`."""
-    steps = list(zip(idx, idx[1:]))
     return tuple(
-        np.array([next(_window_log_norms(est, side, [i], [j - i]))[0] for i, j in steps])
+        np.array([_window_log_norms(est, side, [i], [j - i])[0, 0] for i, j in zip(idx, idx[1:])])
         for side in (0, 1)
     )
 
@@ -556,17 +570,13 @@ def uniform_periodic_estimates(
         cocycle = _periodic_cocycle(spec, rep.point, period, dt, window_time, tol)
         est = estimate_splitting(cocycle, rep.index, window_time)
 
-        base_times = np.linspace(0.0, period, 17)[:-1]
-        ks = np.unique([cocycle.index_of_time(t) for t in base_times])
+        ks = np.unique([cocycle.index_of_time(t) for t in np.linspace(0.0, period, 17)[:-1]])
         # 3 * period is a grid time, at least 3 periods before the cocycle's end
         j_hi = int(math.floor(3.0 * period / cocycle.dt + 1e-9))
         j_lo = max(1, int(math.ceil(t_min / cocycle.dt - 1e-9)))
         j_grid = np.unique(np.linspace(j_lo, j_hi, 24).astype(int))
-        slack_gap = np.inf
-        stable, unstable = (_window_log_norms(est, side, ks, j_grid) for side in (0, 1))
-        for j, ls, lu in zip(j_grid, stable, unstable):
-            gap = (lu - ls) / (j * cocycle.dt) - 2.0 * eta
-            slack_gap = min(slack_gap, float(gap.min()))
+        ls, lu = (_window_log_norms(est, side, ks, j_grid) for side in (0, 1))
+        slack_gap = float(np.min((lu - ls) / (j_grid[:, None] * cocycle.dt) - 2.0 * eta))
 
         idx = _partition(cocycle, period, t_min)
         a, b = _partition_log_norms(est, idx)

@@ -1,8 +1,10 @@
 """Splitting estimates, domination checks, fits, and arc certificates."""
 
+import collections
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,14 +105,26 @@ def test_basis_at_rejects_out_of_range(saddle_est):
 def test_estimate_rejects_bad_rank(saddle_est):
     _, est = saddle_est
     for p in (0, 2):
-        with pytest.raises(ValueError, match="p must be between 1 and 1"):
+        with pytest.raises(ValueError, match="p must be an integer between 1 and 1"):
             estimate_splitting(est.cocycle, p)
+
+
+@pytest.mark.parametrize("p", [True, 1.0, 1.5, np.float64(1.0), "1"])
+def test_estimate_requires_an_integer_rank(saddle_est, p):
+    """A bool, a float (even an integral one) or a string is not a rank."""
+    with pytest.raises(ValueError, match=rf"^p must be an integer between 1 and 1 \(got p={p}\)$"):
+        estimate_splitting(saddle_est[1].cocycle, p)
+
+
+def test_estimate_accepts_a_numpy_integer_rank(saddle_est):
+    est = estimate_splitting(saddle_est[1].cocycle, np.int64(1))
+    assert est.p == 1 and est.gap_ratio_min == saddle_est[1].gap_ratio_min
 
 
 def test_estimate_rejects_planar_normal_space(scenarios):
     # dim 2 leaves a single normal direction, too few to split
     coc = build_cocycle(scenarios["neutral_line"].spec, np.array([0.0, 0.3]), 2.0, 0.05)
-    with pytest.raises(ValueError, match="p must be between 1 and 0"):
+    with pytest.raises(ValueError, match="p must be an integer between 1 and 0"):
         estimate_splitting(coc, 1)
 
 
@@ -220,27 +234,70 @@ def _sequential_estimate(coc, p, window):
     return first, last, stable, unstable, stable_logs, unstable_logs, gap, residual
 
 
-@pytest.mark.parametrize("name, p", [("saddle", 1), ("rotated", 1), ("rotated", 2)])
-def test_batched_estimate_matches_sequential_windows(
-    name, p, saddle_est, rotated_diagonal_cocycle
-):
-    """The seeds and the gap equal, bit for bit, the ones rebuilt from
-    sequential window products; the bundles and the log-growth table match
-    the step-by-step push within 1e-12, and the residual, rounding on these
-    invariant bundles, lies within four units of rounding of the one the
-    step-by-step bundles give."""
-    coc = {"saddle": saddle_est[1].cocycle, "rotated": rotated_diagonal_cocycle}[name]
-    est = estimate_splitting(coc, p)
+def _assert_estimate_matches_sequential(coc, p, window_time):
+    """The seeds, through their projectors ``B B^T``, and the gap match the
+    ones rebuilt from sequential window products within 1e-12 (relative, for
+    the gap): the estimate forms its windows from blocks of steps, which
+    rounds differently.  The bundles and the log-growth table match the
+    step-by-step push within 1e-12.  Returns the estimate and the reference's
+    residual."""
+    est = estimate_splitting(coc, p, window_time)
     w, m = est.window_steps, coc.steps
     first, last, stable, unstable, stable_logs, unstable_logs, gap, residual = (
         _sequential_estimate(coc, p, w)
     )
-    assert np.array_equal(est.unstable[w], first) and np.array_equal(est.stable[m - w], last)
+    for seed, ref in ((est.unstable[w], first), (est.stable[m - w], last)):
+        assert np.max(np.abs(seed @ seed.T - ref @ ref.T)) <= 1e-12
     _assert_push_matches((est.stable, est.log_prefix[0]), (stable, stable_logs))
     _assert_push_matches((est.unstable[w:], est.log_prefix[1, w:]), (unstable, unstable_logs))
     assert np.all(np.isnan(est.unstable[:w])) and np.all(np.isnan(est.log_prefix[1, :w]))
-    assert est.gap_ratio_min == gap
+    assert abs(est.gap_ratio_min - gap) <= 1e-12 * gap
+    return est, residual
+
+
+@pytest.mark.parametrize("name, p", [("saddle", 1), ("rotated", 1), ("rotated", 2)])
+def test_batched_estimate_matches_sequential_windows(
+    name, p, saddle_est, rotated_diagonal_cocycle
+):
+    """The residual, rounding on these invariant bundles, also lies within
+    four units of rounding of the one the step-by-step bundles give."""
+    coc = {"saddle": saddle_est[1].cocycle, "rotated": rotated_diagonal_cocycle}[name]
+    est, residual = _assert_estimate_matches_sequential(coc, p, 3.0)
     assert abs(est.residual - residual) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("window", [16, 17, 1])
+@pytest.mark.parametrize("p", [1, 2])
+def test_blocked_gap_windows_match_sequential_products(window, p):
+    """A window of a square number of steps is whole blocks (4 of 4); one
+    more step pads a fifth block with three identities; a single step is
+    one block of one.  Rates -4, 0 and 4 at dt 0.05 leave a gap of e^0.2
+    at either rank even over a single step."""
+    dt = 0.05
+    coc = _rotated_cocycle((-4.0, 0.0, 4.0), dt, 200)
+    est, _ = _assert_estimate_matches_sequential(coc, p, window * dt)
+    assert est.window_steps == window
+
+
+def _constant_cocycle(step, m, dt):
+    """``m`` copies of the normal step ``step``, ``dt`` apart from time -3,
+    along an orbit resting at the origin."""
+    n = len(step)
+    return NormalCocycle(
+        None,
+        -3.0 + dt * np.arange(m + 1),
+        np.zeros((m + 1, n + 1)),
+        np.broadcast_to(np.eye(n + 1)[:, 1:], (m + 1, n + 1, n)),
+        np.broadcast_to(step, (m, n, n)).copy(),
+        1e-10,
+    )
+
+
+def _rotated_cocycle(rates, dt, m):
+    """A constant cocycle with the given normal rates, seen in a fixed
+    random orthonormal frame."""
+    q = np.linalg.qr(np.random.default_rng(7).normal(size=(len(rates), len(rates))))[0]
+    return _constant_cocycle(q @ np.diag(np.exp(np.array(rates) * dt)) @ q.T, m, dt)
 
 
 def _random_steps(m, n, seed):
@@ -310,28 +367,34 @@ def test_push_cannot_overflow():
     np.testing.assert_allclose(logs[1:], 8.0 * np.arange(1, 10_001), rtol=1e-12)
 
 
+def _line_counts(call):
+    """How many times each line of ``splitting`` runs during ``call()``."""
+    counts = collections.Counter()
+
+    def tracer(frame, event, arg):
+        if frame.f_code.co_filename != splitting.__file__:
+            return None
+        if event == "line":
+            counts[frame.f_lineno] += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return counts
+
+
 def test_push_has_no_per_step_loop():
     """The push loops once per position in a block and once per block
     carried across, about ``2 sqrt(m)`` iterations of a few lines each: far
     fewer lines of ``splitting`` run than there are steps (3200, as in a
     cocycle over 16 time units at dt 0.005)."""
     trans = _random_steps(3200, 2, 0)
-    lines = []
-
-    def tracer(frame, event, arg):
-        if frame.f_code.co_filename != splitting.__file__:
-            return None
-        if event == "line":
-            lines.append(frame.f_lineno)
-        return tracer
-
-    sys.settrace(tracer)
-    try:
-        _push_basis(trans, np.array([[0.0], [1.0]]))
-    finally:
-        sys.settrace(None)
+    lines = sum(_line_counts(lambda: _push_basis(trans, np.array([[0.0], [1.0]]))).values())
     m = len(trans)
-    assert 0 < len(lines) <= 16 * math.isqrt(m)  # 896 lines; the push runs 700
+    assert 0 < lines <= 16 * math.isqrt(m)  # 896 lines; the push runs 700
 
 
 def test_estimate_forms_no_sequential_window_product(saddle_est, monkeypatch):
@@ -408,6 +471,10 @@ def test_check_domination_validation(saddle_est, l, message):
         (lambda est, x: fit_hyperbolic(est, t_hi=math.nan), r"t_hi must .* \(got t_hi=nan\)"),
         (lambda est, x: fit_hyperbolic(est, t_hi=math.inf), r"t_hi must .* \(got t_hi=inf\)"),
         (lambda est, x: fit_hyperbolic(est, t_hi=0.0), r"t_hi must .* \(got t_hi=0.0\)"),
+        (lambda est, x: fit_hyperbolic(est, n_times=12.0), r"n_times must .* \(got n_times=12.0\)"),
+        (lambda est, x: fit_hyperbolic(est, n_times=2.5), r"n_times must .* \(got n_times=2.5\)"),
+        (lambda est, x: fit_hyperbolic(est, n_bases=2.5), r"n_bases must .* \(got n_bases=2.5\)"),
+        (lambda est, x: fit_hyperbolic(est, n_bases=True), r"n_bases must .* \(got n_bases=True\)"),
     ],
 )
 def test_splitting_arguments_must_be_positive_and_finite(cycle_arc_est, call, message):
@@ -501,17 +568,164 @@ def test_tie_rule_on_constant_diagonal_cocycle():
 
 
 def test_tie_rule_reports_first_maximum_on_exact_ties(saddle_est, monkeypatch):
-    """With every product equal, the first base of the first time wins."""
+    """With every product equal, the first base of the first time wins.  The
+    log-growth tables are blanked, as a wider bundle's are, so the check
+    reads every length from the scan and takes every base as a candidate."""
     _, est = saddle_est
+    est = dataclasses.replace(est, log_prefix=np.full_like(est.log_prefix, np.nan))
 
     def flat_scan(est, side, ks, js):
-        return (np.full(len(ks), math.log(0.25) if side == 0 else 0.0) for j in js)
+        return np.full((len(js), len(ks)), math.log(0.25) if side == 0 else 0.0)
 
     monkeypatch.setattr(splitting, "_window_log_norms", flat_scan)
     dom = check_domination(est, 0.4)
     assert dom.worst_product == 0.25
     assert dom.worst_t == pytest.approx(0.4, abs=1e-12)
     assert dom.worst_base_time == est.cocycle.times[est.k_lo]
+
+
+def test_tie_rule_on_exact_integer_tables(saddle_est):
+    """Integer log-growth tables, -2k stable and k unstable, give every base
+    the same product ``e^{-2j} / e^{j}``, bit for bit, and the band keeps
+    every base a candidate: the first base of the first length wins."""
+    _, est = saddle_est
+    k = np.arange(est.cocycle.steps + 1, dtype=float)
+    est = dataclasses.replace(est, log_prefix=np.array([-2.0 * k, k]))
+    dom = check_domination(est, 0.4)
+    assert dom == _sequential_domination(est, 0.4)
+    assert dom.worst_product == math.exp(-16.0) / math.exp(8.0)
+    assert dom.worst_t == pytest.approx(0.4, abs=1e-12)
+    assert dom.worst_base_time == est.cocycle.times[est.k_lo]
+
+
+def _sequential_domination(est, l):
+    """``check_domination`` as one loop over the window lengths: every base's
+    product at every length, the first maximum kept in scan order."""
+    dt = est.cocycle.dt
+    j_lo = max(1, math.ceil(l / dt - 1e-9))
+    j_hi = math.floor(3.0 * l / dt + 1e-9)
+    ks = np.arange(est.k_lo, min(est.k_hi, est.cocycle.steps - j_hi) + 1)
+    worst, worst_base, worst_t, per_t = -np.inf, 0.0, 0.0, []
+    js = range(j_lo, j_hi + 1)
+    stable, unstable = (_window_log_norms(est, side, ks, js) for side in (0, 1))
+    for j, ls, lu in zip(js, stable, unstable):
+        products = np.exp(ls) / np.exp(lu)
+        idx = int(np.argmax(products))
+        if products[idx] > worst:
+            worst = float(products[idx])
+            worst_base = float(est.cocycle.times[ks[idx]])
+            worst_t = j * dt
+        per_t.append((j * dt, float(products[idx])))
+    ok = bool(worst <= 0.5 + 1e-12)
+    return splitting.DominationCheck(
+        ok, float(l), worst, worst_base, worst_t, tuple(per_t), len(ks)
+    )
+
+
+# the splitting-sweep benchmark's l values, on both sides of ln(2)/3
+SWEEP_LS = (0.192, 0.212, 0.232, 0.252, 0.272, 0.292)
+
+
+@pytest.fixture(scope="module", params=[0.3, 2.0, 4.4])
+def sweep_est(request, scenarios):
+    """A 3200-step saddle_cycle cocycle at dt 0.005 from a phase of the cycle."""
+    x = np.array([math.cos(request.param), math.sin(request.param), 0.0])
+    coc = build_cocycle(scenarios["saddle_cycle"].spec, x, 16.0, 0.005, t_start=-3.0)
+    return estimate_splitting(coc, 1)
+
+
+def test_domination_scan_equals_sequential_loop(sweep_est):
+    """Field by field, bit for bit."""
+    for l in SWEEP_LS:
+        assert check_domination(sweep_est, l) == _sequential_domination(sweep_est, l)
+
+
+@pytest.mark.parametrize("p, ls", [(1, (0.19, 0.3)), (2, (0.5, 0.8))])
+def test_domination_scan_equals_sequential_loop_on_constant_cocycles(
+    rotated_diagonal_cocycle, p, ls
+):
+    """The exact ties of rates -2 and 1, and both wide bundles of the rotated
+    cocycle (read from the scan, with every base a candidate)."""
+    step = np.diag(np.exp(np.array([-2.0, 1.0]) * 0.01))
+    tie = estimate_splitting(_constant_cocycle(step, 700, 0.01), 1)
+    wide = estimate_splitting(rotated_diagonal_cocycle, p)
+    for est, l in [(tie, 0.3), (tie, 0.15)] + [(wide, l) for l in ls]:
+        assert check_domination(est, l) == _sequential_domination(est, l)
+
+
+def _scaled_band_products(est, l, scale):
+    """Each length's largest product among the bases whose log difference
+    lies within ``1e-12 * scale(top)`` of the row's largest, ``top``."""
+    span = est.log_prefix[:, est.k_lo :]
+    d = span[0] - span[1]
+    dom = _sequential_domination(est, l)
+    out = []
+    for t, _ in dom.products_per_t:
+        j = round(t / est.cocycle.dt)
+        diff = d[j : j + dom.n_bases] - d[: dom.n_bases]
+        c = np.flatnonzero(diff >= diff.max() - 1e-12 * scale(diff.max()))
+        ls, lu = span[:, c + j] - span[:, c]
+        out.append(float(np.max(np.exp(ls) / np.exp(lu))))
+    return out
+
+
+@pytest.mark.parametrize("m, dt", [(10_000, 0.01), (40_000, 0.007)])
+def test_domination_band_covers_rounding_of_large_tables(m, dt):
+    """Rates -8 and 8 in every frame, so every base ties in exact arithmetic,
+    while the tables reach ``|P| = 8 (m - w) dt`` for a window of ``w`` steps:
+    776 and 2216.  Their
+    rounding, not the products, breaks the ties, and the check keeps the
+    loop's picks at the shortest lengths, where the log difference of a
+    product, ``16 t``, is smallest beside ``|P|``.
+
+    Subtracting nearby entries of one table is exact, so the difference and
+    the log of a product part only by the rounding of ``D = P_s - P_u``,
+    about one unit in the last place of ``max |D|``.  Over 10,000 steps that
+    unit, 1.1e-13, is below ``1e-12 |top|`` at the shortest length (1.6e-13),
+    so a band scaled by the row's largest difference alone also holds
+    there; over 40,000 steps at dt 0.007 the unit is 4.5e-13 against
+    ``1e-12 |top|`` = 1.1e-13, and such a band misses the first maximum."""
+    step = np.diag(np.exp(np.array([-8.0, 8.0]) * dt))
+    est = estimate_splitting(_constant_cocycle(step, m, dt), 1)
+    big = np.max(np.abs(est.log_prefix[:, est.k_lo :]))
+    assert big == pytest.approx(8.0 * (m - est.window_steps) * dt)
+    for l in (dt, 2 * dt):
+        ref = _sequential_domination(est, l)
+        assert check_domination(est, l) == ref
+        values = [v for _, v in ref.products_per_t]
+        assert _scaled_band_products(est, l, lambda top: 1.0 + big) == values
+        if m == 40_000:
+            assert _scaled_band_products(est, l, abs) != values
+
+
+def test_domination_scan_memory(sweep_est):
+    """The sweep's six checks peak below 2 MB of traced allocations: the
+    lengths are scanned 16 at a time."""
+    tracemalloc.start()
+    try:
+        for l in SWEEP_LS:
+            check_domination(sweep_est, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+
+def test_domination_has_no_per_length_loop(sweep_est):
+    """With rank-1 bundles no line of ``splitting`` runs once per window
+    length: at l = 0.292 the 117 lengths are 8 chunks of at most 16."""
+    counts = _line_counts(lambda: check_domination(sweep_est, 0.292))
+    assert len(check_domination(sweep_est, 0.292).products_per_t) == 117
+    assert 0 < max(counts.values()) <= 117 // 8
+
+
+def test_estimate_has_no_per_step_loop(sweep_est):
+    """The gap windows of 600 steps are formed from blocks of 24, and the
+    pushes from blocks of about ``sqrt(m)``: no line of ``splitting`` runs
+    once per step of a window."""
+    assert sweep_est.window_steps == 600
+    counts = _line_counts(lambda: estimate_splitting(sweep_est.cocycle, 1))
+    assert 0 < max(counts.values()) <= 600 // 4
 
 
 @pytest.fixture(scope="module")
