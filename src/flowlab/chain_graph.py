@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .flow import VectorFieldSpec, _escape_event, _require_positive, coord_difference
+from .flow import VectorFieldSpec, _escape_event, _require_count, _require_positive, coord_difference
 
 __all__ = [
     "ChainGraph",
@@ -96,8 +96,7 @@ def build_chain_graph(
         if not a < b:
             raise ValueError(f"region axis {i} is inverted: lo {a:g} is not below hi {b:g}")
     _require_positive(hgrid=hgrid, delta=delta)
-    if not (isinstance(t_samples, (int, np.integer)) and t_samples >= 1):
-        raise ValueError(f"t_samples must be an integer of at least 1 (got t_samples={t_samples})")
+    _require_count(1, t_samples=t_samples)
     _require_positive(tol=tol)
     if not 1.0 <= t_max < math.inf:
         raise ValueError(f"t_max must be at least 1 and finite, as chain steps need t >= 1 "

@@ -21,6 +21,7 @@ from .flow import (
     FlowDivergenceError,
     VectorFieldSpec,
     _orbit_points,
+    _require_count,
     _require_positive,
     coord_difference,
     distance,
@@ -280,8 +281,7 @@ def generate_noisy(
     first).  The chain's ``delta`` is
     ``noise + 10 * tol`` to absorb integration error in later verification.
     """
-    if not count >= 1:
-        raise ValueError("count must be at least 1")
+    _require_count(1, count=count)
     _require_positive(noise=noise)
     if not 1.0 - 1e-12 <= step < math.inf:
         raise ValueError(f"step must be >= 1 and finite (got step={step})")
@@ -368,8 +368,7 @@ def periodic_family_chain(
     curvature of the return map.  Head is ``p`` itself; tail is the full
     displacement ``exp_p(C^N v)``.
     """
-    if not n_points >= 2:
-        raise ValueError("n_points must be at least 2")
+    _require_count(2, n_points=n_points)
     _require_positive(period_hint=period_hint)
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -403,19 +402,18 @@ def periodic_family_chain(
     def return_time(y):
         return _cross_plane(spec, anchor, normal, y, 2.0 * period, period / 3.0, tol)[1]
 
-    m = int(n_points)
-    pts = np.empty((m, spec.dim))
-    durations = np.empty(m)
+    pts = np.empty((n_points, spec.dim))
+    durations = np.empty(n_points)
     u = v_frame.copy()
-    for i in range(m):
-        pts[i] = wrap_point(spec, p + frame @ ((i / m) * u))
+    for i in range(n_points):
+        pts[i] = wrap_point(spec, p + frame @ ((i / n_points) * u))
         durations[i] = return_time(pts[i])
         u = ret @ u
         u *= speed / np.linalg.norm(u)
     tail_point = wrap_point(spec, p + frame @ u)
     tail_tau = return_time(tail_point)
     if delta is None:
-        delta = 1.5 * speed / m
+        delta = 1.5 * speed / n_points
     return PseudoOrbit(
         spec=spec,
         points=pts,

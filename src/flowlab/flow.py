@@ -7,8 +7,9 @@ in :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
 
 Two rules hold across the package.  A length, time, rate, radius or count
 argument that is NaN, infinite or out of range raises ``ValueError`` naming
-the argument (:func:`_require_positive` checks the positive ones and
-:func:`_require_finite` the signed ones).  Every
+the argument (:func:`_require_positive` checks the positive ones,
+:func:`_require_finite` the signed ones and :func:`_require_count` the
+counts, which must be integers).  Every
 integrator here solves through :func:`_solve`, where an orbit that crosses the
 divergence bound raises one :class:`FlowDivergenceError`: "<spec>: orbit from
 <start> crossed norm <bound> at t=<t> during <what>", whose ``rows`` index the
@@ -71,6 +72,14 @@ def _require_positive(**values):
     """Raise ``ValueError`` naming the arguments unless every value is
     finite and positive."""
     _require(values, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+
+
+def _require_count(least, **values):
+    """Raise ``ValueError`` naming the first argument that is not an integer
+    (``bool`` excluded) of at least ``least``."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and v >= least):
+            raise ValueError(f"{name} must be at least {least}, as an integer (got {name}={v})")
 
 
 def _require_finite(**values):
@@ -152,8 +161,7 @@ class VectorFieldSpec:
     conserved: Optional[ConservedQuantity] = None
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        _require_count(1, dim=self.dim)
         kinds = tuple(self.coord_kinds) if self.coord_kinds else ("linear",) * self.dim
         if len(kinds) != self.dim:
             raise ValueError(f"coord_kinds has {len(kinds)} entries for dim {self.dim}")

@@ -19,6 +19,7 @@ from .flow import (
     DEFAULT_TOL,
     VectorFieldSpec,
     _orbit_points,
+    _require_count,
     _require_finite,
     _require_positive,
     _solve,
@@ -379,6 +380,7 @@ def find_periodic_newton(
     along.
     """
     _require_positive(residual_tol=residual_tol)
+    _require_count(1, max_iter=max_iter)
     base = np.asarray(x_guess, dtype=float)
     speed = spec.field_at(base)
     norm = np.linalg.norm(speed)
@@ -449,7 +451,7 @@ def _element_report(spec, kind, x, period, spectrum, margins, index) -> Critical
     )
 
 
-def classify_singularity(spec: VectorFieldSpec, x, tol: float = DEFAULT_TOL) -> CriticalElementReport:
+def classify_singularity(spec: VectorFieldSpec, x) -> CriticalElementReport:
     """Polish ``x`` to a nearby equilibrium and report its linearization.
 
     Hyperbolicity requires every eigenvalue's real part to clear 1e-6 in

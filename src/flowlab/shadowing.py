@@ -25,6 +25,7 @@ from .flow import (
     VectorFieldSpec,
     _orbit_points,
     _plain,
+    _require_count,
     _require_positive,
     _wrap_difference,
     coord_difference,
@@ -198,11 +199,6 @@ def frechet_match(dist_matrix) -> tuple:
     return float(value), np.asarray(pairs[::-1], dtype=int)
 
 
-def _require_counts(**counts):
-    """:func:`_require_positive` over the sample counts that are given."""
-    _require_positive(**{name: v for name, v in counts.items() if v is not None})
-
-
 def _chain_time_grid(po: PseudoOrbit, horizon, target: Optional[int] = None) -> np.ndarray:
     lo, hi = float(horizon[0]), float(horizon[1])
     if not -math.inf < lo < hi < math.inf:
@@ -211,7 +207,7 @@ def _chain_time_grid(po: PseudoOrbit, horizon, target: Optional[int] = None) -> 
     bt = po.boundary_times
     marks.append(bt[(bt >= lo) & (bt <= hi)])
     if target is not None and target > 2:
-        marks.append(np.linspace(lo, hi, int(target)))
+        marks.append(np.linspace(lo, hi, target))
     return np.unique(np.concatenate(marks))
 
 
@@ -231,7 +227,7 @@ def shadow_distance(
     ``dt/2 * max |h' * X(orbit) - X(chain)|`` at the interval ends, a
     first-order bound on what can happen between samples.
     """
-    _require_positive(samples=samples)
+    _require_count(1, samples=samples)
     lo, hi = float(horizon[0]), float(horizon[1])
     grid = _chain_time_grid(po, (lo, hi), samples)
     knots = h.knots_t
@@ -292,7 +288,8 @@ class _MatchObjective:
         slope_bounds=(0.1, 10.0),
         tol=DEFAULT_TOL,
     ):
-        _require_counts(chain_samples=chain_samples, orbit_samples=orbit_samples)
+        given = {"chain_samples": chain_samples, "orbit_samples": orbit_samples}
+        _require_count(1, **{name: v for name, v in given.items() if v is not None})
         self.spec = spec
         self.po = po
         self.horizon = (float(horizon[0]), float(horizon[1]))
@@ -307,7 +304,7 @@ class _MatchObjective:
         if orbit_samples is None:
             self.u_grid = self.t_grid.copy()
         else:
-            self.u_grid = np.linspace(self.horizon[0], self.horizon[1], int(orbit_samples))
+            self.u_grid = np.linspace(self.horizon[0], self.horizon[1], orbit_samples)
         self.evaluations = 0
 
     def fit(self, y) -> ReparamFit:
@@ -471,8 +468,10 @@ class SearchBudget:
     settle: float = 3.0
 
     def __post_init__(self) -> None:
-        _require_counts(eval_samples=self.eval_samples, chain_samples=self.chain_samples,
-                        orbit_samples=self.orbit_samples)
+        given = {"chain_samples": self.chain_samples, "orbit_samples": self.orbit_samples}
+        _require_count(1, candidates=self.candidates, eval_samples=self.eval_samples,
+                       **{name: v for name, v in given.items() if v is not None})
+        _require_count(0, refine_evals=self.refine_evals)
         if not 0 <= self.refine_evals < self.candidates:
             raise ValueError(
                 f"need 0 <= refine_evals < candidates (so candidates >= 1); got "

@@ -17,8 +17,9 @@ log norm over the window of length ``j`` at base ``k`` is
 ``P[k + j] - P[k]``.  One scan over ``P``, :func:`_window_log_norms`,
 gives the log norms at every length and base as one array and serves every
 diagnostic: domination, the fit, the arc partitions and the periodic
-estimates.  Only a bundle of rank 2 or more is scanned with SVDs, its bases
-pushed forward one batched transition multiply per step.
+estimates.  Domination compares log products and exponentiates only each
+length's largest.  Only a bundle of rank 2 or more is scanned with SVDs,
+its bases pushed forward one batched transition multiply per step.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .flow import DEFAULT_TOL, VectorFieldSpec, _orbit_points, _require_positive, distance
+from .flow import (DEFAULT_TOL, VectorFieldSpec, _orbit_points, _require_count,
+                   _require_positive, distance)
 from .poincare import CriticalElementReport, NormalCocycle, _periodic_cocycle, find_periodic_newton
 from .shadowing import frechet_match, pairwise_distances
 
@@ -285,18 +287,13 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
     for every sampled base point and every ``t`` in ``[l, 3l]`` on the grid.
 
     The backward norm on the unstable bundle is the reciprocal of the
-    forward conorm, so the checked product is ``exp(ls) / exp(lu)`` for the
-    window's log norm ``ls`` and log conorm ``lu``.  The worst product is the
-    first maximum in scan order (``t`` ascending, then base time ascending),
-    which fixes ``worst_base_time`` among tied bases.
-
-    Between rank-1 bundles the log products are ``D[k + j] - D[k]``,
-    ``D = P_stable - P_unstable``, one strided difference per 16 lengths,
-    and products are formed only within ``1e-12 (1 + max |P|)`` of each
-    length's largest.  With every ``exp`` normal, a product's computed log is
-    within ``10 eps (1 + max |P|)`` of its difference, so any base outside
-    the band has a smaller product than the largest difference's base: the
-    products and ties are a full scan's.  Wider bundles take every base.
+    forward conorm, so the checked product's log is ``ls - lu`` for the
+    window's log norm ``ls`` and log conorm ``lu``; between rank-1 bundles it
+    is ``D[k + j] - D[k]``, ``D = P_stable - P_unstable``, one strided
+    difference per 16 lengths.  The worst product is the first maximum of
+    the log product in scan order (``t`` ascending, then base time
+    ascending), which fixes ``worst_base_time`` among tied bases; only the
+    maxima are exponentiated, so no product overflows on the way.
     """
     dt = est.cocycle.dt
     l = float(l)
@@ -310,37 +307,33 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
         raise ValueError("cocycle too short for the requested window; extend the orbit")
     ks = np.arange(est.k_lo, hi_base + 1)
     js = np.arange(j_lo, j_hi + 1)
+    n = len(ks)
 
-    # the tables from the first base on: P[k + j] - P[k] is span[c + j] - span[c]
+    # the tables from the first base on: D[k + j] - D[k] is d[c + j] - d[c]
     span = est.log_prefix[:, ks[0] : ks[-1] + j_hi + 1]
-    d, logs, band = span[0] - span[1], None, np.inf
+    d, logs = span[0] - span[1], None
     if np.isnan(d).any():  # a wider bundle has no table
-        logs = np.stack([_window_log_norms(est, side, ks, js) for side in (0, 1)])
-    elif j_hi * np.abs(np.diff(span)).max() < 350.0:  # every |ls|, |lu| < 350: exp normal
-        band = 1e-12 * (1.0 + np.abs(span).max())
+        logs = np.subtract(*(_window_log_norms(est, side, ks, js) for side in (0, 1)))
     tops, picks = np.empty(len(js)), np.empty(len(js), dtype=int)
     for lo in range(0, len(js), 16):
-        jc, rows = js[lo : lo + 16], slice(lo, lo + 16)
+        rows = slice(lo, lo + 16)
         if logs is None:
-            diff = sliding_window_view(d[jc[0] : jc[-1] + len(ks)], len(ks)) - d[: len(ks)]
+            diff = sliding_window_view(d[js[lo] : js[lo] + 15 + n], n) - d[:n]
         else:
-            diff = logs[0, rows] - logs[1, rows]
-        r, c = np.divmod(np.flatnonzero(diff >= diff.max(axis=1, keepdims=True) - band), len(ks))
-        ls, lu = span[:, c + jc[r]] - span[:, c] if logs is None else logs[:, lo + r, c]
-        products = np.exp(ls) / np.exp(lu)
-        # each row's first largest product: by row, then largest first, stably
-        best = np.lexsort((-products, r))[np.searchsorted(r, np.arange(len(jc)))]
-        picks[rows], tops[rows] = c[best], products[best]
+            diff = logs[rows]
+        picks[rows] = np.argmax(diff, axis=1)
+        tops[rows] = diff[np.arange(len(diff)), picks[rows]]
     w = int(np.argmax(tops))
-    worst = float(tops[w])
+    products = np.exp(tops)
+    worst = float(products[w])
     return DominationCheck(
         ok=bool(worst <= 0.5 + 1e-12),
         l=l,
         worst_product=worst,
         worst_base_time=float(est.cocycle.times[ks[picks[w]]]),
         worst_t=float(js[w] * dt),
-        products_per_t=tuple(zip((js * dt).tolist(), tops.tolist())),
-        n_bases=len(ks),
+        products_per_t=tuple(zip((js * dt).tolist(), products.tolist())),
+        n_bases=n,
     )
 
 
@@ -372,9 +365,8 @@ def fit_hyperbolic(
     sample.  A bundle fails when its fitted rate is not below 1 by at least
     1e-3, and the overall fit fails if either side does.
     """
-    for name, value, least in (("n_times", n_times, 2), ("n_bases", n_bases, 1)):
-        if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
-            raise ValueError(f"{name} must be at least {least}, as an integer (got {name}={value})")
+    _require_count(2, n_times=n_times)
+    _require_count(1, n_bases=n_bases)
     _require_positive(t_lo=t_lo)
     dt = est.cocycle.dt
     m = est.cocycle.steps
@@ -626,8 +618,7 @@ def arc_to_periodic_orbit(
     dense samples of the arc and of the found orbit.
     """
     _require_positive(tau=tau, delta=delta)
-    if not 2 <= samples < math.inf:  # the grid must end at the arc's end, X_tau(x)
-        raise ValueError(f"samples must be at least 2 and finite (got samples={samples})")
+    _require_count(2, samples=samples)  # the grid must end at the arc's end, X_tau(x)
     if not cert.ok:
         raise ValueError("the quasi-hyperbolicity certificate does not hold")
     arc_pts = _orbit_points(spec, x, np.linspace(0.0, tau, samples), tol)

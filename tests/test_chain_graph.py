@@ -169,15 +169,15 @@ def test_time_sample_grid(scenarios):
         ({"t_max": math.nan}, r"t_max must be at least 1 and finite.*\(got t_max=nan\)"),
         ({"t_max": math.inf}, r"\(got t_max=inf\)"),
         ({"hgrid": math.nan}, r"hgrid and delta must be positive .*\(got hgrid=nan"),
-        ({"t_samples": math.nan}, r"t_samples must be an integer of at least 1 \(got t_samples=nan\)"),
+        ({"t_samples": math.nan}, r"^t_samples must be at least 1, as an integer \(got t_samples=nan\)$"),
         ({"region": [[-0.25, 0.25]] * 2 + [[-0.23, 0.25]]},
          "integer multiple of hgrid"),
         ({"cell_cap": 10}, "125 cells exceed the cap 10"),
         ({"region": [[-0.25, 0.25], [0.25, -0.25], [-0.25, 0.25]]},
          "region axis 1 is inverted"),
-        ({"t_samples": 1.5}, r"t_samples must be an integer of at least 1 \(got t_samples=1\.5\)"),
-        ({"t_samples": 2.0}, r"t_samples must be an integer of at least 1 \(got t_samples=2\.0\)"),
-        ({"t_samples": 0}, r"t_samples must be an integer of at least 1 \(got t_samples=0\)"),
+        ({"t_samples": 1.5}, r"^t_samples must be at least 1, as an integer \(got t_samples=1\.5\)$"),
+        ({"t_samples": 2.0}, r"^t_samples must be at least 1, as an integer \(got t_samples=2\.0\)$"),
+        ({"t_samples": 0}, r"^t_samples must be at least 1, as an integer \(got t_samples=0\)$"),
     ],
 )
 def test_build_rejects_bad_arguments(scenarios, kwargs, message):

@@ -1,10 +1,12 @@
 """Package-wide rules: the namespace and the argument check."""
 
 import ast
+import functools
 import importlib
 import math
 import pathlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -50,12 +52,17 @@ TWO_PI = 2.0 * math.pi
 ARC_START = np.array([1.001, 0.0, 1e-5])
 
 
+@functools.lru_cache(maxsize=None)
+def _estimate():
+    """The splitting estimate along the saddle_cycle orbit of ARC_START."""
+    coc = fl.build_cocycle(CYCLE, ARC_START, 10.8, 0.05, t_start=-2.0)
+    return fl.estimate_splitting(coc, 1, window_time=2.0)
+
+
 def _certificate(tau):
     """The quasi-hyperbolicity certificate of the saddle_cycle arc from ARC_START
     over [0, tau]; over one period it holds and the arc nearly closes up."""
-    coc = fl.build_cocycle(CYCLE, ARC_START, 10.8, 0.05, t_start=-2.0)
-    est = fl.estimate_splitting(coc, 1, window_time=2.0)
-    return fl.check_quasi_hyperbolic(CYCLE, ARC_START, tau, est, 0.5, 1.0)
+    return fl.check_quasi_hyperbolic(CYCLE, ARC_START, tau, _estimate(), 0.5, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -123,14 +130,16 @@ def _certificate(tau):
         pytest.param(lambda tmp: fl.SearchBudget(eval_samples=NAN),
                      r"\(got eval_samples=nan\)", id="SearchBudget-eval_samples"),
         pytest.param(lambda tmp: fl.SearchBudget(chain_samples=NAN),
-                     r"\(got eval_samples=257, chain_samples=nan\)", id="SearchBudget-chain_samples"),
+                     r"^chain_samples must be at least 1, as an integer \(got chain_samples=nan\)$",
+                     id="SearchBudget-chain_samples"),
         pytest.param(lambda tmp: fl.SearchBudget(orbit_samples=NAN),
-                     r"\(got eval_samples=257, orbit_samples=nan\)", id="SearchBudget-orbit_samples"),
+                     r"^orbit_samples must be at least 1, as an integer \(got orbit_samples=nan\)$",
+                     id="SearchBudget-orbit_samples"),
         pytest.param(lambda tmp: fl.best_reparam(SADDLE, P, ONE_POINT, (0.0, 1.0), chain_samples=NAN),
-                     r"^chain_samples must be positive and finite \(got chain_samples=nan\)$",
+                     r"^chain_samples must be at least 1, as an integer \(got chain_samples=nan\)$",
                      id="best_reparam-chain_samples"),
         pytest.param(lambda tmp: fl.best_reparam(SADDLE, P, ONE_POINT, (0.0, 1.0), orbit_samples=NAN),
-                     r"^orbit_samples must be positive and finite \(got orbit_samples=nan\)$",
+                     r"^orbit_samples must be at least 1, as an integer \(got orbit_samples=nan\)$",
                      id="best_reparam-orbit_samples"),
         pytest.param(lambda tmp: _certificate(NAN),
                      r"^tau must be positive and finite \(got tau=nan\)$",
@@ -144,7 +153,7 @@ def _certificate(tau):
                      r"\(got tau=6.28\d*, delta=nan\)$", id="arc_to_periodic_orbit-delta"),
         pytest.param(lambda tmp: fl.arc_to_periodic_orbit(CYCLE, ARC_START, TWO_PI,
                                                           _certificate(TWO_PI), 0.01, samples=NAN),
-                     r"^samples must be at least 2 and finite \(got samples=nan\)$",
+                     r"^samples must be at least 2, as an integer \(got samples=nan\)$",
                      id="arc_to_periodic_orbit-samples"),
         # a NaN radius must not switch off the section disc check
         pytest.param(lambda tmp: fl.section_map(CYCLE, P, P, TWO_PI, radius=NAN),
@@ -171,6 +180,47 @@ def test_nan_arguments_raise_value_error_naming_them(call, message, tmp_path):
     fail later in the solver."""
     with pytest.raises(ValueError, match=message):
         call(tmp_path)
+
+
+# each count argument, its least value, and a call that passes it
+COUNTS = [
+    pytest.param("t_samples", 1, lambda v: fl.build_chain_graph(
+        SADDLE, GRAPH_REGION, 1.0, 0.5, 2.0, t_samples=v), id="build_chain_graph"),
+    pytest.param("n_times", 2, lambda v: fl.fit_hyperbolic(_estimate(), n_times=v),
+                 id="fit_hyperbolic-n_times"),
+    pytest.param("n_bases", 1, lambda v: fl.fit_hyperbolic(_estimate(), n_bases=v),
+                 id="fit_hyperbolic-n_bases"),
+    pytest.param("count", 1, lambda v: fl.generate_noisy(SADDLE, P, v, 1e-3), id="generate_noisy"),
+    pytest.param("n_points", 2, lambda v: fl.periodic_family_chain(CYCLE, P, P, v, 6.0),
+                 id="periodic_family_chain"),
+    pytest.param("samples", 2, lambda v: fl.arc_to_periodic_orbit(
+        CYCLE, ARC_START, TWO_PI, _certificate(TWO_PI), 0.01, samples=v),
+                 id="arc_to_periodic_orbit"),
+    pytest.param("samples", 1, lambda v: fl.shadow_distance(
+        SADDLE, P, IDENTITY, ONE_POINT, (0.0, 1.0), samples=v), id="shadow_distance"),
+    *(pytest.param(name, least, lambda v, name=name: fl.SearchBudget(**{name: v}),
+                   id=f"SearchBudget-{name}")
+      for name, least in (("candidates", 1), ("refine_evals", 0), ("eval_samples", 1),
+                          ("chain_samples", 1), ("orbit_samples", 1))),
+    *(pytest.param(name, 1, lambda v, name=name: fl.best_reparam(
+        SADDLE, P, ONE_POINT, (0.0, 1.0), **{name: v}), id=f"best_reparam-{name}")
+      for name in ("chain_samples", "orbit_samples")),
+    pytest.param("max_iter", 1, lambda v: fl.find_periodic_newton(CYCLE, P, TWO_PI, max_iter=v),
+                 id="find_periodic_newton"),
+    pytest.param("dim", 1, lambda v: fl.VectorFieldSpec("still", v, np.negative, np.negative),
+                 id="VectorFieldSpec"),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "least - 1"])
+@pytest.mark.parametrize("name, least, call", COUNTS)
+def test_counts_must_be_integers_of_at_least_their_least(name, least, call, value):
+    """A count that is a bool, a fraction or below its least raises one
+    ValueError naming it: none is truncated, read as 1, or left to numpy."""
+    value = least - 1 if value == "least - 1" else value
+    got = re.escape(f"(got {name}={value})")
+    with pytest.raises(ValueError, match=f"^{name} must be at least {least}, as an integer {got}$"):
+        call(value)
 
 
 def _readme_blocks():

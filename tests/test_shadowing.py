@@ -357,9 +357,14 @@ def test_lattice_scan_scores_escaping_candidates_inf(scenarios):
 def test_search_budget_validation():
     assert SearchBudget(candidates=5, refine_evals=4).refine_evals == 4
     assert SearchBudget(candidates=1, refine_evals=0).candidates == 1
-    for candidates, refine_evals in ((5, 30), (5, 5), (0, 0), (10, -1)):
+    for candidates, refine_evals in ((5, 30), (5, 5)):
         with pytest.raises(ValueError, match="0 <= refine_evals < candidates"):
             SearchBudget(candidates=candidates, refine_evals=refine_evals)
+    # each count's own least comes first
+    for name, least, value, budget in (("candidates", 1, 0, (0, 0)), ("refine_evals", 0, -1, (10, -1))):
+        message = rf"^{name} must be at least {least}, as an integer \(got {name}={value}\)$"
+        with pytest.raises(ValueError, match=message):
+            SearchBudget(*budget)
 
 
 def test_frechet_match_prefers_diagonal():

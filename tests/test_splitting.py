@@ -570,7 +570,7 @@ def test_tie_rule_on_constant_diagonal_cocycle():
 def test_tie_rule_reports_first_maximum_on_exact_ties(saddle_est, monkeypatch):
     """With every product equal, the first base of the first time wins.  The
     log-growth tables are blanked, as a wider bundle's are, so the check
-    reads every length from the scan and takes every base as a candidate."""
+    reads every length's log products from the scan."""
     _, est = saddle_est
     est = dataclasses.replace(est, log_prefix=np.full_like(est.log_prefix, np.nan))
 
@@ -584,23 +584,29 @@ def test_tie_rule_reports_first_maximum_on_exact_ties(saddle_est, monkeypatch):
     assert dom.worst_base_time == est.cocycle.times[est.k_lo]
 
 
+def _integer_table_estimate(est):
+    """``est`` with integer log-growth tables, -2k stable and k unstable."""
+    k = np.arange(est.cocycle.steps + 1, dtype=float)
+    return dataclasses.replace(est, log_prefix=np.array([-2.0 * k, k]))
+
+
 def test_tie_rule_on_exact_integer_tables(saddle_est):
     """Integer log-growth tables, -2k stable and k unstable, give every base
-    the same product ``e^{-2j} / e^{j}``, bit for bit, and the band keeps
-    every base a candidate: the first base of the first length wins."""
-    _, est = saddle_est
-    k = np.arange(est.cocycle.steps + 1, dtype=float)
-    est = dataclasses.replace(est, log_prefix=np.array([-2.0 * k, k]))
+    the same log product ``D[k + j] - D[k] = -3j``, bit for bit: the first
+    base of the first length wins, and its product is ``exp(-3j)``."""
+    est = _integer_table_estimate(saddle_est[1])
     dom = check_domination(est, 0.4)
     assert dom == _sequential_domination(est, 0.4)
-    assert dom.worst_product == math.exp(-16.0) / math.exp(8.0)
+    assert dom.worst_product == math.exp(-24.0)
     assert dom.worst_t == pytest.approx(0.4, abs=1e-12)
     assert dom.worst_base_time == est.cocycle.times[est.k_lo]
 
 
-def _sequential_domination(est, l):
-    """``check_domination`` as one loop over the window lengths: every base's
-    product at every length, the first maximum kept in scan order."""
+def _domination_loop(est, l, values, product):
+    """``check_domination`` as one loop over the window lengths: each
+    length's ``values(j, ks, ls, lu)`` over the bases, its first maximum
+    kept, and the first length whose maximum is largest the worst; the
+    reported products are ``product`` of those maxima."""
     dt = est.cocycle.dt
     j_lo = max(1, math.ceil(l / dt - 1e-9))
     j_hi = math.floor(3.0 * l / dt + 1e-9)
@@ -609,17 +615,33 @@ def _sequential_domination(est, l):
     js = range(j_lo, j_hi + 1)
     stable, unstable = (_window_log_norms(est, side, ks, js) for side in (0, 1))
     for j, ls, lu in zip(js, stable, unstable):
-        products = np.exp(ls) / np.exp(lu)
-        idx = int(np.argmax(products))
-        if products[idx] > worst:
-            worst = float(products[idx])
-            worst_base = float(est.cocycle.times[ks[idx]])
-            worst_t = j * dt
-        per_t.append((j * dt, float(products[idx])))
-    ok = bool(worst <= 0.5 + 1e-12)
+        row = values(j, ks, ls, lu)
+        idx = int(np.argmax(row))
+        if row[idx] > worst:
+            worst, worst_base, worst_t = row[idx], float(est.cocycle.times[ks[idx]]), j * dt
+        per_t.append((j * dt, float(product(row[idx]))))
+    worst = float(product(worst))
     return splitting.DominationCheck(
-        ok, float(l), worst, worst_base, worst_t, tuple(per_t), len(ks)
+        bool(worst <= 0.5 + 1e-12), float(l), worst, worst_base, worst_t, tuple(per_t), len(ks)
     )
+
+
+def _sequential_domination(est, l):
+    """The log-space loop: ``D[k + j] - D[k]`` with ``D = P_stable -
+    P_unstable`` between rank-1 bundles, ``ls - lu`` for a wider bundle,
+    and ``exp`` of each length's first maximum only."""
+    d = est.log_prefix[0] - est.log_prefix[1]
+    rank_1 = est.stable.shape[2] == est.unstable.shape[2] == 1
+
+    def log_products(j, ks, ls, lu):
+        return d[ks + j] - d[ks] if rank_1 else ls - lu
+
+    return _domination_loop(est, l, log_products, np.exp)
+
+
+def _quotient_domination(est, l):
+    """The earlier loop, forming every product as ``exp(ls) / exp(lu)``."""
+    return _domination_loop(est, l, lambda j, ks, ls, lu: np.exp(ls) / np.exp(lu), float)
 
 
 # the splitting-sweep benchmark's l values, on both sides of ln(2)/3
@@ -645,7 +667,7 @@ def test_domination_scan_equals_sequential_loop_on_constant_cocycles(
     rotated_diagonal_cocycle, p, ls
 ):
     """The exact ties of rates -2 and 1, and both wide bundles of the rotated
-    cocycle (read from the scan, with every base a candidate)."""
+    cocycle (read from the scan)."""
     step = np.diag(np.exp(np.array([-2.0, 1.0]) * 0.01))
     tie = estimate_splitting(_constant_cocycle(step, 700, 0.01), 1)
     wide = estimate_splitting(rotated_diagonal_cocycle, p)
@@ -653,49 +675,64 @@ def test_domination_scan_equals_sequential_loop_on_constant_cocycles(
         assert check_domination(est, l) == _sequential_domination(est, l)
 
 
-def _scaled_band_products(est, l, scale):
-    """Each length's largest product among the bases whose log difference
-    lies within ``1e-12 * scale(top)`` of the row's largest, ``top``."""
-    span = est.log_prefix[:, est.k_lo :]
-    d = span[0] - span[1]
-    dom = _sequential_domination(est, l)
-    out = []
-    for t, _ in dom.products_per_t:
-        j = round(t / est.cocycle.dt)
-        diff = d[j : j + dom.n_bases] - d[: dom.n_bases]
-        c = np.flatnonzero(diff >= diff.max() - 1e-12 * scale(diff.max()))
-        ls, lu = span[:, c + j] - span[:, c]
-        out.append(float(np.max(np.exp(ls) / np.exp(lu))))
-    return out
+def _assert_keeps_quotient_picks(est, l):
+    """The log-space check picks the base and time the quotient loop picks,
+    with the same verdict, and its products lie within 1e-12 relative."""
+    dom, ref = check_domination(est, l), _quotient_domination(est, l)
+    assert (dom.ok, dom.worst_base_time, dom.worst_t, dom.n_bases) == (
+        ref.ok, ref.worst_base_time, ref.worst_t, ref.n_bases
+    )
+    got, want = (np.array([v for _, v in c.products_per_t]) for c in (dom, ref))
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_domination_keeps_quotient_picks_on_sweep(sweep_est):
+    for l in SWEEP_LS + (0.15, 0.26, 0.4, 1.0):
+        _assert_keeps_quotient_picks(sweep_est, l)
+
+
+def test_domination_keeps_quotient_picks_on_ties(saddle_est):
+    """The -2/1 tie cocycle and the integer tables keep their first bases."""
+    step = np.diag(np.exp(np.array([-2.0, 1.0]) * 0.01))
+    tie = estimate_splitting(_constant_cocycle(step, 700, 0.01), 1)
+    for est, l in ((tie, 0.3), (tie, 0.15), (_integer_table_estimate(saddle_est[1]), 0.4)):
+        _assert_keeps_quotient_picks(est, l)
 
 
 @pytest.mark.parametrize("m, dt", [(10_000, 0.01), (40_000, 0.007)])
-def test_domination_band_covers_rounding_of_large_tables(m, dt):
-    """Rates -8 and 8 in every frame, so every base ties in exact arithmetic,
-    while the tables reach ``|P| = 8 (m - w) dt`` for a window of ``w`` steps:
-    776 and 2216.  Their
-    rounding, not the products, breaks the ties, and the check keeps the
-    loop's picks at the shortest lengths, where the log difference of a
-    product, ``16 t``, is smallest beside ``|P|``.
-
-    Subtracting nearby entries of one table is exact, so the difference and
-    the log of a product part only by the rounding of ``D = P_s - P_u``,
-    about one unit in the last place of ``max |D|``.  Over 10,000 steps that
-    unit, 1.1e-13, is below ``1e-12 |top|`` at the shortest length (1.6e-13),
-    so a band scaled by the row's largest difference alone also holds
-    there; over 40,000 steps at dt 0.007 the unit is 4.5e-13 against
-    ``1e-12 |top|`` = 1.1e-13, and such a band misses the first maximum."""
+def test_domination_products_of_large_tables_meet_closed_form(m, dt):
+    """Rates -8 and 8 in every frame, so every base's product is e^{-16t}
+    in exact arithmetic, while the tables reach ``|P| = 8 (m - w) dt`` for a
+    window of ``w`` steps: 776 and 2216.  Subtracting nearby entries of one
+    table is exact, so a log product misses ``-16t`` only by the rounding of
+    ``D = P_s - P_u`` and of the tables themselves: every product lies within
+    ``8 eps (1 + max |D|)`` relative of the closed form."""
     step = np.diag(np.exp(np.array([-8.0, 8.0]) * dt))
     est = estimate_splitting(_constant_cocycle(step, m, dt), 1)
-    big = np.max(np.abs(est.log_prefix[:, est.k_lo :]))
-    assert big == pytest.approx(8.0 * (m - est.window_steps) * dt)
+    span = est.log_prefix[:, est.k_lo :]
+    assert np.max(np.abs(span)) == pytest.approx(8.0 * (m - est.window_steps) * dt)
+    bound = 8.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(span[0] - span[1])))
     for l in (dt, 2 * dt):
-        ref = _sequential_domination(est, l)
-        assert check_domination(est, l) == ref
-        values = [v for _, v in ref.products_per_t]
-        assert _scaled_band_products(est, l, lambda top: 1.0 + big) == values
-        if m == 40_000:
-            assert _scaled_band_products(est, l, abs) != values
+        dom = check_domination(est, l)
+        assert dom == _sequential_domination(est, l)
+        for t, value in dom.products_per_t:
+            closed = math.exp(-16.0 * round(t / dt) * dt)
+            assert abs(value - closed) <= bound * closed
+
+
+@pytest.mark.parametrize("rates", [(10.0, 20.0), (-20.0, -10.0)])
+def test_domination_of_tables_beyond_exp_range(rates):
+    """Normal rates 10 and 20 (or -20 and -10) over 200 time units: at
+    ``l = 30`` every window's log norm and log conorm lies beyond 700, where
+    ``exp`` overflows or underflows, while the log product is ``-10t``.  The
+    check reads the closed form ``e^{-300}`` at ``t = l``, with no warning."""
+    step = np.diag(np.exp(np.array(rates) * 0.05))
+    est = estimate_splitting(_constant_cocycle(step, 4000, 0.05), 1)
+    dom = check_domination(est, 30.0)
+    assert dom == _sequential_domination(est, 30.0)
+    assert dom.ok
+    assert dom.worst_t == pytest.approx(30.0, abs=1e-9)
+    assert dom.worst_product == pytest.approx(math.exp(-300.0), rel=1e-12)
 
 
 def test_domination_scan_memory(sweep_est):
@@ -1095,5 +1132,5 @@ def test_arc_to_periodic_orbit_validation(cycle_arc_est):
     with pytest.raises(ValueError, match=r"^tau and delta must be positive and finite \(got tau=-6.0"):
         arc_to_periodic_orbit(spec, x, -6.0, good, 0.01)
     # one sample is the arc's start alone, and its gap to itself is 0
-    with pytest.raises(ValueError, match=r"^samples must be at least 2 and finite \(got samples=1\)$"):
+    with pytest.raises(ValueError, match=r"^samples must be at least 2, as an integer \(got samples=1\)$"):
         arc_to_periodic_orbit(spec, x, 6.0, good, 0.01, samples=1)
