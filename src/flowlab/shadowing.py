@@ -49,6 +49,9 @@ __all__ = [
     "refute_by_conservation",
 ]
 
+# The slopes a reparametrization's segments may take, below and above.
+_SLOPE_BOUNDS = (0.1, 10.0)
+
 
 class Reparametrization:
     """Piecewise-linear increasing time change with ``h(0) = 0``.
@@ -59,7 +62,7 @@ class Reparametrization:
     the end segment slopes.
     """
 
-    def __init__(self, knots_t, knots_u, slope_bounds=(0.1, 10.0)):
+    def __init__(self, knots_t, knots_u, slope_bounds=_SLOPE_BOUNDS):
         t = np.asarray(knots_t, dtype=float)
         u = np.asarray(knots_u, dtype=float)
         if t.ndim != 1 or t.shape != u.shape or len(t) < 2:
@@ -87,9 +90,9 @@ class Reparametrization:
         self.slope_bounds = (lo, hi)
 
     @classmethod
-    def identity(cls, span, slope_bounds=(0.1, 10.0)) -> "Reparametrization":
+    def identity(cls, span) -> "Reparametrization":
         t = np.unique(np.asarray([span[0], 0.0, span[1]], dtype=float))
-        return cls(t, t.copy(), slope_bounds)
+        return cls(t, t.copy())
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -285,7 +288,6 @@ class _MatchObjective:
         horizon,
         chain_samples=None,
         orbit_samples=None,
-        slope_bounds=(0.1, 10.0),
         tol=DEFAULT_TOL,
     ):
         given = {"chain_samples": chain_samples, "orbit_samples": orbit_samples}
@@ -293,7 +295,6 @@ class _MatchObjective:
         self.spec = spec
         self.po = po
         self.horizon = (float(horizon[0]), float(horizon[1]))
-        self.slope_bounds = slope_bounds
         self.tol = tol
         self.t_grid = _chain_time_grid(po, self.horizon, chain_samples)
         anchor = int(np.argmin(np.abs(self.t_grid)))
@@ -321,14 +322,14 @@ class _MatchObjective:
         kt = self.t_grid
         shift = float(ku[self.anchor])
         ku = ku - shift
-        lo_s, hi_s = self.slope_bounds
+        lo_s, hi_s = _SLOPE_BOUNDS
         for i in range(self.anchor + 1, len(kt)):
             dt = kt[i] - kt[i - 1]
             ku[i] = min(max(ku[i], ku[i - 1] + lo_s * dt), ku[i - 1] + hi_s * dt)
         for i in range(self.anchor - 1, -1, -1):
             dt = kt[i + 1] - kt[i]
             ku[i] = min(max(ku[i], ku[i + 1] - hi_s * dt), ku[i + 1] - lo_s * dt)
-        h = Reparametrization(kt, ku, self.slope_bounds)
+        h = Reparametrization(kt, ku)
         y_anchored = flow_at(self.spec, y, shift, tol=self.tol)
         return ReparamFit(h=h, distance=value, y_anchored=y_anchored, shift=shift)
 
@@ -367,7 +368,6 @@ def best_reparam(
     horizon,
     chain_samples: Optional[int] = None,
     orbit_samples: Optional[int] = None,
-    slope_bounds=(0.1, 10.0),
     tol: float = DEFAULT_TOL,
 ) -> ReparamFit:
     """Best monotone matching of the orbit of ``y`` against the chain.
@@ -384,7 +384,6 @@ def best_reparam(
         horizon,
         chain_samples=chain_samples,
         orbit_samples=orbit_samples,
-        slope_bounds=slope_bounds,
         tol=tol,
     )
     return obj.fit(y)
@@ -530,7 +529,6 @@ def search_shadowing(
     epsilon: float,
     seed_region,
     budget: Optional[SearchBudget] = None,
-    slope_bounds=(0.1, 10.0),
     tol: float = DEFAULT_TOL,
 ) -> ShadowingReport:
     """Search for a point whose reparametrized orbit stays ``epsilon``-close to
@@ -540,7 +538,7 @@ def search_shadowing(
     ``x_0 + c_0``, with knots ``t`` at the boundary times and ``u`` at the sums of
     ``h_i + s_i`` (the last segment unshifted), is kept when Newton converged, the
     witness lies in the seed box, every ``|c_i| < epsilon``, every slope
-    ``(h_i + s_i) / h_i`` lies within ``slope_bounds`` and the dense
+    ``(h_i + s_i) / h_i`` lies within the slope bounds ``[0.1, 10]`` and the dense
     :func:`shadow_distance` is below ``epsilon``.  Otherwise a note says why, and
     the lattice stage runs, as on every chain with a head or tail: a centered lattice
     over the seed box, then one over its best point's cell, each one batched scan of
@@ -556,7 +554,7 @@ def search_shadowing(
         raise ValueError(f"seed_region must have shape ({spec.dim}, 2)")
     if not np.all(np.isfinite(seed_region)) or np.any(seed_region[:, 0] > seed_region[:, 1]):
         raise ValueError("seed_region rows must be finite with lo <= hi")
-    search = (spec, po, epsilon, seed_region, budget, slope_bounds, tol)
+    search = (spec, po, epsilon, seed_region, budget, tol)
     if po.head is not None or po.tail is not None or po.size < 2:
         return _lattice_search(*search)
     try:
@@ -572,11 +570,11 @@ def search_shadowing(
         reason = "its witness lies outside the seed box"
     elif (largest := float(np.linalg.norm(newton.corrections, axis=1).max())) >= epsilon:
         reason = f"its largest correction {largest:.6g} is not below epsilon"
-    elif np.any((tau < slope_bounds[0] * h) | (tau > slope_bounds[1] * h)):
+    elif np.any((tau < _SLOPE_BOUNDS[0] * h) | (tau > _SLOPE_BOUNDS[1] * h)):
         reason = "a time slope (h_i + s_i) / h_i leaves slope_bounds"
     else:
         horizon = (0.0, po.total_time)
-        reparam = Reparametrization(po.boundary_times, np.append(0.0, np.cumsum(tau)), slope_bounds)
+        reparam = Reparametrization(po.boundary_times, np.append(0.0, np.cumsum(tau)))
         dense = shadow_distance(spec, y, reparam, po, horizon, 4 * budget.eval_samples + 1, tol)
         if dense < epsilon:
             return ShadowingReport(
@@ -593,8 +591,7 @@ def search_shadowing(
                    newton_residual=newton.residual, notes=report.notes + (note,))
 
 
-def _lattice_search(spec, po, epsilon, seed_region, budget, slope_bounds=(0.1, 10.0),
-                    tol=DEFAULT_TOL) -> ShadowingReport:
+def _lattice_search(spec, po, epsilon, seed_region, budget, tol=DEFAULT_TOL) -> ShadowingReport:
     """The lattice stage of :func:`search_shadowing`, on its checked arguments."""
     lo = -budget.settle if po.head is not None else 0.0
     hi = po.total_time + (budget.settle if po.tail is not None else 0.0)
@@ -604,7 +601,6 @@ def _lattice_search(spec, po, epsilon, seed_region, budget, slope_bounds=(0.1, 1
         (lo, hi),
         chain_samples=budget.chain_samples,
         orbit_samples=budget.orbit_samples,
-        slope_bounds=slope_bounds,
         tol=tol,
     )
 

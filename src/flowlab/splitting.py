@@ -1,14 +1,14 @@
 """Dominated splittings, hyperbolicity fits, and quasi-hyperbolic arcs.
 
 All diagnostics run over a sampled :class:`~flowlab.poincare.NormalCocycle`.
-The estimate forms its eight gap windows together from blocks of steps
-and seeds the unstable bundle from the first, the stable one from the
-last.  Each bundle is pushed only the way it dominates, the unstable one
-forward along the per-step transitions and the stable one backward through
-them (inverting only single steps), which keeps conditioning under control
-even along strongly hyperbolic orbits.  The push is a blocked prefix scan,
-about ``2 sqrt(m)`` batched steps over ``m`` transitions, each prefix
-product rescaled as it is formed so that none overflows.
+The estimate forms its eight gap windows from blocks of steps, takes one
+SVD of them and seeds each bundle once where its window ends, the unstable
+one at the first, the stable one at the last.  Each is pushed once, only
+the way it dominates: forward along the per-step transitions, or backward
+through them (inverting only single steps), which keeps conditioning under
+control even along strongly hyperbolic orbits.  The push is a blocked
+prefix scan, about ``2 sqrt(m)`` batched steps over ``m`` transitions,
+each prefix product rescaled as it is formed so that none overflows.
 
 Both bundles are invariant by construction, so a rank-1 bundle's window
 norms need no window products: the estimate keeps one log-growth table per
@@ -19,7 +19,7 @@ gives the log norms at every length and base as one array and serves every
 diagnostic: domination, the fit, the arc partitions and the periodic
 estimates.  Domination compares log products and exponentiates only each
 length's largest.  Only a bundle of rank 2 or more is scanned with SVDs,
-its bases pushed forward one batched transition multiply per step.
+its steps restricted to it and multiplied one batch at a time.
 """
 
 from __future__ import annotations
@@ -172,14 +172,14 @@ def estimate_splitting(
     """Estimate a rank-``p`` stable / rank-``(n-1-p)`` unstable splitting.
 
     The eight gap windows' products are formed together from blocks of
-    steps, the first at the cocycle's start and the last at its end.  The
-    first's dominant left singular vectors seed the unstable bundle, pushed
-    forward; the last's trailing right ones seed the stable bundle, pulled
-    backward through the inverted steps, and its trailing left ones, their
-    images, seed it at the cocycle's end, pulled backward across that
-    window.  A singular-value ratio below 1.2 between ranks ``q`` and
-    ``q+1`` raises :class:`DominationGapError`; nearly tangent bundles raise
-    :class:`SplittingDegenerateError`.
+    steps, the first at the cocycle's start and the last at its end, and
+    take one SVD.  A singular-value ratio below 1.2 between ranks ``q`` and
+    ``q+1`` raises :class:`DominationGapError` before any push.  Each
+    bundle is seeded once, where its window ends, and pushed once: the
+    first window's dominant left singular vectors seed the unstable bundle,
+    pushed forward, and the last's trailing left ones seed the stable
+    bundle at the cocycle's end, pulled backward through all the inverted
+    steps.  Nearly tangent bundles raise :class:`SplittingDegenerateError`.
     """
     trans = cocycle.trans
     n1 = trans.shape[1]
@@ -204,31 +204,22 @@ def estimate_splitting(
     steps = steps.reshape(len(ks), -1, size, n1, n1)
     block = reduce(lambda prod, step: step @ prod, np.moveaxis(steps, 2, 0))
     prods = reduce(lambda prod, step: step @ prod, np.moveaxis(block, 1, 0))
-    u, _, vt = np.linalg.svd(prods[[0, -1]])
-    log_prefix = np.full((2, m + 1), np.nan)
-    unstable = np.full((m + 1, n1, q), np.nan)
-    unstable[window:], log_prefix[1, window:] = _push_basis(trans[window:], u[0][:, :q])
-
-    # the stable bundle dominates the inverted steps, so it is only pulled
-    # back: from m - window, seeded by the last window's trailing right
-    # singular vectors, and across that window from m, seeded by its trailing
-    # left ones, their images
-    inverse = np.linalg.inv(trans)[::-1]
-    back, back_logs = _push_basis(inverse[window:], vt[1].T[:, n1 - p :])
-    tail, tail_logs = _push_basis(inverse[:window], u[1][:, n1 - p :])
-    # P is 0 at m - window; below it, P[k] is the log growth of the pull-back
-    # from m - window to k, which the forward steps from k undo; above it,
-    # the growth of those steps from m - window, read off the tail's pull-back
-    stable = np.concatenate([back[::-1], tail[-2::-1]])
-    log_prefix[0] = np.concatenate([back_logs[::-1], tail_logs[-2::-1] - tail_logs[-1]])
-
-    svals = np.linalg.svd(prods, compute_uv=False)
+    u, svals, _ = np.linalg.svd(prods)
     gap_min = float(np.min(svals[:, q - 1] / svals[:, q]))
     if gap_min < 1.2:
         raise DominationGapError(
             f"singular-value ratio {gap_min:.3f} < 1.2 at rank {q} over windows of "
             f"{window * dt:.3g} time units; no dominated splitting at this rank"
         )
+    log_prefix = np.full((2, m + 1), np.nan)
+    unstable = np.full((m + 1, n1, q), np.nan)
+    unstable[window:], log_prefix[1, window:] = _push_basis(trans[window:], u[0][:, :q])
+
+    # the stable bundle dominates the inverted steps, so it is only pulled
+    # back, from m; its table is anchored at P[m - window] = 0, and
+    # P[k + j] - P[k] is the log growth of the forward steps from k
+    stable, logs = _push_basis(np.linalg.inv(trans)[::-1], u[-1][:, n1 - p :])
+    stable, log_prefix[0] = stable[::-1], logs[::-1] - logs[window]
 
     probe = np.unique(np.linspace(window, m - window, min(50, m - 2 * window + 1)).astype(int))
     smin = np.linalg.svd(np.dstack([stable[probe], unstable[probe]]), compute_uv=False)[:, -1]
@@ -253,21 +244,25 @@ def _window_log_norms(est: SplittingEstimate, side: int, ks, js) -> np.ndarray:
     (``side`` 0), the smallest on the unstable side (1).
 
     A rank-1 bundle is one gather from the log-growth table,
-    ``P[k + j] - P[k]``.  A wider one pushes its bases forward one batched
-    transition multiply per step and takes one batched SVD per length; the
-    full product is never formed.
+    ``P[k + j] - P[k]``.  A wider one multiplies its steps restricted to the
+    invariant bundle, ``T_k = B_{k+1}^T Psi_k B_k``, formed together once,
+    and takes one batched SVD per length: rounding off the bundle is dropped
+    at every step, where pushed ``n x c`` bases let the directions the
+    bundle does not dominate amplify it.
     """
     ks, js = np.asarray(ks), np.asarray(js)
-    bases = (est.stable, est.unstable)[side][ks]
-    if bases.shape[-1] == 1:
+    bundle = (est.stable, est.unstable)[side]
+    if bundle.shape[-1] == 1:
         table = est.log_prefix[side]
         return table[ks + js[:, None]] - table[ks]
-    trans = est.cocycle.trans
-    rows = []
+    lo, hi = ks.min(), ks.max() + js[-1]
+    bases = bundle[lo : hi + 1]
+    restricted = np.swapaxes(bases[1:], 1, 2) @ est.cocycle.trans[lo:hi] @ bases[:-1]
+    prods, rows = np.eye(bundle.shape[-1]), []
     for j, done in zip(js, [0, *js]):
         for i in range(done, j):
-            bases = trans[ks + i] @ bases
-        rows.append(np.log(np.linalg.svd(bases, compute_uv=False)[:, 0 if side == 0 else -1]))
+            prods = restricted[ks - lo + i] @ prods
+        rows.append(np.log(np.linalg.svd(prods, compute_uv=False)[:, 0 if side == 0 else -1]))
     return np.array(rows)
 
 

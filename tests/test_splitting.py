@@ -208,7 +208,13 @@ def _assert_push_matches(got, ref):
 
 def _sequential_estimate(coc, p, window):
     """The estimate's seeds, bundles, log-growth table, gap and residual
-    rebuilt one ``window_product``, one step and one sample at a time."""
+    rebuilt one ``window_product``, one step and one sample at a time.
+
+    The stable bundle is rebuilt from two seeds: the last window's trailing
+    right singular vectors pulled back from ``m - window``, and across that
+    window its trailing left ones pulled back from ``m``.  The estimate
+    pulls back only the left ones, from ``m``, so matching this reference
+    shows the identity ``W^-1 u_i = v_i / s_i`` between the two seeds."""
     trans, m = coc.trans, coc.steps
     n1 = trans.shape[1]
     q = n1 - p
@@ -293,10 +299,10 @@ def _constant_cocycle(step, m, dt):
     )
 
 
-def _rotated_cocycle(rates, dt, m):
+def _rotated_cocycle(rates, dt, m, seed=7):
     """A constant cocycle with the given normal rates, seen in a fixed
     random orthonormal frame."""
-    q = np.linalg.qr(np.random.default_rng(7).normal(size=(len(rates), len(rates))))[0]
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(rates), len(rates))))[0]
     return _constant_cocycle(q @ np.diag(np.exp(np.array(rates) * dt)) @ q.T, m, dt)
 
 
@@ -405,6 +411,38 @@ def test_estimate_forms_no_sequential_window_product(saddle_est, monkeypatch):
     monkeypatch.setattr(NormalCocycle, "window_product", refuse)
     est = estimate_splitting(coc, 1)
     assert est.gap_ratio_min > 100.0
+
+
+def test_estimate_seeds_and_pushes_each_bundle_once(sweep_est, monkeypatch):
+    """A rank-1 estimate pushes each bundle once and takes two SVDs: one of
+    the eight gap windows, which gives the gap and both seeds, and one of
+    the probed bases."""
+    calls = collections.Counter()
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(splitting, "_push_basis", counted("push", _push_basis))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    estimate_splitting(sweep_est.cocycle, 1)
+    assert calls == {"push": 2, "svd": 2}
+
+
+def test_estimate_checks_the_gap_before_any_push(monkeypatch):
+    """Equal normal rates leave no gap, and the estimate says so before it
+    pushes a bundle."""
+
+    def refuse(mats, basis):
+        raise AssertionError("estimate_splitting pushed a bundle before checking the gap")
+
+    monkeypatch.setattr(splitting, "_push_basis", refuse)
+    step = np.diag(np.exp(np.array([-1.0, -1.0]) * 0.01))
+    with pytest.raises(DominationGapError, match="singular-value ratio 1.000 < 1.2"):
+        estimate_splitting(_constant_cocycle(step, 700, 0.01), 1)
 
 
 def test_check_domination_passes_beyond_threshold(saddle_est):
@@ -818,8 +856,8 @@ def test_window_scan_matches_direct_svd_wide_bundles(rotated_diagonal_cocycle, p
         patch.setattr(np.linalg, "svd", counted)
         scanned = _scan(est, ks, js)
     _assert_scan_matches_svd(est, ks, js, scanned)
-    # one batched SVD of the three pushed rank-2 bases per length, none for rank 1
-    assert seen == [(3, 3, 2)] * 3
+    # one batched SVD of the three restricted 2 x 2 products per length, none for rank 1
+    assert seen == [(3, 2, 2)] * 3
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -855,6 +893,29 @@ def test_check_domination_flips_at_closed_form_with_wide_bundle(rotated_diagonal
     assert not below.ok and above.ok
     for dom in (below, above):
         assert dom.worst_product == pytest.approx(math.exp(-3.0 * dom.worst_t), rel=1e-9)
+
+
+@pytest.mark.parametrize("rates", [(-10.0, -9.0, 9.0, 10.0), (-4.0, -3.0, 2.0, 3.0)])
+def test_wide_bundles_meet_closed_forms(rates):
+    """Rank-2 bundles in four normal directions, seen in a rotated frame:
+    the stable bundle's norm is ``e^{r_2 t}`` and the unstable one's conorm
+    ``e^{r_3 t}``, so the fit reads those rates with both constants 1, and
+    the checked product is ``e^{(r_2 - r_3) t}`` at ``t = l``.  The wide
+    stable bundle is read inside itself: pushed forward in the full space,
+    its bases pick up the unstable rates' rounding, and the fit read a rate
+    of 6360 on the first cocycle."""
+    est = estimate_splitting(_rotated_cocycle(rates, 0.01, 2000, seed=3), 2)
+    assert est.stable.shape[2] == est.unstable.shape[2] == 2
+    fit = fit_hyperbolic(est)
+    assert fit.ok
+    closed = (math.exp(rates[1]), 1.0, math.exp(-rates[2]), 1.0)
+    got = (fit.lambda_stable, fit.c_stable, fit.lambda_unstable, fit.c_unstable)
+    assert got == pytest.approx(closed, rel=1e-12)
+    for l in (0.5, 2.5):
+        dom = check_domination(est, l)
+        assert dom.ok and dom.worst_t == pytest.approx(l, abs=1e-12)
+        closed = math.exp((rates[1] - rates[2]) * dom.worst_t)
+        assert dom.worst_product == pytest.approx(closed, rel=1e-12)
 
 
 def test_fit_recovers_cycle_rates(saddle_est):
