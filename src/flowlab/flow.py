@@ -1,9 +1,9 @@
 """Vector fields, trajectories, and tangent flows.
 
-Integration is delegated to scipy's DOP853 solver; only :func:`integrate` keeps
-its dense output, as a :class:`Trajectory`.  Angle coordinates are integrated
-on the universal cover (never wrapped mid-integration); wrapping happens only
-in :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
+Integration is scipy's DOP853 stepper in flowlab's own loop :func:`solve_ivp`; only
+:func:`integrate` keeps its dense output, as a :class:`Trajectory`.  Angle
+coordinates are integrated on the universal cover (never wrapped mid-integration);
+wrapping happens only in :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
 
 Two rules hold across the package.  A length, time, rate, radius or count
 argument that is NaN, infinite or out of range raises ``ValueError`` naming
@@ -22,10 +22,12 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, OdeSolution
+from scipy.optimize import brentq
 
 __all__ = [
     "DEFAULT_TOL",
@@ -45,6 +47,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 DEFAULT_NORM_BOUND = 1e6
+_ROOT_TOL = 4 * np.finfo(float).eps  # scipy's xtol and rtol for an event root
 
 
 def _plain(value, *skip):
@@ -305,9 +308,84 @@ def _peak_rows(y, dim: int, rows: int) -> np.ndarray:
     return np.flatnonzero(norms >= (1.0 - 1e-9) * norms.max())
 
 
+def _interpolate(pending, t_eval, out):
+    """Rows ``out[lo:hi]`` for each step's ``(dense output, lo, hi)`` in ``pending``, by
+    ``Dop853DenseOutput``'s own recurrence run over all the steps at once."""
+    dense, lo, hi = [d for d, _, _ in pending], pending[0][1], pending[-1][2]
+    step = np.repeat(np.arange(len(dense)), [b - a for _, a, b in pending])
+    x = t_eval[lo:hi] - np.array([d.t_old for d in dense])[step]
+    x /= np.array([d.h for d in dense])[step]
+    x, y = x[:, None], out[lo:hi]
+    y[...] = 0.0
+    for r in range(1, len(dense[0].F) + 1):  # row by row: no copy of every step's F at once
+        y += np.stack([d.F[-r] for d in dense])[step]
+        y *= x if r % 2 else 1 - x
+    y += np.stack([d.y_old for d in dense])[step]
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, events=()):
+    """flowlab's step loop around scipy's ``DOP853`` stepper, not scipy's ``solve_ivp``,
+    whose ``solve_ivp(..., method="DOP853")`` it equals bit for bit in ``t``, ``y``, ``sol``,
+    ``t_events``, ``y_events``, ``status`` and ``nfev``.  Output times are interpolated
+    several steps at a time, with no state kept per step; ``message`` is the stepper's."""
+    solver = DOP853(fun, float(t_span[0]), y0, float(t_span[1]), rtol=rtol, atol=atol)
+    direction, terminal = ([getattr(ev, k, 0) for ev in events] for k in ("direction", "terminal"))
+    g = [ev(solver.t, solver.y) for ev in events]
+    t_events, y_events = [[] for _ in events], [[] for _ in events]
+    ts, ys, interpolants, pending, reached, status = [solver.t], [solver.y], [], [], 0, None
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval, dtype=float)
+        key, out = solver.direction * t_eval, np.empty((len(t_eval), solver.n))
+        if np.any(np.diff(key) < 0):
+            raise ValueError("t_eval must run in the direction of t_span")
+    while status is None:
+        message = solver.step()
+        status = {"finished": 0, "failed": -1}.get(solver.status)
+        if status == -1:
+            break
+        t_old, t, y = solver.t_old, solver.t, solver.y
+        sol = solver.dense_output() if dense_output else None
+        g_new = [ev(t, y) for ev in events]
+        active = [i for i, (a, b, d) in enumerate(zip(g, g_new, direction))
+                  if (a <= 0 <= b and d >= 0) or (b <= 0 <= a and d <= 0)]
+        g = g_new
+        if active:
+            sol = sol or solver.dense_output()
+            roots = np.array([brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
+                                     xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active])
+            if any(terminal[i] for i in active):
+                order = np.argsort(roots if t > t_old else -roots)
+                active, roots = [active[k] for k in order], roots[order]
+                stop = 1 + next(k for k, i in enumerate(active) if terminal[i])
+                active, roots, status = active[:stop], roots[:stop], 1
+                t, y = roots[-1], sol(roots[-1])
+            for i, root in zip(active, roots):
+                t_events[i].append(root)
+                y_events[i].append(sol(root))
+        if (t_eval is None or dense_output) and not (dense_output and len(ts) > 1 and ts[-1] == t):
+            ts.append(t)
+            ys.append(y)
+            interpolants.append(sol)
+        if t_eval is not None and reached < len(key) and key[reached] <= solver.direction * t:
+            hi = int(np.searchsorted(key, solver.direction * t, side="right"))
+            pending.append((sol or solver.dense_output(), reached, hi))
+            reached = hi
+            if 8 * len(pending) >= len(key):  # F and y_old: 8 rows a step
+                _interpolate(pending, t_eval, out)
+                pending = []
+    if pending:
+        _interpolate(pending, t_eval, out)
+    return SimpleNamespace(
+        t=np.array(ts) if t_eval is None else t_eval[:reached],
+        y=np.vstack(ys).T if t_eval is None else out[:reached].T,
+        sol=OdeSolution(ts, interpolants) if dense_output else None, status=status,
+        t_events=[np.asarray(e) for e in t_events], y_events=[np.asarray(e) for e in y_events],
+        message=message, nfev=solver.nfev)
+
+
 def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1,
            t_eval=None, on_escape="raise", events=()):
-    """DOP853 solve with the divergence guard.
+    """DOP853 solve through :func:`solve_ivp`, with the divergence guard.
 
     ``y0`` holds ``rows`` equal problems; under an RMS error norm, tolerances
     over ``sqrt(rows)`` keep each row's error within a solo solve's.  An orbit
@@ -332,17 +410,8 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     if escape(t_span[0], y0) <= 0:
         raise diverged(t_span[0], y0)
     tol = tol / np.sqrt(rows)
-    sol = solve_ivp(
-        rhs,
-        t_span,
-        y0,
-        method="DOP853",
-        dense_output=dense_output,
-        t_eval=t_eval,
-        rtol=tol,
-        atol=tol / 100.0,
-        events=[escape, *events],
-    )
+    sol = solve_ivp(rhs, t_span, y0, rtol=tol, atol=tol / 100.0, t_eval=t_eval,
+                    dense_output=dense_output, events=[escape, *events])
     gc.collect(0)  # the solver sits in a reference cycle with its fun wrapper, in generation 0
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")

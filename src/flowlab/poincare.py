@@ -485,6 +485,8 @@ def classify_periodic(
         raise ValueError(f"p has shape {p.shape}, expected ({spec.dim},)")
     _require_finite(period=period)
     period = float(period)
+    if period <= 0.0:
+        raise ValueError(f"period must be positive (got period={period})")
     p_end, deriv = tangent_flow(spec, p, period, tol=tol)
     closure = distance(spec, p_end, p)
     if closure > 1e-8 * max(1.0, float(np.linalg.norm(p))):

@@ -248,7 +248,8 @@ def _window_log_norms(est: SplittingEstimate, side: int, ks, js) -> np.ndarray:
     invariant bundle, ``T_k = B_{k+1}^T Psi_k B_k``, formed together once,
     and takes one batched SVD per length: rounding off the bundle is dropped
     at every step, where pushed ``n x c`` bases let the directions the
-    bundle does not dominate amplify it.
+    bundle does not dominate amplify it.  Each running product is rescaled
+    as it is formed, its log scale summed as in :func:`_push_basis`.
     """
     ks, js = np.asarray(ks), np.asarray(js)
     bundle = (est.stable, est.unstable)[side]
@@ -258,11 +259,15 @@ def _window_log_norms(est: SplittingEstimate, side: int, ks, js) -> np.ndarray:
     lo, hi = ks.min(), ks.max() + js[-1]
     bases = bundle[lo : hi + 1]
     restricted = np.swapaxes(bases[1:], 1, 2) @ est.cocycle.trans[lo:hi] @ bases[:-1]
-    prods, rows = np.eye(bundle.shape[-1]), []
+    prods, scale, rows = np.eye(bundle.shape[-1]), 0.0, []
     for j, done in zip(js, [0, *js]):
         for i in range(done, j):
             prods = restricted[ks - lo + i] @ prods
-        rows.append(np.log(np.linalg.svd(prods, compute_uv=False)[:, 0 if side == 0 else -1]))
+            norms = np.linalg.norm(prods, axis=(1, 2))
+            prods /= norms[:, None, None]
+            scale += np.log(norms)
+        svals = np.linalg.svd(prods, compute_uv=False)[:, 0 if side == 0 else -1]
+        rows.append(np.log(svals) + scale)
     return np.array(rows)
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import DOP853
 
 from flowlab import flow
@@ -117,6 +119,107 @@ def test_terminal_caller_event_is_no_escape(scenarios):
         assert len(sol.t_events[0]) == 0
         assert sol.t_events[1] == pytest.approx([math.log(10.0)], abs=1e-9)
         assert sol.t[-1] == sol.t_events[1][0]
+
+
+def _loop_case(name, scenarios):
+    """``(fun, t_span, y0, tol, options)`` of one solve that the step loop
+    must take exactly as ``scipy.integrate.solve_ivp`` does."""
+    cycle, saddle = scenarios["saddle_cycle"].spec, scenarios["linear_saddle3d"].spec
+    x0, z0 = np.array([math.cos(0.3), math.sin(0.3), 0.0]), np.array([0.0, 0.0, 1.0])
+    on_cycle, on_saddle = (lambda t, y: cycle.field_at(y)), (lambda t, y: saddle.field_at(y))
+    if name == "3200 outputs":
+        return on_cycle, (0.0, 16.0), x0, 1e-9, {"t_eval": 0.005 * np.arange(1, 3201)}
+    if name == "backward":
+        return on_cycle, (0.0, -3.0), x0, 1e-9, {"t_eval": np.linspace(-0.05, -3.0, 60)}
+    if name == "40 rows, 7 outputs":
+        rows = x0 + 0.2 * np.random.default_rng(5).normal(size=(40, 3))
+        fun, outputs = lambda t, z: cycle.field(z.reshape(40, 3)).ravel(), np.linspace(0.3, 2.0, 7)
+        return fun, (0.0, 2.0), rows.ravel(), 1e-9 / math.sqrt(40), {"t_eval": outputs}
+    if name == "variational endpoint":
+        def fun(t, y):
+            jv = cycle.jacobian_at(y[:3]) @ y[3:].reshape(3, 3)
+            return np.concatenate([cycle.field_at(y[:3]), jv.ravel()])
+
+        return fun, (0.0, 2 * math.pi), np.concatenate([x0, np.eye(3).ravel()]), 1e-9, {}
+    if name == "dense":
+        return on_cycle, (0.0, 7.0), x0, 1e-9, {"dense_output": True}
+    if name == "escape with outputs":
+        outputs = {"t_eval": np.linspace(0.0, 20.0, 100), "events": [flow._escape_event(100.0, 3)]}
+        return on_saddle, (0.0, 20.0), z0, 1e-9, outputs
+    if name == "section":
+        normal = cycle.field_at(x0) / np.linalg.norm(cycle.field_at(x0))
+
+        def section(t, z):
+            return float(normal @ (z - x0))
+
+        section.direction = 1
+        events = [flow._escape_event(flow.DEFAULT_NORM_BOUND, 3), section]
+        return on_cycle, (0.0, 4 * math.pi), x0 + 0.01, 1e-9, {"events": events}
+
+    def reach_ten(t, y):
+        return y[2] - 10.0
+
+    reach_ten.terminal = True
+    return on_saddle, (0.0, 20.0), z0, 1e-9, {"events": [flow._escape_event(100.0, 3), reach_ten]}
+
+
+@pytest.mark.parametrize("name", [
+    "3200 outputs", "backward", "40 rows, 7 outputs", "variational endpoint", "dense",
+    "escape with outputs", "section", "terminal event, no direction",
+])
+def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
+    """flowlab's loop around scipy's DOP853 stepper takes scipy's steps, finds
+    its event roots and interpolates its outputs with the same bits."""
+    fun, t_span, y0, tol, options = _loop_case(name, scenarios)
+    options.setdefault("events", ())
+    ours = flow.solve_ivp(fun, t_span, y0, rtol=tol, atol=tol / 100.0, **options)
+    ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol / 100.0,
+                                    **options)
+    for key in ("t", "y", "status", "nfev"):
+        assert np.array_equal(getattr(ours, key), getattr(ref, key)), key
+    assert len(ours.t_events) == len(ref.t_events)
+    for a, b in zip(ours.t_events + ours.y_events, ref.t_events + ref.y_events):
+        assert np.array_equal(a, b)
+    if name == "dense":
+        ts = np.linspace(0.0, 7.0, 500)
+        assert np.array_equal(ours.sol(ts), ref.sol(ts))
+    if name == "section":
+        assert len(ours.t_events[1]) >= 2
+    if name.startswith(("escape", "terminal")):
+        assert ours.status == 1 and ours.t.size > 1
+
+
+def test_step_loop_rejects_outputs_against_the_span():
+    """Output times are read in the span's direction; unsorted ones would
+    be read at the wrong steps, so they are refused."""
+    decay = lambda t, y: -y
+    for span, t_eval in (((0.0, 1.0), [0.5, 0.2]), ((0.0, -1.0), [-0.5, -0.2])):
+        with pytest.raises(ValueError, match="^t_eval must run in the direction of t_span$"):
+            flow.solve_ivp(decay, span, [1.0], 1e-9, 1e-11, t_eval=t_eval)
+    sol = flow.solve_ivp(decay, (0.0, -1.0), [1.0], 1e-9, 1e-11, t_eval=[-0.2, -0.5, -0.5])
+    assert np.allclose(sol.y[0], np.exp([0.2, 0.5, 0.5]), rtol=1e-8)
+
+
+def test_step_loop_keeps_scipys_memory(scenarios, monkeypatch):
+    """Batched interpolation holds no more than the outputs: 200 rows with 7
+    output times peak within 1.1x of the same call through scipy's loop."""
+    spec = scenarios["saddle_cycle"].spec
+    rows = np.array([1.0, 0.0, 0.0]) + 0.2 * np.random.default_rng(9).normal(size=(200, 3))
+    u = np.linspace(0.3, 2.0, 7)
+
+    def peak():
+        flow._orbit_points(spec, rows, u, 1e-9)
+        tracemalloc.start()
+        try:
+            flow._orbit_points(spec, rows, u, 1e-9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ours = peak()
+    monkeypatch.setattr(flow, "solve_ivp", lambda *args, **kwargs: scipy.integrate.solve_ivp(
+        *args, method="DOP853", **kwargs))
+    assert ours <= 1.1 * peak()
 
 
 def test_escape_raise_and_truncate(scenarios):

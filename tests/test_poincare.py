@@ -385,6 +385,8 @@ def test_classify_periodic_rejects_nonperiodic(scenarios):
         ((1.0, 0.0), TWO_PI, r"^p has shape \(2,\), expected \(3,\)$"),
         ((1.0, 0.0, 0.0), math.nan, r"^period must be finite \(got period=nan\)$"),
         ((1.0, 0.0, 0.0), math.inf, r"^period must be finite \(got period=inf\)$"),
+        ((1.0, 0.0, 0.0), 0.0, r"^period must be positive \(got period=0\.0\)$"),
+        ((1.0, 0.0, 0.0), -TWO_PI, r"^period must be positive \(got period=-6\.283185307179586\)$"),
     ],
 )
 def test_classify_periodic_names_its_arguments(scenarios, p, period, message):

@@ -918,6 +918,23 @@ def test_wide_bundles_meet_closed_forms(rates):
         assert dom.worst_product == pytest.approx(closed, rel=1e-12)
 
 
+def test_wide_bundle_windows_do_not_overflow():
+    """Rates 10, 11 | 20, 21 over windows up to t = 90 (1800 steps): the
+    unscaled restricted products passed e^{709}, overflowed, and their SVD
+    failed to converge.  Rescaled,
+    the checked product is ``e^{-9t}`` (down to e^{-270}) and the fit reads
+    the rates ``e^{11}`` and ``e^{-20}``; each within 1e-11 relative, which
+    is 1e-11 absolute on the log."""
+    est = estimate_splitting(_rotated_cocycle((10.0, 11.0, 20.0, 21.0), 0.05, 4000, seed=3), 2)
+    for l in (1.0, 10.0, 30.0):
+        dom = check_domination(est, l)
+        assert dom.ok and dom.worst_t == pytest.approx(l, abs=1e-12)
+        assert dom.worst_product == pytest.approx(math.exp(-9.0 * dom.worst_t), rel=1e-11)
+    fit = fit_hyperbolic(est, t_hi=60.0)
+    assert fit.lambda_stable == pytest.approx(math.exp(11.0), rel=1e-11)
+    assert fit.lambda_unstable == pytest.approx(math.exp(-20.0), rel=1e-11)
+
+
 def test_fit_recovers_cycle_rates(saddle_est):
     _, est = saddle_est
     fit = fit_hyperbolic(est)
