@@ -1,8 +1,9 @@
 """Vector fields, trajectories, and tangent flows.
 
-Integration is scipy's DOP853 stepper in flowlab's own loop :func:`solve_ivp`; only
-:func:`integrate` keeps its dense output, as a :class:`Trajectory`.  Angle
-coordinates are integrated on the universal cover (never wrapped mid-integration);
+Integration is flowlab's own DOP853 on scipy's tableau, :func:`solve_ivp`, with
+scipy's steps and bits; a step builds its dense stages only when it is read
+inside, and only :func:`integrate` keeps its dense output, as a :class:`Trajectory`.
+Angle coordinates are integrated on the universal cover (never wrapped mid-integration);
 wrapping happens only in :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
 
 Two rules hold across the package.  A length, time, rate, radius or count
@@ -19,14 +20,14 @@ rows of the solve at the bound.  Only :func:`integrate` with
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import DenseOutput, OdeSolution
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.optimize import brentq
 
 __all__ = [
@@ -47,7 +48,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 DEFAULT_NORM_BOUND = 1e6
-_ROOT_TOL = 4 * np.finfo(float).eps  # scipy's xtol and rtol for an event root
+_EPS = np.finfo(float).eps
+_ROOT_TOL = 4 * _EPS  # scipy's xtol and rtol for an event root
+# scipy's DOP853 tableau: stages 0-11 step, 12 is the end, 13-15 are the dense extras
+_A, _C, _B, _E3, _E5, _D = (_dop853.A, _dop853.C, _dop853.B, _dop853.E3, _dop853.E5, _dop853.D)
 
 
 def _plain(value, *skip):
@@ -309,8 +313,8 @@ def _peak_rows(y, dim: int, rows: int) -> np.ndarray:
 
 
 def _interpolate(pending, t_eval, out):
-    """Rows ``out[lo:hi]`` for each step's ``(dense output, lo, hi)`` in ``pending``, by
-    ``Dop853DenseOutput``'s own recurrence run over all the steps at once."""
+    """Rows ``out[lo:hi]`` for each step's ``(interpolant, lo, hi)`` in ``pending``, by the
+    order-7 recurrence of scipy's ``Dop853DenseOutput`` run over all the steps at once."""
     dense, lo, hi = [d for d, _, _ in pending], pending[0][1], pending[-1][2]
     step = np.repeat(np.arange(len(dense)), [b - a for _, a, b in pending])
     x = t_eval[lo:hi] - np.array([d.t_old for d in dense])[step]
@@ -323,34 +327,115 @@ def _interpolate(pending, t_eval, out):
     y += np.stack([d.y_old for d in dense])[step]
 
 
+class _StepInterpolant(DenseOutput):
+    """One step's order-7 interpolant, read through :func:`_interpolate`."""
+
+    def __init__(self, t_old, t, y_old, F):
+        super().__init__(t_old, t)
+        self.h, self.y_old, self.F = t - t_old, y_old, F
+
+    def _call_impl(self, t):
+        ts = np.atleast_1d(t)
+        out = np.empty((ts.size, self.y_old.size))
+        _interpolate([(self, 0, ts.size)], ts, out)
+        return out[0] if t.ndim == 0 else out.T
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
+    """The first step of Hairer, Nørsett and Wanner, §II.4, as scipy 1.17's
+    ``select_initial_step`` takes it for DOP853's order-7 error estimate, within the span."""
+    rms = lambda v: np.linalg.norm(v) / v.size ** 0.5
+    span = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = rms(y0 / scale), rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = rms((fun(t0 + h0 * direction, y0 + h0 * direction * f0) - f0) / scale) / h0
+    flat = d1 <= 1e-15 and d2 <= 1e-15
+    return min(100 * h0, max(1e-6, h0 * 1e-3) if flat else (0.01 / max(d1, d2)) ** (1 / 8), span)
+
+
 def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, events=()):
-    """flowlab's step loop around scipy's ``DOP853`` stepper, not scipy's ``solve_ivp``,
-    whose ``solve_ivp(..., method="DOP853")`` it equals bit for bit in ``t``, ``y``, ``sol``,
-    ``t_events``, ``y_events``, ``status`` and ``nfev``.  Output times are interpolated
-    several steps at a time, with no state kept per step; ``message`` is the stepper's."""
-    solver = DOP853(fun, float(t_span[0]), y0, float(t_span[1]), rtol=rtol, atol=atol)
-    direction, terminal = ([getattr(ev, k, 0) for ev in events] for k in ("direction", "terminal"))
-    g = [ev(solver.t, solver.y) for ev in events]
+    """flowlab's DOP853 on scipy's tableau, not scipy's ``solve_ivp``, whose
+    ``solve_ivp(..., method="DOP853")`` it equals bit for bit in ``t``, ``y``, ``sol``,
+    ``t_events``, ``y_events`` and ``status``: the same steps, step control, event roots
+    and interpolants, with the same floating-point operations in the same order.
+
+    A step builds its 3 extra dense stages only when it is read inside: for an event root,
+    for ``dense_output``, or for an output time before its end.  An output time at its end
+    is ``y_old + (y - y_old)``, the interpolant at ``x = 1`` bit for bit, so ``nfev`` is
+    scipy's less 3 for each such step.  Output times are interpolated several steps at a
+    time, with no state kept per step.  ``rtol`` must be at least ``100 eps``."""
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    if t == t_bound:
+        raise ValueError("t_span must have nonzero length")
+    y, direction = np.asarray(y0, dtype=float), np.sign(t_bound - t)
+    K = np.empty((16, y.size))  # the 13 stages of a step, then its 3 dense ones
+    K[0] = fun(t, y)
+    h_abs, nfev = _initial_step(fun, t, y, K[0], t_bound, direction, rtol, atol), 2
+    stages = [(s, K[:s].T, _A[s, :s], _C[s]) for s in range(16)]
+
+    def stage(lo, hi, t, y, h):  # scipy's rk_step sums for stages lo to hi - 1
+        for s, previous, a, c in stages[lo:hi]:
+            K[s] = fun(t + c * h, y + np.dot(previous, a) * h)
+
+    def interpolant():
+        nonlocal nfev
+        stage(13, 16, t_old, y_old, h)
+        nfev += 3
+        F = np.empty((7, y.size))
+        F[0] = y - y_old
+        F[1] = h * K[0] - F[0]
+        F[2] = 2 * F[0] - h * (K[12] + K[0])
+        F[3:] = h * np.dot(_D, K)
+        return _StepInterpolant(t_old, t, y_old, F)
+
+    directions, terminal = ([getattr(ev, k, 0) for ev in events] for k in ("direction", "terminal"))
+    g = [ev(t, y) for ev in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
-    ts, ys, interpolants, pending, reached, status = [solver.t], [solver.y], [], [], 0, None
+    ts, ys, interpolants, pending, reached, status, message = [t], [y], [], [], 0, None, None
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
-        key, out = solver.direction * t_eval, np.empty((len(t_eval), solver.n))
+        key, out = direction * t_eval, np.empty((len(t_eval), y.size))
         if np.any(np.diff(key) < 0):
             raise ValueError("t_eval must run in the direction of t_span")
     while status is None:
-        message = solver.step()
-        status = {"finished": 0, "failed": -1}.get(solver.status)
+        t_old, y_old, rejected = t, y, False
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        while True:  # scipy's step control: safety 0.9, factors 0.2 and 10, exponent -1/8
+            if h_abs < min_step:
+                status, message = -1, "Required step size is less than spacing between numbers."
+                break
+            t = t_old + h_abs * direction
+            if direction * (t - t_bound) > 0:
+                t = t_bound
+            h = t - t_old
+            h_abs = np.abs(h)
+            stage(1, 12, t_old, y_old, h)
+            y = y_old + h * np.dot(K[:12].T, _B)
+            K[12] = fun(t_old + h, y)
+            nfev += 12
+            scale = atol + np.maximum(np.abs(y_old), np.abs(y)) * rtol
+            err5, err3 = np.dot(K[:13].T, _E5) / scale, np.dot(K[:13].T, _E3) / scale
+            err5, err3 = np.linalg.norm(err5) ** 2, np.linalg.norm(err3) ** 2
+            error = 0.0 if err5 == 0 and err3 == 0 else (
+                np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale)))
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** (-1 / 8))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** (-1 / 8))
+            rejected = True
         if status == -1:
             break
-        t_old, t, y = solver.t_old, solver.t, solver.y
-        sol = solver.dense_output() if dense_output else None
+        status = 0 if direction * (t - t_bound) >= 0 else None
+        sol = interpolant() if dense_output else None
         g_new = [ev(t, y) for ev in events]
-        active = [i for i, (a, b, d) in enumerate(zip(g, g_new, direction))
+        active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
                   if (a <= 0 <= b and d >= 0) or (b <= 0 <= a and d <= 0)]
         g = g_new
         if active:
-            sol = sol or solver.dense_output()
+            sol = sol or interpolant()
             roots = np.array([brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
                                      xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active])
             if any(terminal[i] for i in active):
@@ -366,13 +451,17 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
             ts.append(t)
             ys.append(y)
             interpolants.append(sol)
-        if t_eval is not None and reached < len(key) and key[reached] <= solver.direction * t:
-            hi = int(np.searchsorted(key, solver.direction * t, side="right"))
-            pending.append((sol or solver.dense_output(), reached, hi))
+        if t_eval is not None and reached < len(key) and key[reached] <= direction * t:
+            hi = int(np.searchsorted(key, direction * t, side="right"))
+            if sol is None and t_eval[reached] == t:  # only the step's end: x = 1
+                out[reached:hi] = y_old + (y - y_old)
+            else:
+                pending.append((sol or interpolant(), reached, hi))
             reached = hi
             if 8 * len(pending) >= len(key):  # F and y_old: 8 rows a step
                 _interpolate(pending, t_eval, out)
                 pending = []
+        K[0] = K[12]  # the next step starts from this one's end derivative
     if pending:
         _interpolate(pending, t_eval, out)
     return SimpleNamespace(
@@ -380,7 +469,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         y=np.vstack(ys).T if t_eval is None else out[:reached].T,
         sol=OdeSolution(ts, interpolants) if dense_output else None, status=status,
         t_events=[np.asarray(e) for e in t_events], y_events=[np.asarray(e) for e in y_events],
-        message=message, nfev=solver.nfev)
+        message=message, nfev=nfev)
 
 
 def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1,
@@ -394,8 +483,11 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     ``on_escape="truncate"``: then the solution stops there, the crossing in
     ``t_events[0]``.  The caller's ``events`` follow the escape event, so their
     hits are ``t_events[1:]``, and a terminal one among them is no escape.
-    The solver and its stage arrays are freed as soon as the solve returns."""
+    A per-row ``tol / sqrt(rows)`` below ``100 eps`` raises ``ValueError`` before
+    any step, where scipy's stepper would clamp it with a warning."""
     _require_positive(tol=tol, norm_bound=norm_bound)
+    if tol / np.sqrt(rows) < 100 * _EPS:
+        raise ValueError(f"tol must be at least {100 * _EPS * np.sqrt(rows):.3g} (got tol={tol})")
     escape = _escape_event(norm_bound, spec.dim, rows)
     if not np.all(np.isfinite(y0)):
         raise ValueError("x0 must be finite")
@@ -412,7 +504,6 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     tol = tol / np.sqrt(rows)
     sol = solve_ivp(rhs, t_span, y0, rtol=tol, atol=tol / 100.0, t_eval=t_eval,
                     dense_output=dense_output, events=[escape, *events])
-    gc.collect(0)  # the solver sits in a reference cycle with its fun wrapper, in generation 0
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")
     if len(sol.t_events[0]) and on_escape == "raise":

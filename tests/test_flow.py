@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.integrate import DOP853
 
 from flowlab import flow
 from flowlab import (
@@ -146,6 +145,13 @@ def _loop_case(name, scenarios):
     if name == "escape with outputs":
         outputs = {"t_eval": np.linspace(0.0, 20.0, 100), "events": [flow._escape_event(100.0, 3)]}
         return on_saddle, (0.0, 20.0), z0, 1e-9, outputs
+    if name == "one output":  # flow_at's solve: its one output time is its last step's end
+        options = {"t_eval": np.array([1.3]), "events": [flow._escape_event(1e6, 3)]}
+        return on_cycle, (0.0, 1.3), x0, 1e-9, options
+    if name == "blow-up":  # y = 1 / (1 - t): the step shrinks below the spacing of times
+        return (lambda t, y: y * y), (0.0, 2.0), np.array([1.0]), 1e-9, {}
+    if name == "equilibrium":  # zero field: the initial step is 1e-6, and the errors are 0
+        return on_saddle, (0.0, 2.0), np.zeros(3), 1e-9, {"t_eval": np.linspace(0.5, 2.0, 4)}
     if name == "section":
         normal = cycle.field_at(x0) / np.linalg.norm(cycle.field_at(x0))
 
@@ -163,20 +169,39 @@ def _loop_case(name, scenarios):
     return on_saddle, (0.0, 20.0), z0, 1e-9, {"events": [flow._escape_event(100.0, 3), reach_ten]}
 
 
+def _end_only_steps(steps, t_eval):
+    """How many of the steps ending at ``steps[1:]`` (from ``steps[0]``) hold
+    output times of ``t_eval``, every one of them at the step's end."""
+    if t_eval is None:
+        return 0
+    sign = np.sign(steps[-1] - steps[0])
+    hi = np.searchsorted(sign * np.asarray(t_eval), sign * steps[1:], side="right")
+    lo = np.r_[0, hi[:-1]]
+    return sum(int(b > a and t_eval[a] == end) for a, b, end in zip(lo, hi, steps[1:]))
+
+
 @pytest.mark.parametrize("name", [
     "3200 outputs", "backward", "40 rows, 7 outputs", "variational endpoint", "dense",
-    "escape with outputs", "section", "terminal event, no direction",
+    "escape with outputs", "section", "terminal event, no direction", "one output", "blow-up",
+    "equilibrium",
 ])
 def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
-    """flowlab's loop around scipy's DOP853 stepper takes scipy's steps, finds
-    its event roots and interpolates its outputs with the same bits."""
+    """flowlab's DOP853 takes scipy's steps, finds its event roots and
+    interpolates its outputs with the same bits.  A step whose only output
+    time is its end takes none of the 3 dense stages, so ``nfev`` is scipy's
+    less 3 for each such step, and scipy's for every other."""
     fun, t_span, y0, tol, options = _loop_case(name, scenarios)
     options.setdefault("events", ())
     ours = flow.solve_ivp(fun, t_span, y0, rtol=tol, atol=tol / 100.0, **options)
     ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol / 100.0,
                                     **options)
-    for key in ("t", "y", "status", "nfev"):
+    for key in ("t", "y", "status"):
         assert np.array_equal(getattr(ours, key), getattr(ref, key)), key
+    steps = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol / 100.0,
+                                      events=options["events"]).t
+    end_only = _end_only_steps(steps, options.get("t_eval"))
+    assert end_only == {"40 rows, 7 outputs": 1, "one output": 1}.get(name, 0)
+    assert ours.nfev == ref.nfev - 3 * end_only
     assert len(ours.t_events) == len(ref.t_events)
     for a, b in zip(ours.t_events + ours.y_events, ref.t_events + ref.y_events):
         assert np.array_equal(a, b)
@@ -187,6 +212,9 @@ def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
         assert len(ours.t_events[1]) >= 2
     if name.startswith(("escape", "terminal")):
         assert ours.status == 1 and ours.t.size > 1
+    if name == "blow-up":
+        assert ours.status == -1 and ours.message == ref.message == (
+            "Required step size is less than spacing between numbers.")
 
 
 def test_step_loop_rejects_outputs_against_the_span():
@@ -308,13 +336,33 @@ def test_batch_contract_probed_once_per_spec(scenarios):
 
 
 def test_solver_is_freed_when_its_solve_returns(scenarios):
-    """A solver and its ``fun`` wrapper form a reference cycle; the solve frees
-    it at once, so a batch's stage arrays never wait for a full collection."""
-    spec = scenarios["saddle_cycle"].spec
+    """A solve leaves no reference cycle behind, so its stage arrays are freed
+    as it returns, with no collection: not after a long dense ``integrate``,
+    whose interpolants would trigger collections mid-solve, nor after
+    batched orbit points or a batched tangent flow."""
+    cycle, center = scenarios["saddle_cycle"].spec, scenarios["center_cycle"].spec
     xs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.1]])
-    gc.collect()
-    tangent_flow(spec, xs, 0.5)
-    assert not [obj for obj in gc.get_objects() if isinstance(obj, DOP853)]
+    for solve in (
+        lambda: integrate(center, (0.0, 0.2, 0.3), (0.0, 20000.0)),
+        lambda: flow._orbit_points(cycle, xs, np.linspace(0.3, 2.0, 7), 1e-9),
+        lambda: tangent_flow(cycle, xs, 0.5),
+    ):
+        gc.collect()
+        solve()
+        assert gc.collect() == 0
+
+
+def test_tol_below_the_stepper_floor_names_tol(scenarios, monkeypatch):
+    """A row's share ``tol / sqrt(rows)`` below ``100 eps`` would be clamped
+    silently by scipy's stepper; it raises ``ValueError`` naming ``tol``
+    instead, before any step (a solve here would call ``None``)."""
+    spec = scenarios["linear_saddle3d"].spec
+    monkeypatch.setattr(flow, "solve_ivp", None)
+    with pytest.raises(ValueError, match=r"^tol must be at least 2\.22e-14 \(got tol=1e-15\)$"):
+        flow_at(spec, (0.9, 0.9, 0.1), 1.0, tol=1e-15)
+    rows = np.random.default_rng(4).uniform(-0.5, 0.5, size=(10000, 3))
+    with pytest.raises(ValueError, match=r"^tol must be at least 2\.22e-12 \(got tol=1e-12\)$"):
+        flow._orbit_points(spec, rows, [0.5, 1.0], 1e-12)
 
 
 def test_batched_tangent_flow_escape(scenarios):
