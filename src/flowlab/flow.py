@@ -55,11 +55,12 @@ _A, _C, _B, _E3, _E5, _D = (_dop853.A, _dop853.C, _dop853.B, _dop853.E3, _dop853
 
 
 def _plain(value, *skip):
-    """``value`` as JSON-ready data: a dataclass as a dict of its fields except
-    ``skip``, a tuple or array as a list, and a complex number as its
-    ``[re, im]`` pair."""
+    """``value`` as JSON-ready data: a dataclass as a dict of its public
+    fields (no leading ``_``) except ``skip``, a tuple or array as a list,
+    and a complex number as its ``[re, im]`` pair."""
     if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.name not in skip}
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)
+                if f.name not in skip and not f.name.startswith("_")}
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, (tuple, list)):

@@ -9,7 +9,7 @@ steps, never inverted across long spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -99,6 +99,12 @@ class CriticalElementReport:
     of the spectrum; ``index_with_flow`` adds 1 for a periodic orbit to
     count the flow direction inside the stable set, and equals ``index``
     for a singularity.
+
+    ``_builds`` holds the one-period cocycle and splitting estimate that
+    :func:`~flowlab.splitting.uniform_periodic_estimates` builds from the
+    report, by build key, so a later call reuses them; it is private, left
+    out of comparisons and ``repr``, and empty in a copy made by
+    ``dataclasses.replace``.
     """
 
     kind: str
@@ -109,6 +115,7 @@ class CriticalElementReport:
     hyperbolic: bool
     index: int
     index_with_flow: int
+    _builds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,16 +265,14 @@ def build_cocycle(
     return NormalCocycle(spec, t_start + offsets, points, frames, trans, tol)
 
 
-def _periodic_cocycle(spec, x, period, dt, window_time, tol) -> NormalCocycle:
+def _periodic_cocycle(spec, x, period, m_p, window_time, tol) -> NormalCocycle:
     """The normal cocycle of the periodic orbit through ``x`` over
-    ``[-w dt, 4 period + w dt]``, with ``w = round(window_time / dt)``, built
-    over one period and indexed periodically (the linearised flow along a
-    periodic orbit is periodic).  ``dt`` snaps to ``period / round(period / dt)``.
+    ``[-w dt, 4 period + w dt]``, at ``dt = period / m_p`` and with
+    ``w = round(window_time / dt)``, built over one period and indexed
+    periodically (the linearised flow along a periodic orbit is periodic).
     The period's end must land on ``x`` to 1e-5 relative accuracy, or the glue
     would join two points that do not match.
     """
-    _require_positive(dt=dt, window_time=window_time)
-    m_p = max(1, round(period / dt))
     dt = period / m_p
     one = build_cocycle(spec, x, period, dt, tol=tol)
     gap = distance(spec, one.points[-1], one.points[0]) / (1.0 + np.linalg.norm(one.points[0]))

@@ -25,7 +25,7 @@ its steps restricted to it and multiplied one batch at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -78,6 +78,11 @@ class SplittingEstimate:
     the window norm at base ``k`` and length ``j`` is
     ``exp(P[k + j] - P[k])``.  The row of a wider bundle is NaN, and so is
     the unstable row below ``k_lo``.
+
+    ``_rows`` keeps the rows :func:`check_domination` has scanned between
+    rank-1 bundles, by last base: for each, the worst log product at each
+    window length and the offset of its base, NaN where no row is scanned
+    yet.  It is empty in a copy made by ``dataclasses.replace``.
     """
 
     cocycle: NormalCocycle
@@ -88,6 +93,7 @@ class SplittingEstimate:
     gap_ratio_min: float
     residual: float
     log_prefix: np.ndarray
+    _rows: dict = field(default_factory=dict, init=False)
 
     @property
     def k_lo(self) -> int:
@@ -271,6 +277,19 @@ def _window_log_norms(est: SplittingEstimate, side: int, ks, js) -> np.ndarray:
     return np.array(rows)
 
 
+def _scan_rows(d, n, js, tops, picks) -> None:
+    """Set ``tops[j]`` to the largest of ``d[c + j] - d[c]`` over the bases
+    ``0 <= c < n`` and ``picks[j]`` to its first ``c``, for every length
+    ``j`` in ``js``: one strided difference per 16 lengths."""
+    windows = sliding_window_view(d, n)
+    for lo in range(0, len(js), 16):
+        rows = js[lo : lo + 16]
+        diff = windows[rows]
+        diff -= d[:n]
+        picks[rows] = np.argmax(diff, axis=1)
+        tops[rows] = diff[np.arange(len(rows)), picks[rows]]
+
+
 @dataclass(frozen=True)
 class DominationCheck:
     ok: bool
@@ -294,6 +313,11 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
     the log product in scan order (``t`` ascending, then base time
     ascending), which fixes ``worst_base_time`` among tied bases; only the
     maxima are exponentiated, so no product overflows on the way.
+
+    Between rank-1 bundles a length's worst log product and its base depend
+    only on the estimate, the length and the last base, so they are kept on
+    ``est``, keyed by the last base, and a later check scans only the
+    lengths no earlier check on ``est`` has scanned with that last base.
     """
     dt = est.cocycle.dt
     l = float(l)
@@ -310,19 +334,18 @@ def check_domination(est: SplittingEstimate, l: float) -> DominationCheck:
     n = len(ks)
 
     # the tables from the first base on: D[k + j] - D[k] is d[c + j] - d[c]
-    span = est.log_prefix[:, ks[0] : ks[-1] + j_hi + 1]
-    d, logs = span[0] - span[1], None
-    if np.isnan(d).any():  # a wider bundle has no table
+    d = est.log_prefix[0, ks[0] :] - est.log_prefix[1, ks[0] :]
+    if np.isnan(d[: n + j_hi]).any():  # a wider bundle has no table
         logs = np.subtract(*(_window_log_norms(est, side, ks, js) for side in (0, 1)))
-    tops, picks = np.empty(len(js)), np.empty(len(js), dtype=int)
-    for lo in range(0, len(js), 16):
-        rows = slice(lo, lo + 16)
-        if logs is None:
-            diff = sliding_window_view(d[js[lo] : js[lo] + 15 + n], n) - d[:n]
-        else:
-            diff = logs[rows]
-        picks[rows] = np.argmax(diff, axis=1)
-        tops[rows] = diff[np.arange(len(diff)), picks[rows]]
+        picks = np.argmax(logs, axis=1)
+        tops = logs[np.arange(len(js)), picks]
+    else:
+        rows = len(d) - n + 1
+        tops, picks = est._rows.setdefault(
+            hi_base, (np.full(rows, np.nan), np.zeros(rows, dtype=int))
+        )
+        _scan_rows(d, n, js[np.isnan(tops[js])], tops, picks)
+        tops, picks = tops[js], picks[js]
     w = int(np.argmax(tops))
     products = np.exp(tops)
     worst = float(products[w])
@@ -543,6 +566,12 @@ def uniform_periodic_estimates(
     off the orbit cannot drift along its unstable direction.  Raises
     :class:`~flowlab.poincare.ConsistencyError` when the period's end misses
     its start by more than 1e-5 relative, which a wrong period does.
+
+    The cocycle and its splitting estimate are kept on the report, keyed by
+    the snapped ``dt``, ``window_time``, ``tol`` and the ``spec`` object (by
+    identity), so a later call on the same report with the same key, at
+    another ``eta`` or ``t_min``, reuses them; a build that raises keeps
+    nothing.
     """
     _require_positive(t_min=t_min, eta=eta)
     results = []
@@ -559,8 +588,15 @@ def uniform_periodic_estimates(
             raise ValueError(f"t_min={t_min:.6g} exceeds three periods of the orbit")
         if not 1 <= rep.index <= spec.dim - 2:
             raise ValueError("orbit must have nontrivial stable and unstable parts")
-        cocycle = _periodic_cocycle(spec, rep.point, period, dt, window_time, tol)
-        est = estimate_splitting(cocycle, rep.index, window_time)
+        _require_positive(dt=dt, window_time=window_time)
+        m_p = max(1, round(period / dt))
+        key = (period / m_p, window_time, tol)
+        built = rep._builds.get(key)
+        if built is None or built[0].spec is not spec:
+            cocycle = _periodic_cocycle(spec, rep.point, period, m_p, window_time, tol)
+            built = (cocycle, estimate_splitting(cocycle, rep.index, window_time))
+            rep._builds[key] = built
+        cocycle, est = built
 
         ks = np.unique([cocycle.index_of_time(t) for t in np.linspace(0.0, period, 17)[:-1]])
         # 3 * period is a grid time, at least 3 periods before the cocycle's end

@@ -25,7 +25,8 @@ from flowlab import (
     fit_hyperbolic,
     uniform_periodic_estimates,
 )
-from flowlab import splitting
+from flowlab import flow, poincare, splitting
+from flowlab.flow import _plain
 from flowlab.splitting import _partition_log_norms, _push_basis, _window_log_norms
 
 # Normal rates on the r = 1 cycle of saddle_cycle: radial e^{-2t}, vertical e^{t}.
@@ -803,6 +804,47 @@ def test_estimate_has_no_per_step_loop(sweep_est):
     assert 0 < max(counts.values()) <= 600 // 4
 
 
+def test_domination_scans_each_row_once(sweep_est, monkeypatch):
+    """Checks on one estimate scan each (length, last base) pair once: the
+    sweep's l values shuffled and repeated, with l = 1.2, whose last base
+    is 2480 where the sweep's is 2600, each equal the sequential loop.  A
+    copy made by ``dataclasses.replace`` starts with no rows, and its first
+    check scans 16 lengths at a time within 2 MB."""
+    fresh = dataclasses.replace(sweep_est)
+    assert not fresh._rows
+    counts = _line_counts(lambda: check_domination(fresh, 0.292))
+    assert 0 < max(counts.values()) <= 117 // 8
+    tracemalloc.start()
+    try:
+        for l in SWEEP_LS:
+            check_domination(dataclasses.replace(sweep_est), l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+
+    est = dataclasses.replace(sweep_est)
+    scanned = collections.Counter()
+    scan = splitting._scan_rows
+
+    def counted_scan(d, n, js, tops, picks):
+        scanned.update((int(j), n) for j in js)
+        scan(d, n, js, tops, picks)
+
+    monkeypatch.setattr(splitting, "_scan_rows", counted_scan)
+    ls = [*SWEEP_LS, *SWEEP_LS[::2], 1.2]
+    np.random.default_rng(26).shuffle(ls)
+    needed = set()
+    for l in ls:
+        dom = check_domination(est, l)
+        assert dom == _sequential_domination(est, l)
+        needed |= {(round(t / est.cocycle.dt), dom.n_bases) for t, _ in dom.products_per_t}
+    assert set(scanned) == needed and max(scanned.values()) == 1
+    assert sorted(est._rows) == [2480, 2600]
+    assert sorted(j for j, n in scanned if n == 2600 - 600 + 1) == list(range(39, 176))
+    assert not dataclasses.replace(est, log_prefix=est.log_prefix.copy())._rows
+
+
 @pytest.fixture(scope="module")
 def rotated_diagonal_cocycle():
     """A constant normal cocycle with three normal directions and rates
@@ -1144,6 +1186,57 @@ def test_uniform_estimates_reject_a_wrong_period(scenarios, cycle_report):
     rep = dataclasses.replace(cycle_report, period=1.01 * cycle_report.period)
     with pytest.raises(ConsistencyError, match="off its start after period 6.34602"):
         uniform_periodic_estimates(spec, [rep], t_min=1.0, eta=0.5)
+
+
+def test_uniform_estimates_reuse_the_reports_build(scenarios, monkeypatch):
+    """A classification and three eta calls on its report take 3 solves: the
+    classification's, and one one-period cocycle's orbit and tangent.  Each
+    result equals the call on a fresh report.  A report with another point,
+    or a call with another spec object, builds afresh; a wrong period
+    raises on every call and keeps nothing."""
+    spec = scenarios["saddle_cycle"].spec
+    solves = []
+    solve = flow._solve
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_solve", counted_solve)
+    monkeypatch.setattr(poincare, "_solve", counted_solve)
+    rep = classify_periodic(spec, np.array([1.0, 0.0, 0.0]), 2.0 * math.pi)
+    etas = (0.5, 1.0, 1.6)
+    outs = [uniform_periodic_estimates(spec, [rep], 1.0, eta) for eta in etas]
+    assert len(solves) == 3
+    for eta, out in zip(etas, outs):
+        assert out == uniform_periodic_estimates(spec, [dataclasses.replace(rep)], 1.0, eta)
+    assert len(solves) == 3 + 2 * len(etas)
+
+    moved = dataclasses.replace(rep, point=rep.point + np.array([0.0, 0.0, 1e-9]))
+    assert not moved._builds
+    uniform_periodic_estimates(spec, [moved], 1.0, 0.5)
+    assert len(solves) == 11
+    other = dataclasses.replace(spec)
+    assert uniform_periodic_estimates(other, [rep], 1.0, 0.5) == outs[0]
+    assert len(solves) == 13
+    ((cocycle, _),) = rep._builds.values()
+    assert cocycle.spec is other
+
+    wrong = dataclasses.replace(rep, period=1.01 * rep.period)
+    for _ in range(2):
+        with pytest.raises(ConsistencyError, match="off its start after period 6.34602"):
+            uniform_periodic_estimates(spec, [wrong], t_min=1.0, eta=0.5)
+    assert not wrong._builds
+
+
+def test_report_json_has_only_public_fields(scenarios, cycle_report):
+    """A report carrying a periodic build still writes its 8 public fields."""
+    uniform_periodic_estimates(scenarios["saddle_cycle"].spec, [cycle_report], 1.0, 0.5)
+    assert cycle_report._builds
+    assert list(_plain(cycle_report)) == [
+        "kind", "point", "period", "spectrum", "margins", "hyperbolic", "index",
+        "index_with_flow",
+    ]
 
 
 def test_uniform_estimates_reject_nonhyperbolic(scenarios):
