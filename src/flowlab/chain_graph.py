@@ -6,6 +6,11 @@ a sampled time ``t in [1, t_max]`` lands within ``delta + sqrt(n)/2 * hgrid``
 of the center of ``c'`` (the inflation accounts for where inside the cells
 the actual chain points may sit).  Chain-recurrent cells are those in a
 strongly connected component of size at least two or carrying a self-loop.
+
+The cell centres are integrated in blocks, each one batched solve of flowlab's
+DOP853 :func:`~flowlab.flow.solve_ivp` at the per-row tolerance ``tol / sqrt(rows)``,
+and a block's candidate cells are tested in one numpy pass.  An orbit that escapes
+keeps the samples it reached, none if it escapes before the first sample.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .flow import VectorFieldSpec, _escape_event, _require_count, _require_positive, coord_difference
+from .flow import (VectorFieldSpec, _check_batch_contract, _escape_event, _peak_rows,
+                   _require_count, _require_positive, _row_tol, coord_difference, solve_ivp)
 
 __all__ = [
     "ChainGraph",
@@ -30,6 +35,11 @@ __all__ = [
     "save_edge_list",
     "save_cells_csv",
 ]
+
+# A block's candidate test holds points x offsets x dim entries, at most this many (one
+# row at least): each of its few scratch arrays takes 1 MB.  The 8000-cell criterion-7
+# build peaks at about 5 MB under tracemalloc, where 1 << 21 entries peak at 61 MB.
+_CANDIDATE_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -84,10 +94,18 @@ def build_chain_graph(
     """Build the transition graph of cell centers under sampled flow times.
 
     The ``t_samples`` times, an integer count of at least 1, are uniform on
-    ``[1, t_max]``; a single sample is ``t_max``.  Orbits that leave the
-    divergence bound contribute only the samples reached before escaping.
-    The per-axis cell counts are ``round(extent / hgrid)``; the region should
-    be an exact multiple of ``hgrid`` per axis.
+    ``[1, t_max]``; a single sample is ``t_max``.  The per-axis cell counts
+    are ``round(extent / hgrid)``; the region should be an exact multiple of
+    ``hgrid`` per axis.
+
+    The centres are integrated in blocks of ``rows`` cells, each block one
+    DOP853 solve at ``tol / sqrt(rows)`` (``ValueError`` naming ``tol`` below
+    the stepper's floor of ``100 eps``), so ``spec`` must take ``(N, dim)``
+    batches.  Orbits that leave the divergence bound contribute only the
+    samples reached before escaping: none for an orbit that crosses before the
+    first sample or a centre that starts beyond the bound.  Where a block's
+    solve stops at the bound, the rows at the bound keep their samples and the
+    rest of the block is solved again.
     """
     region = np.asarray(region, dtype=float)
     if region.shape != (spec.dim, 2):
@@ -126,37 +144,47 @@ def build_chain_graph(
     offsets = np.array(list(itertools.product(range(-span, span + 1), repeat=n)))
     offsets = offsets[(np.linalg.norm(offsets, axis=1) - 0.5 * math.sqrt(n)) * hgrid < reach]
 
-    escape = [_escape_event(norm_bound, n)]
-    rows, cols = [], []
-    for flat in range(n_cells):
-        idx = np.unravel_index(flat, shape)
-        center = lo + (np.asarray(idx, dtype=float) + 0.5) * hgrid
-        sol = solve_ivp(
-            lambda t, y: spec.field_at(y),
-            (0.0, float(ts[-1])),
-            center,
-            method="RK45",
-            t_eval=ts,
-            rtol=tol,
-            atol=tol / 100.0,
-            events=escape,
-        )
-        if sol.status == -1:
-            raise RuntimeError(f"integration failed at cell {flat}: {sol.message}")
-        targets = set()
-        for p in sol.y.T:
-            cand = np.floor((p - lo) / hgrid).astype(int) + offsets
-            cand[:, wrap_axis] %= counts[wrap_axis]
-            cand = cand[np.all((cand >= 0) & (cand < counts), axis=1)]
-            diff = coord_difference(spec, p, lo + (cand + 0.5) * hgrid)
-            hits = cand[np.linalg.norm(diff, axis=1) < reach]
-            targets.update(np.ravel_multi_index(hits.T, shape).tolist())
-        rows.extend([flat] * len(targets))
-        cols.extend(targets)
+    centers = lo + (np.indices(shape).reshape(n, -1).T + 0.5) * hgrid
+    cells = np.flatnonzero(np.linalg.norm(centers, axis=1) < norm_bound)
+    if len(cells) > 1:
+        _check_batch_contract(spec, centers[cells])
+    block = max(1, _CANDIDATE_ENTRIES // (len(ts) * len(offsets) * n))
+    edges = [np.empty(0, dtype=int)]
+    for first in range(0, len(cells), block):
+        live, src, points = cells[first : first + block], [], []
+        while len(live):
+            rows = len(live)
+            row_tol = _row_tol(tol, rows)
+            sol = solve_ivp(
+                lambda t, y: spec.field_at(y.reshape(rows, n)).ravel(),
+                (0.0, float(ts[-1])),
+                centers[live].ravel(),
+                rtol=row_tol,
+                atol=row_tol / 100.0,
+                t_eval=ts,
+                events=[_escape_event(norm_bound, n, rows)],
+            )
+            if sol.status == -1:
+                raise RuntimeError(f"integration failed in the block from cell {live[0]}: "
+                                   f"{sol.message}")
+            done = _peak_rows(sol.y_events[0][0], n, rows) if sol.status == 1 else slice(None)
+            reached = sol.y.reshape(rows, n, -1).transpose(0, 2, 1)[done]
+            src.append(np.repeat(live[done], reached.shape[1]))
+            points.append(reached.reshape(-1, n))
+            live = np.delete(live, np.arange(rows)[done])
+        # every (sample, offset) candidate of the block at once, as src * n_cells + dst
+        src, points = np.concatenate(src), np.concatenate(points)
+        cand = np.floor((points - lo) / hgrid).astype(int)[:, None] + offsets
+        cand[..., wrap_axis] %= counts[wrap_axis]
+        hit = np.all((cand >= 0) & (cand < counts), axis=2)
+        diff = coord_difference(spec, points[:, None], lo + (cand + 0.5) * hgrid)
+        hit &= np.linalg.norm(diff, axis=2) < reach
+        dst = np.ravel_multi_index(tuple(cand[hit].T), shape)
+        edges.append(np.broadcast_to(src[:, None], hit.shape)[hit] * n_cells + dst)
 
-    data = np.ones(len(rows), dtype=np.int8)
-    adjacency = csr_matrix((data, (rows, cols)), shape=(n_cells, n_cells))
-    adjacency.sum_duplicates()
+    edges = np.unique(np.concatenate(edges))
+    data = np.ones(len(edges), dtype=np.int8)
+    adjacency = csr_matrix((data, divmod(edges, n_cells)), shape=(n_cells, n_cells))
     return ChainGraph(
         spec_name=spec.name,
         region=region,

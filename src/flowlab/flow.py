@@ -15,7 +15,9 @@ integrator here solves through :func:`_solve`, where an orbit that crosses the
 divergence bound raises one :class:`FlowDivergenceError`: "<spec>: orbit from
 <start> crossed norm <bound> at t=<t> during <what>", whose ``rows`` index the
 rows of the solve at the bound.  Only :func:`integrate` with
-``on_escape="truncate"`` returns the reached part instead.
+``on_escape="truncate"`` returns the reached part instead, and ``chain_graph``,
+which calls :func:`solve_ivp` at :func:`_row_tol` itself, keeps the samples an
+escaping cell orbit reached.
 """
 
 from __future__ import annotations
@@ -473,22 +475,30 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         message=message, nfev=nfev)
 
 
+def _row_tol(tol, rows):
+    """The per-row tolerance ``tol / sqrt(rows)`` of one solve of ``rows`` equal problems.
+
+    Under an RMS error norm it keeps each row's error within a solo solve's.  Below
+    ``100 eps`` it raises ``ValueError`` naming ``tol``, where scipy's stepper would clamp
+    it with a warning."""
+    row_tol = tol / np.sqrt(rows)
+    if row_tol < 100 * _EPS:
+        raise ValueError(f"tol must be at least {100 * _EPS * np.sqrt(rows):.3g} (got tol={tol})")
+    return row_tol
+
+
 def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1,
            t_eval=None, on_escape="raise", events=()):
     """DOP853 solve through :func:`solve_ivp`, with the divergence guard.
 
-    ``y0`` holds ``rows`` equal problems; under an RMS error norm, tolerances
-    over ``sqrt(rows)`` keep each row's error within a solo solve's.  An orbit
+    ``y0`` holds ``rows`` equal problems, solved at :func:`_row_tol`.  An orbit
     that starts beyond or crosses ``norm_bound`` raises :class:`FlowDivergenceError`
     naming the start of the first row at the bound, unless it crosses with
     ``on_escape="truncate"``: then the solution stops there, the crossing in
     ``t_events[0]``.  The caller's ``events`` follow the escape event, so their
-    hits are ``t_events[1:]``, and a terminal one among them is no escape.
-    A per-row ``tol / sqrt(rows)`` below ``100 eps`` raises ``ValueError`` before
-    any step, where scipy's stepper would clamp it with a warning."""
+    hits are ``t_events[1:]``, and a terminal one among them is no escape."""
     _require_positive(tol=tol, norm_bound=norm_bound)
-    if tol / np.sqrt(rows) < 100 * _EPS:
-        raise ValueError(f"tol must be at least {100 * _EPS * np.sqrt(rows):.3g} (got tol={tol})")
+    row_tol = _row_tol(tol, rows)
     escape = _escape_event(norm_bound, spec.dim, rows)
     if not np.all(np.isfinite(y0)):
         raise ValueError("x0 must be finite")
@@ -502,8 +512,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
 
     if escape(t_span[0], y0) <= 0:
         raise diverged(t_span[0], y0)
-    tol = tol / np.sqrt(rows)
-    sol = solve_ivp(rhs, t_span, y0, rtol=tol, atol=tol / 100.0, t_eval=t_eval,
+    sol = solve_ivp(rhs, t_span, y0, rtol=row_tol, atol=row_tol / 100.0, t_eval=t_eval,
                     dense_output=dense_output, events=[escape, *events])
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")

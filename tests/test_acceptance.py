@@ -223,6 +223,7 @@ def test_criterion_7_chain_graphs(scenarios):
     with criterion(7, 120.0, "recurrence localizes at the origin and covers the cycle"):
         saddle = scenarios["linear_saddle3d"].spec
         g1 = build_chain_graph(saddle, [[-1.0, 1.0]] * 3, 0.1, 0.05, 2.0, t_samples=4)
+        assert g1.edge_count() == 66_984
         rec1 = chain_recurrent_cells(g1)
         assert len(rec1) > 0
         assert np.linalg.norm(g1.cell_center(rec1), axis=1).max() <= 0.2
@@ -230,6 +231,7 @@ def test_criterion_7_chain_graphs(scenarios):
         cyc = scenarios["saddle_cycle"].spec
         region = [[-1.25, 1.25], [-1.25, 1.25], [-0.25, 0.25]]
         g2 = build_chain_graph(cyc, region, 0.1, 0.05, 2.0, t_samples=4)
+        assert g2.edge_count() == 33_289
         theta = np.linspace(0.0, 2.0 * math.pi, 129)[:-1]
         pts = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=1)
         idx = np.floor((pts - np.asarray(region)[:, 0]) / 0.1).astype(int)

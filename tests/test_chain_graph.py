@@ -1,11 +1,13 @@
 """Cell-transition graphs: recurrence localization, wrapping, formats."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from flowlab import chain_graph
 from flowlab.chain_graph import (
     build_chain_graph,
     chain_recurrent_cells,
@@ -13,6 +15,10 @@ from flowlab.chain_graph import (
     save_cells_csv,
     save_edge_list,
 )
+from flowlab.flow import coord_difference, integrate
+from oracles import saddle_cycle_flow
+
+SADDLE_ESCAPE_GRID = dict(region=[[-1.0, 1.0]] * 3, hgrid=0.25, delta=0.05, t_max=3.0, t_samples=6)
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +225,99 @@ def test_cells_csv_lists_every_cell(neutral_fine, tmp_path):
         assert np.allclose([float(parts[3]), float(parts[4])], g.cell_center(flat))
         assert int(parts[5]) == labels[flat]
         assert int(parts[6]) == (1 if flat in rec else 0)
+
+
+def _reference_edges(graph, spec, orbit, band=0.0):
+    """``(edges, near)`` of ``graph``'s grid, cell by cell: the pairs ``(c, d)`` where
+    ``orbit(centre of c)``, its points at the samples reached, comes within ``reach`` of
+    the centre of ``d``, and the pairs whose nearest point lies within ``band`` of
+    ``reach``.  Each point is tested against every centre, with no lattice offsets."""
+    centers = graph.centers()
+    edges, near = set(), set()
+    for src, center in enumerate(centers):
+        points = orbit(center)
+        if len(points):
+            d = np.linalg.norm(coord_difference(spec, points[:, None], centers), axis=2).min(0)
+            edges.update((src, int(dst)) for dst in np.flatnonzero(d < graph.reach))
+            near.update((src, int(dst)) for dst in np.flatnonzero(abs(d - graph.reach) <= band))
+    return edges, near
+
+
+def _edge_set(graph):
+    return set(zip(*(a.tolist() for a in graph.adjacency.nonzero())))
+
+
+def _counted_solves(monkeypatch):
+    """Record the number of samples each of ``chain_graph``'s solves reached."""
+    solve, reached = chain_graph.solve_ivp, []
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        reached.append(sol.t.size)
+        return sol
+
+    monkeypatch.setattr(chain_graph, "solve_ivp", counted)
+    return reached
+
+
+@pytest.mark.parametrize("norm_bound", [2.0, 3.0, 5.0])
+def test_escaping_orbits_keep_the_samples_they_reached(scenarios, monkeypatch, norm_bound):
+    # z grows as e^t: at bound 2 the |z| = 0.875 orbits cross before the first
+    # sample, at 3 and 5 some cross between samples
+    spec = scenarios["linear_saddle3d"].spec
+    reached = _counted_solves(monkeypatch)
+    unbounded = build_chain_graph(spec, **SADDLE_ESCAPE_GRID)
+    blocks = len(reached)
+    reached.clear()
+    g = build_chain_graph(spec, **SADDLE_ESCAPE_GRID, norm_bound=norm_bound)
+    # every escape solves the rest of its block again
+    assert len(reached) > blocks
+    if norm_bound == 2.0:
+        assert min(reached) == 0
+    ts = g.t_samples
+
+    def truncated(center):
+        traj = integrate(spec, center, (0.0, ts[-1]), tol=1e-6, norm_bound=norm_bound,
+                         on_escape="truncate")
+        t_in = ts[ts <= traj.t_end]
+        return traj.at_many(t_in) if len(t_in) else np.empty((0, spec.dim))
+
+    edges, _ = _reference_edges(g, spec, truncated)
+    assert _edge_set(g) == edges
+    assert g.edge_count() == unbounded.edge_count() == 1784
+
+
+def test_build_rejects_a_tolerance_below_the_stepper_floor(scenarios, monkeypatch):
+    spec = scenarios["linear_saddle3d"].spec
+    reached = _counted_solves(monkeypatch)
+    # the first block holds 269 cells: its per-row tolerance is tol / sqrt(269)
+    with pytest.raises(ValueError, match=r"^tol must be at least 3\.64e-13 \(got tol=1e-15\)$"):
+        build_chain_graph(spec, **SADDLE_ESCAPE_GRID, tol=1e-15)
+    assert reached == []
+
+
+@pytest.mark.parametrize("shift", [(0.013, 0.071, 0.042), (0.057, 0.024, 0.089),
+                                   (0.096, 0.038, 0.005)])
+def test_cycle_graph_differs_from_the_closed_form_only_at_the_reach(scenarios, shift):
+    # the chain-graph workload's grid, shifted below one cell; edges that differ
+    # from the exact flow's have a sample within 1e-5 of the reach radius
+    spec = scenarios["saddle_cycle"].spec
+    region = np.array([[-1.25, 1.25], [-1.25, 1.25], [-0.25, 0.25]]) + np.array(shift)[:, None]
+    g = build_chain_graph(spec, region, 0.1, 0.05, 2.0, t_samples=4)
+    exact = lambda center: np.array([saddle_cycle_flow(center, t) for t in g.t_samples])
+    edges, near = _reference_edges(g, spec, exact, band=1e-5)
+    assert len(edges) > 30_000
+    assert _edge_set(g) ^ edges <= near
+
+
+def test_build_memory_is_flat_in_the_grid(scenarios):
+    # criterion 7's 8000-cell grid: blocks cap the candidate test, not the orbits
+    spec = scenarios["linear_saddle3d"].spec
+    tracemalloc.start()
+    try:
+        g = build_chain_graph(spec, [[-1.0, 1.0]] * 3, 0.1, 0.05, 2.0, t_samples=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() == 66_984
+    assert peak < 16 * 2**20

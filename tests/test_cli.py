@@ -1,6 +1,7 @@
 """End-to-end runs of the config-driven command line interface."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -292,6 +293,17 @@ def test_chain_graph_pipeline_writes_graph_files(tmp_path):
     assert len(edges) == result["edges"]
     cells = (out / "cells.csv").read_text().splitlines()
     assert len(cells) == 17
+
+
+def test_chain_graph_config_keeps_its_graph_files(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIGS / "chain_graph.cfg"), "--out", str(out), "--seed", "0"]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("graph.edges", "cells.csv")}
+    assert digests == {
+        "graph.edges": "125e3917c862a144db5908f555d6bcf9659441c6fe9b53ad37edbe567c0f9c1e",
+        "cells.csv": "804dd039fee00183908f78b6ed83367d23ecf1e28c473088a0efaf55b85d33c1",
+    }
 
 
 CHAIN_SUMMARY = ["chain", "chain.size", "chain.delta", "chain.verified", "chain.max_gap"]
