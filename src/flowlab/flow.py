@@ -1,8 +1,9 @@
 """Vector fields, trajectories, and tangent flows.
 
-Integration is flowlab's own DOP853 on scipy's tableau, :func:`solve_ivp`, with
-scipy's steps and bits; a step builds its dense stages only when it is read
-inside, and only :func:`integrate` keeps its dense output, as a :class:`Trajectory`.
+Integration is flowlab's own DOP853 on scipy's tableau, :func:`solve_ivp`, with scipy's steps
+and bits; a step builds its dense stages only when read inside, and only :func:`integrate` keeps
+its dense steps, for a :class:`Trajectory`.  A terminal event armed at ``t/3`` ends ``poincare``'s
+section search at the first crossing at or after ``t/3``, or at ``2t``.
 Angle coordinates are integrated on the universal cover (never wrapped mid-integration);
 wrapping happens only in :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
 
@@ -28,7 +29,6 @@ from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import DenseOutput, OdeSolution
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.optimize import brentq
 
@@ -269,29 +269,22 @@ class Trajectory:
             return
         t = float(np.ravel(t)[np.argmin(inside)])
         if self.escaped:
-            raise FlowDivergenceError(
-                f"trajectory from {self.x0} escaped at t={self.t_end:.6g}; "
-                f"requested t={t:.6g}"
-            )
+            raise FlowDivergenceError(f"trajectory from {self.x0} escaped at t={self.t_end:.6g}; "
+                                      f"requested t={t:.6g}")
         raise ValueError(f"t={t:.6g} outside integrated span [{lo:.6g}, {hi:.6g}]")
 
     def at(self, t: float) -> np.ndarray:
         return self.at_many([float(t)])[0]
 
     def at_many(self, ts) -> np.ndarray:
+        """The states at the times ``ts``: ``(len(ts), dim)``, or ``(dim,)`` for a scalar."""
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim > 1:
+            raise ValueError(f"ts must be a time or a 1-D array of times (got shape {ts.shape})")
         self._check_time(ts)
-        out = np.asarray(self._interp(ts), dtype=float).T
-        exact = ts == self.t0
-        if exact.any():
-            out[exact] = self.x0
-        return out
+        return self._interp(ts).T
 
-    def __call__(self, t):
-        ts = np.asarray(t, dtype=float)
-        if ts.ndim == 0:
-            return self.at(float(ts))
-        return self.at_many(ts)
+    __call__ = at_many
 
 
 def _escape_event(norm_bound: float, dim: int, rows: int = 1):
@@ -315,33 +308,41 @@ def _peak_rows(y, dim: int, rows: int) -> np.ndarray:
     return np.flatnonzero(norms >= (1.0 - 1e-9) * norms.max())
 
 
-def _interpolate(pending, t_eval, out):
-    """Rows ``out[lo:hi]`` for each step's ``(interpolant, lo, hi)`` in ``pending``, by the
-    order-7 recurrence of scipy's ``Dop853DenseOutput`` run over all the steps at once."""
-    dense, lo, hi = [d for d, _, _ in pending], pending[0][1], pending[-1][2]
-    step = np.repeat(np.arange(len(dense)), [b - a for _, a, b in pending])
-    x = t_eval[lo:hi] - np.array([d.t_old for d in dense])[step]
-    x /= np.array([d.h for d in dense])[step]
-    x, y = x[:, None], out[lo:hi]
+def _recurrence(x, y_old, rows, y):
+    """``y``: the order-7 dense output (Hairer, Nørsett and Wanner, §II.6) at step fractions
+    ``x``, summed as scipy's DOP853 sums it, from the rows ``F[6], ..., F[0]`` and ``y_old``."""
     y[...] = 0.0
-    for r in range(1, len(dense[0].F) + 1):  # row by row: no copy of every step's F at once
-        y += np.stack([d.F[-r] for d in dense])[step]
-        y *= x if r % 2 else 1 - x
-    y += np.stack([d.y_old for d in dense])[step]
+    for r, f in enumerate(rows):
+        y += f
+        y *= x if r % 2 == 0 else 1 - x
+    y += y_old
+    return y
 
 
-class _StepInterpolant(DenseOutput):
-    """One step's order-7 interpolant, read through :func:`_interpolate`."""
+def _interpolate(pending, t_eval, out):
+    """Rows ``out[lo:hi]`` for each ``(step, lo, hi)`` in ``pending``, gathering F row by row."""
+    t_old, h, y_old, F = zip(*(step for step, _, _ in pending))
+    at = np.repeat(np.arange(len(pending)), [hi - lo for _, lo, hi in pending])
+    lo, hi = pending[0][1], pending[-1][2]
+    x = (t_eval[lo:hi] - np.array(t_old)[at]) / np.array(h)[at]
+    rows = (np.stack([f[r] for f in F])[at] for r in range(6, -1, -1))
+    _recurrence(x[:, None], np.stack(y_old)[at], rows, out[lo:hi])
 
-    def __init__(self, t_old, t, y_old, F):
-        super().__init__(t_old, t)
-        self.h, self.y_old, self.F = t - t_old, y_old, F
 
-    def _call_impl(self, t):
-        ts = np.atleast_1d(t)
-        out = np.empty((ts.size, self.y_old.size))
-        _interpolate([(self, 0, ts.size)], ts, out)
-        return out[0] if t.ndim == 0 else out.T
+class _DenseSteps:
+    """The steps ``(t_old, h, y_old, F)`` of a solve, read at times ``t`` as ``(dim, len(t))``:
+    one ``searchsorted`` over the step ends picks the earlier step on an end, either way."""
+
+    def __init__(self, direction, ts, steps):
+        self.direction, self.ends = direction, direction * np.asarray(ts)
+        self.t_old, self.h, self.y_old, self.F = (np.array(a) for a in zip(*steps))
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        at = np.clip(np.searchsorted(self.ends, self.direction * t) - 1, 0, len(self.h) - 1)
+        x = (t - self.t_old[at]) / self.h[at]
+        rows = (self.F[at, r] for r in range(6, -1, -1))
+        return _recurrence(x[..., None], self.y_old[at], rows, np.empty_like(self.y_old[at])).T
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
@@ -367,7 +368,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
     for ``dense_output``, or for an output time before its end.  An output time at its end
     is ``y_old + (y - y_old)``, the interpolant at ``x = 1`` bit for bit, so ``nfev`` is
     scipy's less 3 for each such step.  Output times are interpolated several steps at a
-    time, with no state kept per step.  ``rtol`` must be at least ``100 eps``."""
+    time, with no state kept per step.  ``rtol`` must be at least ``100 eps``.  A terminal
+    event armed at ``after`` records its roots before ``after`` without stopping, so the
+    section search in ``poincare`` stops at the first crossing at or after ``t/3``, or at ``2t``."""
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
         raise ValueError("t_span must have nonzero length")
@@ -381,7 +384,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         for s, previous, a, c in stages[lo:hi]:
             K[s] = fun(t + c * h, y + np.dot(previous, a) * h)
 
-    def interpolant():
+    def dense():  # the step's dense output: (t_old, h, y_old, F)
         nonlocal nfev
         stage(13, 16, t_old, y_old, h)
         nfev += 3
@@ -390,12 +393,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         F[1] = h * K[0] - F[0]
         F[2] = 2 * F[0] - h * (K[12] + K[0])
         F[3:] = h * np.dot(_D, K)
-        return _StepInterpolant(t_old, t, y_old, F)
+        return t_old, h, y_old, F
 
     directions, terminal = ([getattr(ev, k, 0) for ev in events] for k in ("direction", "terminal"))
+    armed = [direction * getattr(ev, "after", t) for ev in events]
     g = [ev(t, y) for ev in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
-    ts, ys, interpolants, pending, reached, status, message = [t], [y], [], [], 0, None, None
+    ts, ys, steps, pending, reached, status, message = [t], [y], [], [], 0, None, None
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=float)
         key, out = direction * t_eval, np.empty((len(t_eval), y.size))
@@ -432,34 +436,35 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         if status == -1:
             break
         status = 0 if direction * (t - t_bound) >= 0 else None
-        sol = interpolant() if dense_output else None
+        step = dense() if dense_output else None
         g_new = [ev(t, y) for ev in events]
         active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
                   if (a <= 0 <= b and d >= 0) or (b <= 0 <= a and d <= 0)]
         g = g_new
         if active:
-            sol = sol or interpolant()
-            roots = np.array([brentq(lambda s, ev=events[i]: ev(s, sol(s)), t_old, t,
+            step = step or dense()  # point(s): its state at the time s
+            point = lambda s: _recurrence((s - t_old) / h, y_old, step[3][::-1], np.empty(y.size))
+            roots = np.array([brentq(lambda s, ev=events[i]: ev(s, point(s)), t_old, t,
                                      xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active])
-            if any(terminal[i] for i in active):
-                order = np.argsort(roots if t > t_old else -roots)
-                active, roots = [active[k] for k in order], roots[order]
-                stop = 1 + next(k for k, i in enumerate(active) if terminal[i])
-                active, roots, status = active[:stop], roots[:stop], 1
-                t, y = roots[-1], sol(roots[-1])
+            stops = [terminal[i] and direction * r >= armed[i] for i, r in zip(active, roots)]
+            if any(stops):
+                order = np.argsort(direction * roots)
+                order = order[: 1 + next(n for n, k in enumerate(order) if stops[k])]
+                active, roots, status = [active[k] for k in order], roots[order], 1
+                t, y = roots[-1], point(roots[-1])
             for i, root in zip(active, roots):
                 t_events[i].append(root)
-                y_events[i].append(sol(root))
+                y_events[i].append(point(root))
         if (t_eval is None or dense_output) and not (dense_output and len(ts) > 1 and ts[-1] == t):
             ts.append(t)
             ys.append(y)
-            interpolants.append(sol)
+            steps.append(step)
         if t_eval is not None and reached < len(key) and key[reached] <= direction * t:
             hi = int(np.searchsorted(key, direction * t, side="right"))
-            if sol is None and t_eval[reached] == t:  # only the step's end: x = 1
+            if step is None and t_eval[reached] == t:  # only the step's end: x = 1
                 out[reached:hi] = y_old + (y - y_old)
             else:
-                pending.append((sol or interpolant(), reached, hi))
+                pending.append((step or dense(), reached, hi))
             reached = hi
             if 8 * len(pending) >= len(key):  # F and y_old: 8 rows a step
                 _interpolate(pending, t_eval, out)
@@ -470,7 +475,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
     return SimpleNamespace(
         t=np.array(ts) if t_eval is None else t_eval[:reached],
         y=np.vstack(ys).T if t_eval is None else out[:reached].T,
-        sol=OdeSolution(ts, interpolants) if dense_output else None, status=status,
+        sol=_DenseSteps(direction, ts, steps) if dense_output and steps else None, status=status,
         t_events=[np.asarray(e) for e in t_events], y_events=[np.asarray(e) for e in y_events],
         message=message, nfev=nfev)
 
@@ -549,8 +554,7 @@ def integrate(
         raise ValueError("on_escape must be 'raise' or 'truncate'")
     sol = _solve(spec, lambda t, y: spec.field_at(y), (t0, t1), x0, tol, norm_bound,
                  "integration", dense_output=True, on_escape=on_escape)
-    escaped = len(sol.t_events[0]) > 0
-    return Trajectory(spec, x0, t0, sol.t[-1], sol.sol, tol, escaped, requested_t1=t1)
+    return Trajectory(spec, x0, t0, sol.t[-1], sol.sol, tol, len(sol.t_events[0]) > 0, t1)
 
 
 def flow_at(

@@ -296,8 +296,8 @@ def _cross_plane(
     tol: float,
 ):
     """First directional crossing of the plane through ``anchor`` at or after
-    ``t_skip``, from the solver's event search over ``[0, t_max]``.  Only
-    crossings in the field direction (g increasing through 0) count.
+    ``t_skip``: the section is a terminal event armed at ``t_skip``, so the solve
+    stops there, or at ``t_max``.  Only crossings in the field direction count.
     """
     if y.shape != (spec.dim,):
         raise ValueError(f"y has shape {y.shape}, expected ({spec.dim},)")
@@ -305,17 +305,13 @@ def _cross_plane(
     def section(t, z):
         return float(normal @ (z - anchor))
 
-    section.direction = 1
+    section.direction, section.terminal, section.after = 1, True, t_skip
 
     sol = _solve(spec, lambda t, z: spec.field_at(z), (0.0, t_max), y, tol,
                  DEFAULT_NORM_BOUND, "integration", events=[section])
-    times, points = sol.t_events[1], sol.y_events[1]
-    later = np.flatnonzero(times >= t_skip)
-    if not later.size:
-        raise NoCrossingError(
-            f"no forward crossing of the section in [{t_skip:.6g}, {t_max:.6g}]"
-        )
-    tau, point = float(times[later[0]]), points[later[0]]
+    if sol.status != 1:
+        raise NoCrossingError(f"no forward crossing of the section in [{t_skip:.6g}, {t_max:.6g}]")
+    tau, point = float(sol.t_events[1][-1]), sol.y_events[1][-1]
     speed = spec.field_at(point)
     rate = abs(float(speed @ normal))
     if rate < 1e-6 * (1.0 + np.linalg.norm(speed)):
@@ -344,9 +340,9 @@ def section_map(
     """Flow ``y`` to its first crossing of the normal section at ``X_t(x)``.
 
     The target section is the hyperplane through ``X_t(x)`` orthogonal to
-    the field there.  Crossings during ``[0, t/3]`` are ignored (the start
-    point typically sits on or near a parallel section); the search window
-    ends at ``2t``.  ``in_window`` flags whether the crossing time lies in
+    the field there.  The search stops at the first crossing at or after
+    ``t/3`` (the start point typically sits on or near a parallel section),
+    or at ``2t``.  ``in_window`` flags whether the crossing time lies in
     ``(2t/3, 4t/3)``.  The crossing point is returned with angle
     coordinates wrapped.
     """

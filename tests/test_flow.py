@@ -142,6 +142,8 @@ def _loop_case(name, scenarios):
         return fun, (0.0, 2 * math.pi), np.concatenate([x0, np.eye(3).ravel()]), 1e-9, {}
     if name == "dense":
         return on_cycle, (0.0, 7.0), x0, 1e-9, {"dense_output": True}
+    if name == "dense, backward":
+        return on_cycle, (0.0, -7.0), x0, 1e-9, {"dense_output": True}
     if name == "escape with outputs":
         outputs = {"t_eval": np.linspace(0.0, 20.0, 100), "events": [flow._escape_event(100.0, 3)]}
         return on_saddle, (0.0, 20.0), z0, 1e-9, outputs
@@ -182,8 +184,8 @@ def _end_only_steps(steps, t_eval):
 
 @pytest.mark.parametrize("name", [
     "3200 outputs", "backward", "40 rows, 7 outputs", "variational endpoint", "dense",
-    "escape with outputs", "section", "terminal event, no direction", "one output", "blow-up",
-    "equilibrium",
+    "dense, backward", "escape with outputs", "section", "terminal event, no direction",
+    "one output", "blow-up", "equilibrium",
 ])
 def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
     """flowlab's DOP853 takes scipy's steps, finds its event roots and
@@ -208,6 +210,11 @@ def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
     if name == "dense":
         ts = np.linspace(0.0, 7.0, 500)
         assert np.array_equal(ours.sol(ts), ref.sol(ts))
+    if name == "dense, backward":
+        ts = np.linspace(0.0, -7.0, 500)
+        assert np.array_equal(ours.sol(ts), ref.sol(ts))
+    if name.startswith("dense"):  # every step end, where two steps meet
+        assert np.array_equal(ours.sol(ref.t), ref.sol(ref.t))
     if name == "section":
         assert len(ours.t_events[1]) >= 2
     if name.startswith(("escape", "terminal")):
@@ -215,6 +222,35 @@ def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
     if name == "blow-up":
         assert ours.status == -1 and ours.message == ref.message == (
             "Required step size is less than spacing between numbers.")
+
+
+def test_armed_terminal_event_matches_scipy_until_it_stops(scenarios):
+    """A terminal event armed at ``after`` records its roots before ``after``
+    and stops the solve at its first root at or after it, with scipy's steps,
+    roots and bits up to there; scipy runs a non-terminal copy of the event.
+    The section case's span is stretched from 4 pi to 6 pi, so that its second
+    root no longer sits in the last step: scipy's run goes on to the escape at
+    ln 1e8 = 18.4."""
+    fun, (t0, t1), y0, tol, options = _loop_case("section", scenarios)
+    t_span, (escape, section) = (t0, 1.5 * t1), options["events"]
+    ref = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol / 100.0,
+                                    events=[escape, section])
+    roots = ref.t_events[1]
+    assert len(roots) >= 2
+
+    def armed(t, z):
+        return section(t, z)
+
+    for after in ((roots[0] + roots[1]) / 2, roots[1]):
+        armed.direction, armed.terminal, armed.after = 1, True, after
+        ours = flow.solve_ivp(fun, t_span, y0, rtol=tol, atol=tol / 100.0, events=[escape, armed])
+        assert ours.status == 1 and ours.t[-1] == roots[1]
+        assert np.array_equal(ours.t[:-1], ref.t[: ours.t.size - 1])
+        assert np.array_equal(ours.y[:, -1], ref.y_events[1][1])
+        assert ours.t_events[0].size == 0 and ref.t_events[0].size == 1
+        assert np.array_equal(ours.t_events[1], roots[:2])
+        assert np.array_equal(ours.y_events[1], ref.y_events[1][:2])
+        assert ours.nfev < ref.nfev
 
 
 def test_step_loop_rejects_outputs_against_the_span():
@@ -288,6 +324,22 @@ def test_at_many_names_first_time_outside_span(scenarios):
     escaped = integrate(spec, x0, (0.0, 20.0), norm_bound=100.0, on_escape="truncate")
     with pytest.raises(FlowDivergenceError, match=r"escaped at t=4\.6.*requested t=6$"):
         escaped.at_many([1.0, 6.0, 7.0])
+
+
+def test_at_many_reads_no_times_one_time_or_a_row_of_times(scenarios):
+    """No times give ``(0, dim)`` and a scalar ``(dim,)``; a 2-D array is
+    refused by name.  The start, read from the first step at ``x = 0``, is the
+    initial state exactly in either time direction."""
+    spec = scenarios["linear_saddle3d"].spec
+    x0 = np.array([0.8, -0.6, 0.3])
+    traj = integrate(spec, x0, (0.0, 2.0))
+    assert traj.at_many([]).shape == (0, 3) and traj(np.empty(0)).shape == (0, 3)
+    assert np.array_equal(traj.at_many(1.0), traj.at(1.0)) and traj.at_many(1.0).shape == (3,)
+    refused = r"^ts must be a time or a 1-D array of times \(got shape \(2, 1\)\)$"
+    with pytest.raises(ValueError, match=refused):
+        traj.at_many([[0.5], [1.0]])
+    back = integrate(spec, x0, (0.0, -1.0))
+    assert np.array_equal(back.at_many([0.0, -0.5, 0.0]), [x0, back.at(-0.5), x0])
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

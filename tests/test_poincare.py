@@ -6,6 +6,7 @@ import pytest
 from flowlab import (
     ConcatEvaluator,
     ConsistencyError,
+    FlowDivergenceError,
     NewtonDivergedError,
     NewtonSingularError,
     NoCrossingError,
@@ -121,6 +122,36 @@ def test_section_map_no_crossing(scenarios):
     spec = scenarios["linear_saddle3d"].spec
     with pytest.raises(NoCrossingError, match="no forward crossing"):
         section_map(spec, np.array([0.0, 0.0, 0.5]), np.array([0.3, 0.0, 0.01]), 1.0)
+
+
+def test_section_search_stops_at_its_crossing(scenarios, monkeypatch):
+    """The section is a terminal event armed at t/3, so the search ends at the
+    crossing it returns: z = e^s crosses e^8 at s = 8 and would cross the
+    divergence bound 1e6 at s = ln 1e6 = 13.8, inside the window's end 2t = 16.
+    An orbit that escapes before its first armed crossing still raises: from
+    z = 1000 the crossing at s = 1.1 comes before t/3, and the escape at 6.9."""
+    spec = scenarios["linear_saddle3d"].spec
+    x = np.array([0.0, 0.0, 1.0])
+    crossing = section_map(spec, x, x, 8.0)
+    assert crossing.tau == pytest.approx(8.0, abs=1e-9)
+    assert crossing.point == pytest.approx([0.0, 0.0, math.exp(8.0)], rel=1e-8)
+    with pytest.raises(FlowDivergenceError, match=r"crossed norm 1e\+06 at t=6\.90776"):
+        section_map(spec, x, np.array([0.0, 0.0, 1000.0]), 8.0)
+
+    nfev = []
+    solve = flow.solve_ivp
+
+    def counted_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(flow, "solve_ivp", counted_solve)
+    p = np.array([1.0, 0.0, 0.0])
+    crossing = section_map(scenarios["saddle_cycle"].spec, p, p, TWO_PI)
+    assert abs(crossing.tau - TWO_PI) <= 1e-9
+    # the anchor's flow_at, then the crossing solve, which ran to 4 pi in 749
+    assert len(nfev) == 2 and nfev[1] <= 400
 
 
 def test_section_map_tangential_crossing(scenarios):
