@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -96,12 +96,13 @@ def build_chain_graph(
     The ``t_samples`` times, an integer count of at least 1, are uniform on
     ``[1, t_max]``; a single sample is ``t_max``.  The per-axis cell counts
     are ``round(extent / hgrid)``; the region should be an exact multiple of
-    ``hgrid`` per axis.
+    ``hgrid`` per axis.  The centres and match radius are the returned graph's
+    own :meth:`ChainGraph.centers` and :attr:`ChainGraph.reach`.
 
     The centres are integrated in blocks of ``rows`` cells, each block one
-    DOP853 solve at ``tol / sqrt(rows)`` (``ValueError`` naming ``tol`` below
-    the stepper's floor of ``100 eps``), so ``spec`` must take ``(N, dim)``
-    batches.  Orbits that leave the divergence bound contribute only the
+    DOP853 solve at :func:`~flowlab.flow._row_tol`, ``tol / sqrt(rows)`` (``ValueError``
+    naming ``tol`` below the stepper's floor of ``100 eps``), so ``spec`` must take
+    ``(N, dim)`` batches.  Orbits that leave the divergence bound contribute only the
     samples reached before escaping: none for an orbit that crosses before the
     first sample or a centre that starts beyond the bound.  Where a block's
     solve stops at the bound, the rows at the bound keep their samples and the
@@ -130,7 +131,9 @@ def build_chain_graph(
     shape = tuple(int(c) for c in counts)
     lo = region[:, 0]
     ts = np.linspace(1.0, t_max, t_samples) if t_samples > 1 else np.array([t_max])
-    reach = delta + 0.5 * math.sqrt(n) * hgrid
+    graph = ChainGraph(spec.name, region, float(hgrid), float(delta), ts, shape,
+                       csr_matrix((n_cells, n_cells), dtype=np.int8))
+    reach, centers = graph.reach, graph.centers()
     if norm_bound is None:
         norm_bound = max(1e3, 100.0 * float(np.max(np.abs(region))))
     _require_positive(norm_bound=norm_bound)
@@ -144,7 +147,6 @@ def build_chain_graph(
     offsets = np.array(list(itertools.product(range(-span, span + 1), repeat=n)))
     offsets = offsets[(np.linalg.norm(offsets, axis=1) - 0.5 * math.sqrt(n)) * hgrid < reach]
 
-    centers = lo + (np.indices(shape).reshape(n, -1).T + 0.5) * hgrid
     cells = np.flatnonzero(np.linalg.norm(centers, axis=1) < norm_bound)
     if len(cells) > 1:
         _check_batch_contract(spec, centers[cells])
@@ -154,13 +156,13 @@ def build_chain_graph(
         live, src, points = cells[first : first + block], [], []
         while len(live):
             rows = len(live)
-            row_tol = _row_tol(tol, rows)
+            rtol, atol = _row_tol(tol, rows)
             sol = solve_ivp(
                 lambda t, y: spec.field_at(y.reshape(rows, n)).ravel(),
                 (0.0, float(ts[-1])),
                 centers[live].ravel(),
-                rtol=row_tol,
-                atol=row_tol / 100.0,
+                rtol=rtol,
+                atol=atol,
                 t_eval=ts,
                 events=[_escape_event(norm_bound, n, rows)],
             )
@@ -177,23 +179,15 @@ def build_chain_graph(
         cand = np.floor((points - lo) / hgrid).astype(int)[:, None] + offsets
         cand[..., wrap_axis] %= counts[wrap_axis]
         hit = np.all((cand >= 0) & (cand < counts), axis=2)
-        diff = coord_difference(spec, points[:, None], lo + (cand + 0.5) * hgrid)
+        dst = np.ravel_multi_index(np.moveaxis(cand, 2, 0), shape, mode="clip")  # clipped: not hit
+        diff = coord_difference(spec, points[:, None], centers[dst])
         hit &= np.linalg.norm(diff, axis=2) < reach
-        dst = np.ravel_multi_index(tuple(cand[hit].T), shape)
-        edges.append(np.broadcast_to(src[:, None], hit.shape)[hit] * n_cells + dst)
+        edges.append(np.broadcast_to(src[:, None], hit.shape)[hit] * n_cells + dst[hit])
 
     edges = np.unique(np.concatenate(edges))
     data = np.ones(len(edges), dtype=np.int8)
     adjacency = csr_matrix((data, divmod(edges, n_cells)), shape=(n_cells, n_cells))
-    return ChainGraph(
-        spec_name=spec.name,
-        region=region,
-        hgrid=float(hgrid),
-        delta=float(delta),
-        t_samples=ts,
-        shape=shape,
-        adjacency=adjacency,
-    )
+    return replace(graph, adjacency=adjacency)
 
 
 def chain_recurrent_cells(graph: ChainGraph) -> np.ndarray:
@@ -225,8 +219,9 @@ def save_edge_list(graph: ChainGraph, path) -> None:
 
 
 def save_cells_csv(graph: ChainGraph, path) -> None:
-    """Write cell metadata: id, lattice index, center, component, recurrence."""
-    labels = graph.scc_labels()
+    """Write one row a cell: flat id, lattice index, the ``repr`` of each centre
+    coordinate, strong component and recurrence flag, from one ``np.unravel_index``
+    and one :meth:`ChainGraph.centers`."""
     recurrent = np.zeros(graph.n_cells, dtype=int)
     recurrent[chain_recurrent_cells(graph)] = 1
     n = graph.region.shape[0]
@@ -236,15 +231,10 @@ def save_cells_csv(graph: ChainGraph, path) -> None:
         + [f"c{k}" for k in range(n)]
         + ["component", "recurrent"]
     )
+    idx = np.transpose(np.unravel_index(np.arange(graph.n_cells), graph.shape))
+    columns = (a.tolist() for a in (idx, graph.centers(), graph.scc_labels(), recurrent))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for flat in range(graph.n_cells):
-            idx = np.unravel_index(flat, graph.shape)
-            center = graph.cell_center(flat)
-            row = (
-                [str(flat)]
-                + [str(int(i)) for i in idx]
-                + [repr(float(c)) for c in center]
-                + [str(int(labels[flat])), str(int(recurrent[flat]))]
-            )
-            fh.write(",".join(row) + "\n")
+        for flat, (i, center, label, rec) in enumerate(zip(*columns)):
+            # str of a Python float is its repr
+            fh.write(",".join(map(str, [flat, *i, *center, label, rec])) + "\n")

@@ -400,7 +400,7 @@ def periodic_family_chain(
     anchor, normal = _section_at(spec, p, period, tol)
 
     def return_time(y):
-        return _cross_plane(spec, anchor, normal, y, 2.0 * period, period / 3.0, tol)[1]
+        return _cross_plane(spec, anchor, normal, y, period, tol)[1]
 
     pts = np.empty((n_points, spec.dim))
     durations = np.empty(n_points)

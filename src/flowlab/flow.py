@@ -320,13 +320,15 @@ def _recurrence(x, y_old, rows, y):
 
 
 def _interpolate(pending, t_eval, out):
-    """Rows ``out[lo:hi]`` for each ``(step, lo, hi)`` in ``pending``, gathering F row by row."""
-    t_old, h, y_old, F = zip(*(step for step, _, _ in pending))
-    at = np.repeat(np.arange(len(pending)), [hi - lo for _, lo, hi in pending])
-    lo, hi = pending[0][1], pending[-1][2]
-    x = (t_eval[lo:hi] - np.array(t_old)[at]) / np.array(h)[at]
-    rows = (np.stack([f[r] for f in F])[at] for r in range(6, -1, -1))
-    _recurrence(x[:, None], np.stack(y_old)[at], rows, out[lo:hi])
+    """Fills ``out[lo:hi]`` for each ``(step, lo, hi)`` in gapless ``pending``; returns ``[]``."""
+    if pending:
+        t_old, h, y_old, F = zip(*(step for step, _, _ in pending))
+        at = np.repeat(np.arange(len(pending)), [hi - lo for _, lo, hi in pending])
+        lo, hi = pending[0][1], pending[-1][2]
+        x = (t_eval[lo:hi] - np.array(t_old)[at]) / np.array(h)[at]
+        rows = (np.stack([f[r] for f in F])[at] for r in range(6, -1, -1))
+        _recurrence(x[:, None], np.stack(y_old)[at], rows, out[lo:hi])
+    return []
 
 
 class _DenseSteps:
@@ -462,13 +464,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         if t_eval is not None and reached < len(key) and key[reached] <= direction * t:
             hi = int(np.searchsorted(key, direction * t, side="right"))
             if step is None and t_eval[reached] == t:  # only the step's end: x = 1
+                pending = _interpolate(pending, t_eval, out)  # pending rows stay gapless
                 out[reached:hi] = y_old + (y - y_old)
             else:
                 pending.append((step or dense(), reached, hi))
             reached = hi
             if 8 * len(pending) >= len(key):  # F and y_old: 8 rows a step
-                _interpolate(pending, t_eval, out)
-                pending = []
+                pending = _interpolate(pending, t_eval, out)
         K[0] = K[12]  # the next step starts from this one's end derivative
     if pending:
         _interpolate(pending, t_eval, out)
@@ -481,15 +483,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
 
 
 def _row_tol(tol, rows):
-    """The per-row tolerance ``tol / sqrt(rows)`` of one solve of ``rows`` equal problems.
-
-    Under an RMS error norm it keeps each row's error within a solo solve's.  Below
-    ``100 eps`` it raises ``ValueError`` naming ``tol``, where scipy's stepper would clamp
-    it with a warning."""
+    """``(rtol, atol)`` of one solve of ``rows`` equal problems: ``tol / sqrt(rows)``, which
+    under an RMS error norm keeps each row's error within a solo solve's, and its hundredth.
+    Below ``100 eps`` it raises ``ValueError`` naming ``tol``, where scipy's stepper would
+    clamp it with a warning."""
     row_tol = tol / np.sqrt(rows)
     if row_tol < 100 * _EPS:
         raise ValueError(f"tol must be at least {100 * _EPS * np.sqrt(rows):.3g} (got tol={tol})")
-    return row_tol
+    return row_tol, row_tol / 100.0
 
 
 def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1,
@@ -503,7 +504,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     ``t_events[0]``.  The caller's ``events`` follow the escape event, so their
     hits are ``t_events[1:]``, and a terminal one among them is no escape."""
     _require_positive(tol=tol, norm_bound=norm_bound)
-    row_tol = _row_tol(tol, rows)
+    rtol, atol = _row_tol(tol, rows)
     escape = _escape_event(norm_bound, spec.dim, rows)
     if not np.all(np.isfinite(y0)):
         raise ValueError("x0 must be finite")
@@ -517,7 +518,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
 
     if escape(t_span[0], y0) <= 0:
         raise diverged(t_span[0], y0)
-    sol = solve_ivp(rhs, t_span, y0, rtol=row_tol, atol=row_tol / 100.0, t_eval=t_eval,
+    sol = solve_ivp(rhs, t_span, y0, rtol=rtol, atol=atol, t_eval=t_eval,
                     dense_output=dense_output, events=[escape, *events])
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")

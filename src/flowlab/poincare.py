@@ -291,16 +291,16 @@ def _cross_plane(
     anchor: np.ndarray,
     normal: np.ndarray,
     y: np.ndarray,
-    t_max: float,
-    t_skip: float,
+    t: float,
     tol: float,
 ):
-    """First directional crossing of the plane through ``anchor`` at or after
-    ``t_skip``: the section is a terminal event armed at ``t_skip``, so the solve
-    stops there, or at ``t_max``.  Only crossings in the field direction count.
+    """First crossing, in the field direction, of the plane through ``anchor``
+    in the window of the target time ``t``: the section is a terminal event armed
+    at ``t/3``, so the solve stops at the first crossing from then, or at ``2t``.
     """
     if y.shape != (spec.dim,):
         raise ValueError(f"y has shape {y.shape}, expected ({spec.dim},)")
+    t_max, t_skip = 2.0 * t, t / 3.0
 
     def section(t, z):
         return float(normal @ (z - anchor))
@@ -340,11 +340,11 @@ def section_map(
     """Flow ``y`` to its first crossing of the normal section at ``X_t(x)``.
 
     The target section is the hyperplane through ``X_t(x)`` orthogonal to
-    the field there.  The search stops at the first crossing at or after
-    ``t/3`` (the start point typically sits on or near a parallel section),
-    or at ``2t``.  ``in_window`` flags whether the crossing time lies in
-    ``(2t/3, 4t/3)``.  The crossing point is returned with angle
-    coordinates wrapped.
+    the field there.  The search window is :func:`_cross_plane`'s: the first
+    crossing at or after ``t/3`` (the start point typically sits on or near a
+    parallel section), or none by ``2t``.  ``in_window`` flags whether the
+    crossing time lies in ``(2t/3, 4t/3)``.  The crossing point is returned
+    with angle coordinates wrapped.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -353,7 +353,7 @@ def section_map(
     if radius is not None:
         _require_positive(radius=radius)
     anchor, normal = _section_at(spec, x, t, tol)
-    point, tau = _cross_plane(spec, anchor, normal, y, 2.0 * t, t / 3.0, tol)
+    point, tau = _cross_plane(spec, anchor, normal, y, t, tol)
     if radius is not None and distance(spec, point, anchor) > radius:
         raise NoCrossingError(
             f"crossing at t={tau:.6g} lands outside the section disc of radius {radius}"
@@ -395,7 +395,7 @@ def find_periodic_newton(
     t_cur = float(t_guess)
     for it in range(1, max_iter + 1):
         y = base + frame @ q
-        point, tau = _cross_plane(spec, base, normal, y, 2.0 * t_cur, t_cur / 3.0, tol)
+        point, tau = _cross_plane(spec, base, normal, y, t_cur, tol)
         residual = distance(spec, point, y)
 
         _, deriv = tangent_flow(spec, y, tau, tol=tol)

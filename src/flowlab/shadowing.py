@@ -57,21 +57,19 @@ class Reparametrization:
     """Piecewise-linear increasing time change with ``h(0) = 0``.
 
     Knots must be strictly increasing in ``t``; every segment slope must lie
-    within ``slope_bounds``; one knot must sit at ``(0, 0)`` (within 1e-9,
-    snapped exactly).  Evaluation outside the knot range extrapolates with
-    the end segment slopes.
+    within ``_SLOPE_BOUNDS``, the slopes the shadowing search fits and accepts;
+    one knot must sit at ``(0, 0)`` (within 1e-9, snapped exactly).  Evaluation
+    outside the knot range extrapolates with the end segment slopes.
     """
 
-    def __init__(self, knots_t, knots_u, slope_bounds=_SLOPE_BOUNDS):
+    def __init__(self, knots_t, knots_u):
         t = np.asarray(knots_t, dtype=float)
         u = np.asarray(knots_u, dtype=float)
         if t.ndim != 1 or t.shape != u.shape or len(t) < 2:
             raise ValueError("need matching 1-d knot arrays with at least 2 knots")
         if not np.all(np.diff(t) > 0):
             raise ValueError("knot times must be finite and strictly increasing")
-        lo, hi = float(slope_bounds[0]), float(slope_bounds[1])
-        if not 0 < lo <= hi:
-            raise ValueError("slope bounds must satisfy 0 < lo <= hi")
+        lo, hi = _SLOPE_BOUNDS
         slopes = np.diff(u) / np.diff(t)
         if not np.all((slopes >= lo - 1e-9) & (slopes <= hi + 1e-9)):
             raise ValueError(
@@ -87,7 +85,6 @@ class Reparametrization:
         u[anchor] = 0.0
         self.knots_t = t
         self.knots_u = u
-        self.slope_bounds = (lo, hi)
 
     @classmethod
     def identity(cls, span) -> "Reparametrization":
@@ -571,7 +568,7 @@ def search_shadowing(
     elif (largest := float(np.linalg.norm(newton.corrections, axis=1).max())) >= epsilon:
         reason = f"its largest correction {largest:.6g} is not below epsilon"
     elif np.any((tau < _SLOPE_BOUNDS[0] * h) | (tau > _SLOPE_BOUNDS[1] * h)):
-        reason = "a time slope (h_i + s_i) / h_i leaves slope_bounds"
+        reason = f"a time slope (h_i + s_i) / h_i leaves {_SLOPE_BOUNDS}"
     else:
         horizon = (0.0, po.total_time)
         reparam = Reparametrization(po.boundary_times, np.append(0.0, np.cumsum(tau)))

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from flowlab import flow
 from flowlab import (
@@ -150,6 +152,13 @@ def _loop_case(name, scenarios):
     if name == "one output":  # flow_at's solve: its one output time is its last step's end
         options = {"t_eval": np.array([1.3]), "events": [flow._escape_event(1e6, 3)]}
         return on_cycle, (0.0, 1.3), x0, 1e-9, options
+    if name == "end-only step among pending ones":
+        # step 2's one output is its end, between steps 1, 4 and 5 of 10 interior outputs each
+        ts = scipy.integrate.solve_ivp(on_cycle, (0.0, 7.0), x0, method="DOP853", rtol=1e-9,
+                                       atol=1e-11).t
+        inside = [np.linspace(ts[k], ts[k + 1], 12)[1:-1] for k in (1, 4, 5)]
+        outputs = np.concatenate([inside[0], ts[3:4], *inside[1:]])
+        return on_cycle, (0.0, 7.0), x0, 1e-9, {"t_eval": outputs}
     if name == "blow-up":  # y = 1 / (1 - t): the step shrinks below the spacing of times
         return (lambda t, y: y * y), (0.0, 2.0), np.array([1.0]), 1e-9, {}
     if name == "equilibrium":  # zero field: the initial step is 1e-6, and the errors are 0
@@ -185,7 +194,7 @@ def _end_only_steps(steps, t_eval):
 @pytest.mark.parametrize("name", [
     "3200 outputs", "backward", "40 rows, 7 outputs", "variational endpoint", "dense",
     "dense, backward", "escape with outputs", "section", "terminal event, no direction",
-    "one output", "blow-up", "equilibrium",
+    "one output", "end-only step among pending ones", "blow-up", "equilibrium",
 ])
 def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
     """flowlab's DOP853 takes scipy's steps, finds its event roots and
@@ -202,7 +211,8 @@ def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
     steps = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=tol, atol=tol / 100.0,
                                       events=options["events"]).t
     end_only = _end_only_steps(steps, options.get("t_eval"))
-    assert end_only == {"40 rows, 7 outputs": 1, "one output": 1}.get(name, 0)
+    end_only_cases = ("40 rows, 7 outputs", "one output", "end-only step among pending ones")
+    assert end_only == int(name in end_only_cases)
     assert ours.nfev == ref.nfev - 3 * end_only
     assert len(ours.t_events) == len(ref.t_events)
     for a, b in zip(ours.t_events + ours.y_events, ref.t_events + ref.y_events):
@@ -222,6 +232,23 @@ def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
     if name == "blow-up":
         assert ours.status == -1 and ours.message == ref.message == (
             "Required step size is less than spacing between numbers.")
+
+
+def test_dense_steps_read_the_earlier_step_at_a_step_end():
+    """Where two steps meet, a dense solution reads the earlier one in either time
+    direction, as scipy's ``OdeSolution`` does.  Real steps agree there to the bit unless
+    the end value is below the rounding unit of the start, so these two synthetic steps
+    disagree instead: the first ends at its ``y_old + F[0]`` = 1, and the second starts
+    at its ``y_old`` = 5."""
+    F = np.zeros((7, 1))
+    F[0] = 1.0
+    for h in (1.0, -1.0):
+        steps = [(0.0, h, np.zeros(1), F), (h, h, np.full(1, 5.0), F)]
+        ts = np.array([0.0, h, 2 * h])
+        ours = flow._DenseSteps(np.sign(h), ts, steps)
+        ref = OdeSolution(ts, [Dop853DenseOutput(t0, t0 + dt, y, f) for t0, dt, y, f in steps])
+        assert ours(ts).tolist() == ref(ts).tolist() == [[0.0, 1.0, 6.0]]
+        assert ours(h).tolist() == [1.0]
 
 
 def test_armed_terminal_event_matches_scipy_until_it_stops(scenarios):

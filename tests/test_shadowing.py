@@ -54,22 +54,20 @@ def noisy_saddle_chain(scenarios):
 
 
 @pytest.mark.parametrize(
-    "kt, ku, kwargs, message",
+    "kt, ku, message",
     [
-        ([0.0, 1.0], [0.0], {}, "matching 1-d knot arrays"),
-        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], {}, "strictly increasing"),
-        ([0.0, 1.0], [0.0, 20.0], {}, "segment slopes"),
-        ([0.0, 1.0], [0.0, 0.01], {}, "segment slopes"),
-        ([1.0, 2.0], [1.0, 2.0], {}, "is required"),
-        ([0.0, 1.0], [0.0, 1.0], {"slope_bounds": (0.0, 1.0)}, "slope bounds"),
-        ([0.0, 1.0], [0.0, 1.0], {"slope_bounds": (math.nan, 1.0)}, "slope bounds"),
-        ([0.0, math.nan], [0.0, 1.0], {}, "finite and strictly increasing"),
-        ([0.0, 1.0], [0.0, math.nan], {}, "segment slopes"),
+        ([0.0, 1.0], [0.0], "matching 1-d knot arrays"),
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),
+        ([0.0, 1.0], [0.0, 20.0], "segment slopes"),
+        ([0.0, 1.0], [0.0, 0.01], "segment slopes"),
+        ([1.0, 2.0], [1.0, 2.0], "is required"),
+        ([0.0, math.nan], [0.0, 1.0], "finite and strictly increasing"),
+        ([0.0, 1.0], [0.0, math.nan], "segment slopes"),
     ],
 )
-def test_reparametrization_validation(kt, ku, kwargs, message):
+def test_reparametrization_validation(kt, ku, message):
     with pytest.raises(ValueError, match=message):
-        Reparametrization(kt, ku, **kwargs)
+        Reparametrization(kt, ku)
 
 
 def test_reparametrization_evaluation():
