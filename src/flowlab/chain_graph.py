@@ -56,7 +56,7 @@ class ChainGraph:
 
     @property
     def n_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def reach(self) -> float:
@@ -121,14 +121,14 @@ def build_chain_graph(
         raise ValueError(f"t_max must be at least 1 and finite, as chain steps need t >= 1 "
                          f"(got t_max={t_max})")
     extents = region[:, 1] - region[:, 0]
-    counts = np.maximum(1, np.round(extents / hgrid).astype(int))
-    if np.any(np.abs(counts * hgrid - extents) > 1e-9 * np.maximum(1.0, extents)):
+    counts = np.maximum(1.0, np.round(extents / hgrid))  # an infinite extent: NaN below, refused
+    if not np.all(np.abs(counts * hgrid - extents) <= 1e-9 * np.maximum(1.0, extents)):
         raise ValueError("each region extent must be an integer multiple of hgrid")
-    n_cells = int(np.prod(counts))
+    shape = tuple(int(c) for c in counts)  # Python ints, so the cell count cannot wrap
+    n_cells = math.prod(shape)
     if n_cells > cell_cap:
         raise ValueError(f"{n_cells} cells exceed the cap {cell_cap}")
     n = spec.dim
-    shape = tuple(int(c) for c in counts)
     lo = region[:, 0]
     ts = np.linspace(1.0, t_max, t_samples) if t_samples > 1 else np.array([t_max])
     graph = ChainGraph(spec.name, region, float(hgrid), float(delta), ts, shape,
@@ -177,7 +177,7 @@ def build_chain_graph(
         # every (sample, offset) candidate of the block at once, as src * n_cells + dst
         src, points = np.concatenate(src), np.concatenate(points)
         cand = np.floor((points - lo) / hgrid).astype(int)[:, None] + offsets
-        cand[..., wrap_axis] %= counts[wrap_axis]
+        cand[..., wrap_axis] %= counts[wrap_axis].astype(int)
         hit = np.all((cand >= 0) & (cand < counts), axis=2)
         dst = np.ravel_multi_index(np.moveaxis(cand, 2, 0), shape, mode="clip")  # clipped: not hit
         diff = coord_difference(spec, points[:, None], centers[dst])

@@ -530,7 +530,7 @@ def main(argv=None) -> int:
 
     try:
         return run_config(args.config, args.out, seed=args.seed)
-    except (ConfigError, ValueError, KeyError, OSError, RuntimeError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,9 @@
 """Vector fields, trajectories, and tangent flows.
 
-Integration is flowlab's own DOP853 on scipy's tableau, :func:`solve_ivp`, with scipy's steps
-and bits; a step builds its dense stages only when read inside, and only :func:`integrate` keeps
-its dense steps, for a :class:`Trajectory`.  A terminal event armed at ``t/3`` ends ``poincare``'s
-section search at the first crossing at or after ``t/3``, or at ``2t``.
+Integration is flowlab's own DOP853 on scipy's tableau, :func:`solve_ivp`, with scipy's bits.
+A step builds its dense stages only when read inside, and ``_DenseSteps`` alone reads them: at
+output times, at event roots, and as :func:`integrate`'s :class:`Trajectory`, which alone keeps
+its steps.  An armed terminal event ends ``poincare``'s section search at its crossing.
 Angle coordinates are integrated on the universal cover (never wrapped mid-integration);
 wrapping happens only in :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
 
@@ -308,43 +308,26 @@ def _peak_rows(y, dim: int, rows: int) -> np.ndarray:
     return np.flatnonzero(norms >= (1.0 - 1e-9) * norms.max())
 
 
-def _recurrence(x, y_old, rows, y):
-    """``y``: the order-7 dense output (Hairer, Nørsett and Wanner, §II.6) at step fractions
-    ``x``, summed as scipy's DOP853 sums it, from the rows ``F[6], ..., F[0]`` and ``y_old``."""
-    y[...] = 0.0
-    for r, f in enumerate(rows):
-        y += f
-        y *= x if r % 2 == 0 else 1 - x
-    y += y_old
-    return y
-
-
-def _interpolate(pending, t_eval, out):
-    """Fills ``out[lo:hi]`` for each ``(step, lo, hi)`` in gapless ``pending``; returns ``[]``."""
-    if pending:
-        t_old, h, y_old, F = zip(*(step for step, _, _ in pending))
-        at = np.repeat(np.arange(len(pending)), [hi - lo for _, lo, hi in pending])
-        lo, hi = pending[0][1], pending[-1][2]
-        x = (t_eval[lo:hi] - np.array(t_old)[at]) / np.array(h)[at]
-        rows = (np.stack([f[r] for f in F])[at] for r in range(6, -1, -1))
-        _recurrence(x[:, None], np.stack(y_old)[at], rows, out[lo:hi])
-    return []
-
-
 class _DenseSteps:
-    """The steps ``(t_old, h, y_old, F)`` of a solve, read at times ``t`` as ``(dim, len(t))``:
-    one ``searchsorted`` over the step ends picks the earlier step on an end, either way."""
+    """The one reader of a solve's dense steps ``(t_old, h, y_old, F)``, given in time order:
+    at times ``t``, ``(dim, len(t))`` from the order-7 sum of Hairer, Nørsett and Wanner, §II.6,
+    in scipy's order.  One ``searchsorted`` over the starts picks the earlier step on a shared
+    end, either way, and the first before its start; no time may fall in a gap between steps."""
 
-    def __init__(self, direction, ts, steps):
-        self.direction, self.ends = direction, direction * np.asarray(ts)
+    def __init__(self, direction, steps):
         self.t_old, self.h, self.y_old, self.F = (np.array(a) for a in zip(*steps))
+        self.direction, self.starts = direction, direction * self.t_old
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        at = np.clip(np.searchsorted(self.ends, self.direction * t) - 1, 0, len(self.h) - 1)
-        x = (t - self.t_old[at]) / self.h[at]
-        rows = (self.F[at, r] for r in range(6, -1, -1))
-        return _recurrence(x[..., None], self.y_old[at], rows, np.empty_like(self.y_old[at])).T
+        at = np.maximum(np.searchsorted(self.starts, self.direction * t) - 1, 0)
+        x = ((t - self.t_old[at]) / self.h[at])[..., None]
+        y = np.zeros(x.shape[:-1] + self.y_old.shape[1:])
+        for r in range(6, -1, -1):
+            y += self.F[at, r]
+            y *= x if r % 2 == 0 else 1 - x
+        y += self.y_old[at]
+        return y.T
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
@@ -369,8 +352,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
     A step builds its 3 extra dense stages only when it is read inside: for an event root,
     for ``dense_output``, or for an output time before its end.  An output time at its end
     is ``y_old + (y - y_old)``, the interpolant at ``x = 1`` bit for bit, so ``nfev`` is
-    scipy's less 3 for each such step.  Output times are interpolated several steps at a
-    time, with no state kept per step.  ``rtol`` must be at least ``100 eps``.  A terminal
+    scipy's less 3 for each such step.  :class:`_DenseSteps` reads every dense step: a root's
+    one step, ``sol``'s kept steps, and the pending steps of output times, several at a time,
+    with no state kept per step.  ``rtol`` must be at least ``100 eps``.  A terminal
     event armed at ``after`` records its roots before ``after`` without stopping, so the
     section search in ``poincare`` stops at the first crossing at or after ``t/3``, or at ``2t``."""
     t, t_bound = float(t_span[0]), float(t_span[1])
@@ -396,6 +380,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         F[2] = 2 * F[0] - h * (K[12] + K[0])
         F[3:] = h * np.dot(_D, K)
         return t_old, h, y_old, F
+
+    def flush():  # the pending steps' output rows, lo to hi, in one read
+        if pending:
+            lo, hi = pending[0][1], pending[-1][2]
+            out[lo:hi] = _DenseSteps(direction, [s for s, _, _ in pending])(t_eval[lo:hi]).T
+            pending.clear()
 
     directions, terminal = ([getattr(ev, k, 0) for ev in events] for k in ("direction", "terminal"))
     armed = [direction * getattr(ev, "after", t) for ev in events]
@@ -444,8 +434,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
                   if (a <= 0 <= b and d >= 0) or (b <= 0 <= a and d <= 0)]
         g = g_new
         if active:
-            step = step or dense()  # point(s): its state at the time s
-            point = lambda s: _recurrence((s - t_old) / h, y_old, step[3][::-1], np.empty(y.size))
+            step = step or dense()
+            point = _DenseSteps(direction, [step])  # point(s): its state at the time s
             roots = np.array([brentq(lambda s, ev=events[i]: ev(s, point(s)), t_old, t,
                                      xtol=_ROOT_TOL, rtol=_ROOT_TOL) for i in active])
             stops = [terminal[i] and direction * r >= armed[i] for i, r in zip(active, roots)]
@@ -464,20 +454,19 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         if t_eval is not None and reached < len(key) and key[reached] <= direction * t:
             hi = int(np.searchsorted(key, direction * t, side="right"))
             if step is None and t_eval[reached] == t:  # only the step's end: x = 1
-                pending = _interpolate(pending, t_eval, out)  # pending rows stay gapless
+                flush()  # pending rows stay gapless
                 out[reached:hi] = y_old + (y - y_old)
             else:
                 pending.append((step or dense(), reached, hi))
             reached = hi
             if 8 * len(pending) >= len(key):  # F and y_old: 8 rows a step
-                pending = _interpolate(pending, t_eval, out)
+                flush()
         K[0] = K[12]  # the next step starts from this one's end derivative
-    if pending:
-        _interpolate(pending, t_eval, out)
+    flush()
     return SimpleNamespace(
         t=np.array(ts) if t_eval is None else t_eval[:reached],
         y=np.vstack(ys).T if t_eval is None else out[:reached].T,
-        sol=_DenseSteps(direction, ts, steps) if dense_output and steps else None, status=status,
+        sol=_DenseSteps(direction, steps) if dense_output and steps else None, status=status,
         t_events=[np.asarray(e) for e in t_events], y_events=[np.asarray(e) for e in y_events],
         message=message, nfev=nfev)
 

@@ -199,6 +199,17 @@ def test_build_rejects_bad_arguments(scenarios, kwargs, message):
         build_chain_graph(spec, **args)
 
 
+@pytest.mark.parametrize("name, region, cells", [
+    ("saddle_cycle", [[-10.0, 10.0]] * 3, 8 * 10**21),
+    ("neutral_line", [[0.0, 4294.967296]] * 2, 2**64),
+])
+def test_cell_cap_refuses_counts_past_int64(scenarios, name, region, cells):
+    """Cells are counted in Python integers, so a grid of more than 2**63 cells is
+    refused by the cap before anything is allocated, not wrapped to a negative count."""
+    with pytest.raises(ValueError, match=f"^{cells} cells exceed the cap 250000$"):
+        build_chain_graph(scenarios[name].spec, region, 1e-6, 0.1, 2.0)
+
+
 def test_edge_list_file_round_trips(neutral_fine, tmp_path):
     g = neutral_fine
     path = tmp_path / "graph.edges"

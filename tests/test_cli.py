@@ -479,6 +479,22 @@ def test_per_point_field_exits_one_with_message(tmp_path, capsys, monkeypatch):
     assert "must accept (N, 3) batches" in err
 
 
+def test_out_of_memory_exits_one_with_message(tmp_path, capsys, monkeypatch):
+    # tau = 1e6 at dt = 1e-4 is inside the parsed ranges, but its cocycle needs 74.5 GiB;
+    # the allocation fails here by stub, whatever the host's memory
+    def build_cocycle(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_cocycle", build_cocycle)
+    body = ("[scenario]\nname = saddle_cycle\n\n[pipeline]\nname = quasi-hyperbolic\n"
+            "x0 = 1 0 0\ntau = 1e6\neta = 0.5\nbig_t = 1.0\ndt = 1e-4\n")
+    code, _ = run_cli(tmp_path, body)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 74.5 GiB for an array\n"
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     code = main(["run", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "out")])
     assert code == 1

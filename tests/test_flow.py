@@ -152,13 +152,14 @@ def _loop_case(name, scenarios):
     if name == "one output":  # flow_at's solve: its one output time is its last step's end
         options = {"t_eval": np.array([1.3]), "events": [flow._escape_event(1e6, 3)]}
         return on_cycle, (0.0, 1.3), x0, 1e-9, options
-    if name == "end-only step among pending ones":
-        # step 2's one output is its end, between steps 1, 4 and 5 of 10 interior outputs each
+    if name in ("end-only step among pending ones", "pending steps 1 and 4"):
+        # step 2's one output is its end, between steps 1, 4 and 5 of 10 interior outputs each;
+        # or only steps 1 and 4 hold outputs, so one read flushes the two non-adjacent steps
         ts = scipy.integrate.solve_ivp(on_cycle, (0.0, 7.0), x0, method="DOP853", rtol=1e-9,
                                        atol=1e-11).t
         inside = [np.linspace(ts[k], ts[k + 1], 12)[1:-1] for k in (1, 4, 5)]
-        outputs = np.concatenate([inside[0], ts[3:4], *inside[1:]])
-        return on_cycle, (0.0, 7.0), x0, 1e-9, {"t_eval": outputs}
+        outputs = [inside[0], ts[3:4], *inside[1:]] if name.startswith("end-only") else inside[:2]
+        return on_cycle, (0.0, 7.0), x0, 1e-9, {"t_eval": np.concatenate(outputs)}
     if name == "blow-up":  # y = 1 / (1 - t): the step shrinks below the spacing of times
         return (lambda t, y: y * y), (0.0, 2.0), np.array([1.0]), 1e-9, {}
     if name == "equilibrium":  # zero field: the initial step is 1e-6, and the errors are 0
@@ -194,7 +195,8 @@ def _end_only_steps(steps, t_eval):
 @pytest.mark.parametrize("name", [
     "3200 outputs", "backward", "40 rows, 7 outputs", "variational endpoint", "dense",
     "dense, backward", "escape with outputs", "section", "terminal event, no direction",
-    "one output", "end-only step among pending ones", "blow-up", "equilibrium",
+    "one output", "end-only step among pending ones", "pending steps 1 and 4", "blow-up",
+    "equilibrium",
 ])
 def test_step_loop_matches_scipy_bit_for_bit(name, scenarios):
     """flowlab's DOP853 takes scipy's steps, finds its event roots and
@@ -245,7 +247,7 @@ def test_dense_steps_read_the_earlier_step_at_a_step_end():
     for h in (1.0, -1.0):
         steps = [(0.0, h, np.zeros(1), F), (h, h, np.full(1, 5.0), F)]
         ts = np.array([0.0, h, 2 * h])
-        ours = flow._DenseSteps(np.sign(h), ts, steps)
+        ours = flow._DenseSteps(np.sign(h), steps)
         ref = OdeSolution(ts, [Dop853DenseOutput(t0, t0 + dt, y, f) for t0, dt, y, f in steps])
         assert ours(ts).tolist() == ref(ts).tolist() == [[0.0, 1.0, 6.0]]
         assert ours(h).tolist() == [1.0]
