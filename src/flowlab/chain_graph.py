@@ -112,6 +112,8 @@ def build_chain_graph(
     if region.shape != (spec.dim, 2):
         raise ValueError(f"region must have shape ({spec.dim}, 2)")
     for i, (a, b) in enumerate(region):
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"region axis {i} is not finite: lo {a:g}, hi {b:g}")
         if not a < b:
             raise ValueError(f"region axis {i} is inverted: lo {a:g} is not below hi {b:g}")
     _require_positive(hgrid=hgrid, delta=delta)
@@ -121,7 +123,7 @@ def build_chain_graph(
         raise ValueError(f"t_max must be at least 1 and finite, as chain steps need t >= 1 "
                          f"(got t_max={t_max})")
     extents = region[:, 1] - region[:, 0]
-    counts = np.maximum(1.0, np.round(extents / hgrid))  # an infinite extent: NaN below, refused
+    counts = np.maximum(1.0, np.round(extents / hgrid))
     if not np.all(np.abs(counts * hgrid - extents) <= 1e-9 * np.maximum(1.0, extents)):
         raise ValueError("each region extent must be an integer multiple of hgrid")
     shape = tuple(int(c) for c in counts)  # Python ints, so the cell count cannot wrap

@@ -188,6 +188,28 @@ def verify_chain(po: PseudoOrbit, tol: float = DEFAULT_TOL) -> ChainCheck:
     )
 
 
+def _locate(begins, ts):
+    """The piece of each time in ``ts`` and the local time in it, for pieces ``i``
+    from ``begins[i]`` to ``begins[i + 1]``: a time on a knot starts the later
+    piece, and times outside the knots fall in the end pieces."""
+    piece = np.clip(np.searchsorted(begins, ts, side="right") - 1, 0, len(begins) - 2)
+    return piece, ts - begins[piece]
+
+
+def _read_pieces(orbit, starts, taus, piece, local):
+    """Points ``X_{local[k]}(starts[piece[k]])``.  A local time 0 returns the start
+    itself; the others come from one call ``orbit(rows, times)`` of rows of
+    ``starts``: one row per read piece over its whole duration ``taus``, so a
+    divergence anywhere on such a piece raises, then one row per time."""
+    out = starts[piece]
+    inner = local != 0.0
+    if inner.any():
+        keys = np.unique(piece[inner])
+        times = np.concatenate([taus[keys], local[inner]])
+        out[inner] = orbit(np.concatenate([keys, piece[inner]]), times)[len(keys):]
+    return out
+
+
 class ConcatEvaluator:
     """Evaluate the concatenated trajectory of a chain at arbitrary times.
 
@@ -217,9 +239,9 @@ class ConcatEvaluator:
         if not np.all(np.isfinite(ts)):
             raise ValueError("evaluation times must be finite")
         po = self.po
-        cum, total = po._begins[1:], po._begins[-1]
-        body = np.clip(np.searchsorted(cum, ts, side="right") - 1, 0, po.size - 1)
-        entry, local = body + 1, ts - cum[body]  # rows of the chain's entry table
+        total = po._begins[-1]
+        body, local = _locate(po._begins[1:], ts)
+        entry = body + 1  # rows of the chain's entry table
         before, after = ts < 0.0, ts >= total
         if before.any():
             if po.head is None:
@@ -231,13 +253,7 @@ class ConcatEvaluator:
             entry[after], local[after] = po.size + 1, rest - np.floor(rest / tt) * tt
         elif np.any(late := ts > total + 1e-9 * max(1.0, total)):
             raise ValueError(f"t={ts[late][0]:.6g} is past the chain and there is no tail")
-        out = po._starts[entry]
-        inner = local != 0.0
-        if inner.any():
-            keys = np.unique(entry[inner])
-            times = np.concatenate([po._taus[keys], local[inner]])
-            out[inner] = self._orbit(np.concatenate([keys, entry[inner]]), times)[len(keys):]
-        return out
+        return _read_pieces(self._orbit, po._starts, po._taus, entry, local)
 
     def _orbit(self, entries, times):
         """Points ``X_{times[i]}(x)`` from the start ``x`` of chain entry

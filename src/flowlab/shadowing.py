@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
-from .chains import ConcatEvaluator, PseudoOrbit
+from .chains import ConcatEvaluator, PseudoOrbit, _locate, _read_pieces
 from .flow import (
     DEFAULT_TOL,
     FlowDivergenceError,
@@ -226,8 +226,18 @@ def shadow_distance(
     boundaries and all knots of ``h``) is inflated per interval by
     ``dt/2 * max |h' * X(orbit) - X(chain)|`` at the interval ends, a
     first-order bound on what can happen between samples.
+
+    A point ``y`` is flowed in one solve over the whole horizon.  An ``(m, dim)``
+    array ``y`` holds the starts of pieces instead, one per segment of ``h``:
+    piece ``i`` is the orbit of ``y[i]`` from ``u = h.knots_u[i]``, and times
+    outside the knots fall in the end pieces.  The pieces are read in one batched
+    solve, as :class:`~flowlab.chains.ConcatEvaluator` reads a chain, so no orbit
+    runs longer than one piece.
     """
     _require_count(1, samples=samples)
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 2 and len(y) != len(h.knots_u) - 1:
+        raise ValueError(f"need one piece per segment of h ({len(h.knots_u) - 1}), got {len(y)}")
     lo, hi = float(horizon[0]), float(horizon[1])
     grid = _chain_time_grid(po, (lo, hi), samples)
     knots = h.knots_t
@@ -236,7 +246,12 @@ def shadow_distance(
 
     c_pts = ConcatEvaluator(po, tol=tol).at_many(grid)
     u = np.asarray(h(grid), dtype=float)
-    o_pts = _orbit_points(spec, y, u, tol)
+    if y.ndim == 1:
+        o_pts = _orbit_points(spec, y, u, tol)
+    else:
+        piece, local = _locate(h.knots_u, u)
+        orbit = lambda rows, times: _orbit_points(spec, y[rows], [1.0], tol, scale=times)[:, 0]
+        o_pts = _read_pieces(orbit, y, np.diff(h.knots_u), piece, local)
     d = np.linalg.norm(coord_difference(spec, o_pts, c_pts), axis=-1)
 
     v_orbit = spec.field_at(o_pts)
@@ -536,12 +551,18 @@ def search_shadowing(
     ``h_i + s_i`` (the last segment unshifted), is kept when Newton converged, the
     witness lies in the seed box, every ``|c_i| < epsilon``, every slope
     ``(h_i + s_i) / h_i`` lies within the slope bounds ``[0.1, 10]`` and the dense
-    :func:`shadow_distance` is below ``epsilon``.  Otherwise a note says why, and
-    the lattice stage runs, as on every chain with a head or tail: a centered lattice
-    over the seed box, then one over its best point's cell, each one batched scan of
-    the matching objective; the refinement's best point is kept only when strictly
-    better.  A point whose orbit leaves the divergence bound scores ``inf`` and every
-    point is one evaluation.  The best candidate must also pass the dense check.  The
+    bound of :func:`shadow_distance` along the corrected pieces is below ``epsilon``.
+    Piece ``i`` is the orbit of ``x_i + c_i`` for ``h_i + s_i``; the pieces join within
+    ``newton_residual``, and to first order one orbit lies within ``|J^+|`` times that
+    of them, which the distance leaves out.  No orbit runs longer than one piece,
+    where the witness's own orbit would magnify round-off along the whole of a long
+    hyperbolic chain.  Where that read leaves the divergence bound, or any check
+    fails, a note says why, and the lattice stage runs, as on every chain with a
+    head or tail: a centered lattice over the seed box,
+    then one over its best point's cell, each one batched scan of the matching
+    objective; the refinement's best point is kept only when strictly better.  A point
+    whose orbit leaves the divergence bound scores ``inf`` and every point is one
+    evaluation.  The best candidate must also pass the dense check.  The
     verdict ``"not_found"`` is explicitly not a proof of non-shadowability.
     """
     _require_positive(epsilon=epsilon)
@@ -559,7 +580,8 @@ def search_shadowing(
     except (RuntimeError, np.linalg.LinAlgError) as err:  # FlowDivergenceError included
         report = _lattice_search(*search)
         return replace(report, notes=report.notes + (f"the newton stage failed: {err}",))
-    y = po.points[0] + newton.corrections[0]
+    starts = po.points + newton.corrections
+    y = starts[0]
     h, tau = po.durations, po.durations + np.append(newton.shifts, 0.0)
     if newton.residual > tol:
         reason = f"it did not converge (residual {newton.residual:.3g})"
@@ -572,7 +594,13 @@ def search_shadowing(
     else:
         horizon = (0.0, po.total_time)
         reparam = Reparametrization(po.boundary_times, np.append(0.0, np.cumsum(tau)))
-        dense = shadow_distance(spec, y, reparam, po, horizon, 4 * budget.eval_samples + 1, tol)
+        samples = 4 * budget.eval_samples + 1
+        try:
+            dense = shadow_distance(spec, starts, reparam, po, horizon, samples, tol)
+        except FlowDivergenceError:
+            dense, reason = math.inf, "its pieces left the divergence bound"
+        else:
+            reason = f"its dense distance {dense:.6g} is not below epsilon"
         if dense < epsilon:
             return ShadowingReport(
                 verdict="shadowed", epsilon=float(epsilon), distance=dense,
@@ -581,7 +609,6 @@ def search_shadowing(
                 coarse_candidates=0, evaluations=0, stage="newton", notes=(),
                 operator_inverse_norm=newton.inverse_norm, newton_residual=newton.residual,
             )
-        reason = f"its dense distance {dense:.6g} is not below epsilon"
     report = _lattice_search(*search)
     note = f"the newton witness was not kept: {reason}"
     return replace(report, operator_inverse_norm=newton.inverse_norm,

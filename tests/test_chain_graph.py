@@ -1,6 +1,7 @@
 """Cell-transition graphs: recurrence localization, wrapping, formats."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,18 @@ def test_cell_cap_refuses_counts_past_int64(scenarios, name, region, cells):
     refused by the cap before anything is allocated, not wrapped to a negative count."""
     with pytest.raises(ValueError, match=f"^{cells} cells exceed the cap 250000$"):
         build_chain_graph(scenarios[name].spec, region, 1e-6, 0.1, 2.0)
+
+
+@pytest.mark.parametrize("region, message", [
+    ([[-math.inf, 0.2], [-0.2, 0.2]], "region axis 0 is not finite: lo -inf, hi 0.2"),
+    ([[-0.2, 0.2], [-0.2, math.inf]], "region axis 1 is not finite: lo -0.2, hi inf"),
+    ([[-0.2, 0.2], [math.nan, 0.2]], "region axis 1 is not finite: lo nan, hi 0.2"),
+])
+def test_infinite_region_is_named(scenarios, region, message):
+    """A region that is not finite is refused by name, before any extent is
+    formed (an infinite extent would warn in numpy and then fail the hgrid check)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_chain_graph(scenarios["neutral_line"].spec, region, 0.1, 0.05, 2.0)
 
 
 def test_edge_list_file_round_trips(neutral_fine, tmp_path):

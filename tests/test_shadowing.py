@@ -808,7 +808,9 @@ def test_newton_shadow_solves_through_tangent_flow(noisy_saddle_chain, monkeypat
 
 def test_search_takes_the_newton_stage(noisy_saddle_chain, monkeypatch):
     """The 10-step chain's Newton witness x_0 + c_0 is kept, with knots at the
-    boundary times and the shifted durations, and no lattice objective is built."""
+    boundary times and the shifted durations, and no lattice objective is built.
+    Its distance is the dense bound read along the corrected pieces; on this
+    chain the witness's single orbit gives the same bound within 1e-9."""
     spec, po = noisy_saddle_chain
     newton = shadowing.newton_shadow(spec, po)
 
@@ -829,8 +831,10 @@ def test_search_takes_the_newton_stage(noisy_saddle_chain, monkeypatch):
     assert report.reparam_knots_u == tuple(np.append(0.0, np.cumsum(tau)))
     assert report.horizon == (0.0, po.total_time)
     h = Reparametrization(report.reparam_knots_t, report.reparam_knots_u)
-    dense = shadow_distance(spec, report.witness, h, po, report.horizon, samples=133)
+    dense = shadow_distance(spec, po.points + newton.corrections, h, po, report.horizon, 133)
     assert report.distance == dense < 2e-3
+    single = shadow_distance(spec, report.witness, h, po, report.horizon, samples=133)
+    assert abs(report.distance - single) <= 1e-9
     assert report.notes == ()
     payload = report.to_dict()
     assert (payload["stage"], payload["newton_residual"]) == ("newton", newton.residual)
@@ -880,6 +884,102 @@ def test_search_falls_back_when_newton_diverges(noisy_saddle_chain, monkeypatch)
     assert (report.stage, report.verdict) == ("lattice", "shadowed")
     assert (report.operator_inverse_norm, report.newton_residual) == (None, None)
     assert report.notes[-1] == "the newton stage failed: orbit escaped"
+
+
+def test_search_falls_back_when_the_pieces_diverge(noisy_saddle_chain, monkeypatch):
+    """A divergence in the dense read of the corrected pieces refuses the Newton
+    witness with a note, and the lattice runs as it does on its own.  A divergence
+    of the chain's own read is no fault of the witness: the lattice stage reads
+    the chain too, and it raises there."""
+    spec, po = noisy_saddle_chain
+    newton = shadowing.newton_shadow(spec, po)
+    orbit_points = shadowing._orbit_points
+
+    def diverging(*args, scale=None, **kwargs):  # only the pieces read passes a scale
+        if scale is not None:
+            raise FlowDivergenceError("orbit escaped")
+        return orbit_points(*args, **kwargs)
+
+    monkeypatch.setattr(shadowing, "_orbit_points", diverging)
+    budget = SearchBudget(candidates=30, refine_evals=10, eval_samples=33)
+    region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
+    report = search_shadowing(spec, po, 2e-3, region, budget=budget)
+    note = "the newton witness was not kept: its pieces left the divergence bound"
+    assert report.notes[-1] == note
+    alone = shadowing._lattice_search(spec, po, 2e-3, region, budget)
+    assert report == dataclasses.replace(
+        alone,
+        operator_inverse_norm=newton.inverse_norm,
+        newton_residual=newton.residual,
+        notes=alone.notes + report.notes[-1:],
+    )
+
+    class Escaping(shadowing.ConcatEvaluator):
+        def at_many(self, ts):
+            raise FlowDivergenceError("chain escaped")
+
+    monkeypatch.setattr(shadowing, "ConcatEvaluator", Escaping)
+    with pytest.raises(FlowDivergenceError, match="^chain escaped$"):
+        search_shadowing(spec, po, 2e-3, region, budget=budget)
+
+
+def test_shadow_distance_reads_pieces_as_the_chain_is_read(noisy_saddle_chain, monkeypatch):
+    """Pieces are read as ConcatEvaluator reads a chain, in one solve: the chain's
+    own points as pieces on the identity time change lie at distance 0 from it,
+    and moved pieces read each time along their own piece."""
+    spec, po = noisy_saddle_chain
+    identity = Reparametrization(po.boundary_times, po.boundary_times)
+    horizon = (0.0, po.total_time)
+    rows = []
+    solve = flow._solve
+
+    def counted_solve(*args, **kwargs):
+        rows.append(kwargs.get("rows", 1))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_solve", counted_solve)
+    assert shadow_distance(spec, po.points, identity, po, horizon, samples=33) == 0.0
+    assert len(rows) == 2 and rows[0] == rows[1]  # the chain's read, then the pieces'
+
+    starts = po.points + 1e-5
+    h = Reparametrization(po.boundary_times, np.append(0.0, np.cumsum(po.durations * 1.01)))
+    moved = shadow_distance(spec, starts, h, po, horizon, samples=33)
+    assert 1e-5 < moved < 2e-2
+    with pytest.raises(ValueError, match=r"^need one piece per segment of h \(11\), got 10$"):
+        shadow_distance(spec, po.points[:-1], identity, po, horizon)
+
+
+@pytest.mark.parametrize("count", [40, 60])
+def test_newton_shadows_long_hyperbolic_chains(scenarios, count):
+    """Chains of ``count`` unit steps on saddle_cycle's unit circle, each point
+    moved by up to 1e-4: Newton corrects them, and the dense check along the
+    corrected pieces keeps the witness, and the pieces re-check the report.  The
+    witness's single orbit over the whole chain grows round-off exponentially in
+    ``count``: at 40 steps its dense distance is above epsilon, and at 60 it
+    leaves the divergence bound."""
+    spec = scenarios["saddle_cycle"].spec
+    k = np.arange(count + 1.0)
+    noise = np.random.default_rng(5).uniform(-1e-4, 1e-4, (count + 1, 3))
+    points = np.column_stack([np.cos(k), np.sin(k), np.zeros_like(k)]) + noise
+    po = PseudoOrbit(spec, points, np.ones(count + 1), 1e-3)
+    newton = shadowing.newton_shadow(spec, po)
+    y = points[0] + newton.corrections[0]
+    region = np.column_stack([y - 1e-3, y + 1e-3])
+    budget = SearchBudget(candidates=30, refine_evals=0)
+    report = search_shadowing(spec, po, 5e-3, region, budget=budget)
+    assert (report.verdict, report.stage) == ("shadowed", "newton")
+    assert report.distance < 5e-4
+    assert report.witness == tuple(y)
+    h = Reparametrization(report.reparam_knots_t, report.reparam_knots_u)
+    samples = 4 * budget.eval_samples + 1
+    recheck = (spec, po.points + newton.corrections, h, po, report.horizon, samples)
+    assert shadow_distance(*recheck) == report.distance
+    single = (spec, report.witness) + recheck[2:]
+    if count == 40:
+        assert shadow_distance(*single) > 5e-3
+    else:
+        with pytest.raises(FlowDivergenceError):
+            shadow_distance(*single)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
