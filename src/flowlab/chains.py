@@ -286,7 +286,6 @@ def generate_noisy(
     rng=None,
     noise_subspace=None,
     tol: float = DEFAULT_TOL,
-    norm_bound: float = DEFAULT_NORM_BOUND,
 ) -> PseudoOrbit:
     """Flow-and-perturb chain: ``x_{i+1} = X_step(x_i) + xi_i``, ``|xi| <= noise``.
 
@@ -294,8 +293,8 @@ def generate_noisy(
     points.  Perturbations are drawn uniformly from the ball of radius
     ``noise``, restricted to the column span of ``noise_subspace`` when one
     is given (its columns must be linearly independent and are orthonormalized
-    first).  The chain's ``delta`` is
-    ``noise + 10 * tol`` to absorb integration error in later verification.
+    first).  A step whose orbit crosses ``DEFAULT_NORM_BOUND`` raises.  The chain's
+    ``delta`` is ``noise + 10 * tol`` to absorb integration error in later verification.
     """
     _require_count(1, count=count)
     _require_positive(noise=noise)
@@ -315,7 +314,7 @@ def generate_noisy(
     pts = np.empty((count + 1, spec.dim))
     pts[0] = wrap_point(spec, np.asarray(x0, dtype=float))
     for i in range(count):
-        base = flow_at(spec, pts[i], step, tol=tol, norm_bound=norm_bound)
+        base = flow_at(spec, pts[i], step, tol=tol)
         g = rng.standard_normal(k)
         norm = np.linalg.norm(g)
         xi_local = g / norm * noise * rng.random() ** (1.0 / k) if norm else np.zeros(k)

@@ -102,7 +102,11 @@ def _parse_value(key, raw, spec):
 def load_config(path):
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     cp.optionxform = str
-    if not cp.read(path):
+    try:
+        read = cp.read(path)
+    except configparser.Error as err:  # some of these messages span lines
+        raise ConfigError(" ".join(str(err).split())) from None
+    if not read:
         raise ConfigError(f"cannot read config file {path}")
     sections = set(cp.sections())
     required = {"scenario", "pipeline"}
@@ -231,7 +235,7 @@ def _run_shadow_search(scenario, params, seed, outdir):
     spec = scenario.spec
     po, chain, rows = _checked_chain(scenario, params, "shadow-search", seed)
     budget = SearchBudget(
-        **_given(params, "candidates", "refine_evals", "chain_samples", "orbit_samples", "settle")
+        **_given(params, "candidates", "refine_evals", "chain_samples", "orbit_samples")
     )
     half = float(params.get("seed_halfwidth", 0.1))
     center = po.points[0]
@@ -335,13 +339,11 @@ def _run_quasi_hyperbolic(scenario, params, seed, outdir):
     per_step = ("log_norms_stable", "log_conorms_unstable", "slack_leading",
                 "slack_trailing", "slack_stepwise")
     result = {"arc_start": _plain(x0), **_plain(cert, *per_step)}
+    # a leading average sits at the end of its span, a trailing one and a step at their start
     rows = []
-    for j, v in enumerate(cert.slack_leading):
-        rows.append(("slack_leading", j, float(cert.boundaries[j + 1]), float(v)))
-    for j, v in enumerate(cert.slack_trailing):
-        rows.append(("slack_trailing", j, float(cert.boundaries[j]), float(v)))
-    for j, v in enumerate(cert.slack_stepwise):
-        rows.append(("slack_stepwise", j, float(cert.boundaries[j]), float(v)))
+    for name, offset in (("slack_leading", 1), ("slack_trailing", 0), ("slack_stepwise", 0)):
+        for j, v in enumerate(getattr(cert, name)):
+            rows.append((name, j, float(cert.boundaries[j + offset]), float(v)))
     return (0 if cert.ok else 2), result, rows
 
 
@@ -398,7 +400,6 @@ PIPELINES = {
             **_CHAIN_KEYS,
             "candidates": ("int", 1, 10_000_000),
             "refine_evals": ("int", 0, 10_000_000),
-            "settle": ("float", 0.0, 1000.0),
             "seed_halfwidth": ("float", 1e-12, 100.0),
             "chain_samples": ("int", 3, 1_000_000),
             "orbit_samples": ("int", 3, 1_000_000),

@@ -123,19 +123,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def normal_frame(spec: VectorFieldSpec, x, min_speed: float = 1e-12) -> np.ndarray:
+def normal_frame(spec: VectorFieldSpec, x) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the field at ``x``.
 
     Columns are obtained by Gram-Schmidt from the identity basis with the
     coordinate axis most aligned with the field dropped, so the result is a
     deterministic function of the field direction.  A batch ``x`` of shape
     ``(N, dim)`` gives ``(N, dim, dim - 1)``.  Raises ``ValueError`` at
-    (numerical) singularities.
+    (numerical) singularities, where ``|field| < 1e-12``.
     """
     x = np.asarray(x, dtype=float)
     v = spec.field_at(x)
     speed = np.sqrt(_dot(v, v))
-    if np.any(speed < min_speed):
+    if np.any(speed < 1e-12):
         raise ValueError(f"no normal frame at a singularity (|field| = {np.min(speed):.3g})")
     v = v / speed[..., None]
     n = spec.dim
@@ -422,11 +422,11 @@ def find_periodic_newton(
     raise NewtonDivergedError(f"no convergence in {max_iter} iterations")
 
 
-def _polish_singularity(spec: VectorFieldSpec, x: np.ndarray, max_iter: int = 30):
+def _polish_singularity(spec: VectorFieldSpec, x: np.ndarray):
     # Least-squares Newton tolerates rank-deficient Jacobians, so whole
     # curves of equilibria are handled: the step moves orthogonally to them.
     x = np.array(x, dtype=float)
-    for _ in range(max_iter):
+    for _ in range(30):
         v = spec.field_at(x)
         if np.linalg.norm(v) < 1e-13:
             break

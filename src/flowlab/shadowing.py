@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -466,9 +466,7 @@ class SearchBudget:
     adds one); ``refine_evals < candidates`` of them cap the refinement: a
     lattice of the largest odd ``k`` points per live axis with ``k**n <=
     refine_evals``, so with 3 live axes a budget below 27 refines nothing.  ``eval_samples``
-    controls the final dense verification grid (used at four times this
-    count).  ``settle`` is the extra horizon time granted to chains with
-    head or tail extensions.
+    controls the final dense verification grid, of ``dense_samples`` points.
     """
 
     candidates: int = 1000
@@ -476,7 +474,6 @@ class SearchBudget:
     chain_samples: Optional[int] = None
     orbit_samples: Optional[int] = None
     eval_samples: int = 257
-    settle: float = 3.0
 
     def __post_init__(self) -> None:
         given = {"chain_samples": self.chain_samples, "orbit_samples": self.orbit_samples}
@@ -488,6 +485,11 @@ class SearchBudget:
                 f"need 0 <= refine_evals < candidates (so candidates >= 1); got "
                 f"refine_evals = {self.refine_evals}, candidates = {self.candidates}"
             )
+
+    @property
+    def dense_samples(self) -> int:
+        """Samples of the dense check: four times ``eval_samples``, plus one."""
+        return 4 * self.eval_samples + 1
 
 
 @dataclass(frozen=True)
@@ -512,6 +514,29 @@ class ShadowingReport:
 
     def to_dict(self) -> dict:
         return {"schema": "flowlab.shadow-search/1", **_plain(self)}
+
+
+def _report(epsilon, verdict, distance, found, horizon, stage, notes, coarse=0, evaluations=0,
+            newton=(None, None)) -> ShadowingReport:
+    """Every :class:`ShadowingReport`: ``found`` is the witness and its reparametrization
+    or ``None``, and ``newton`` is :func:`newton_shadow`'s ``(inverse_norm, residual)``."""
+    parts = (None,) * 3 if found is None else (found[0], found[1].knots_t, found[1].knots_u)
+    witness, knots_t, knots_u = (None if a is None else tuple(map(float, a)) for a in parts)
+    return ShadowingReport(
+        verdict=verdict,
+        epsilon=float(epsilon),
+        distance=float(distance),
+        witness=witness,
+        reparam_knots_t=knots_t,
+        reparam_knots_u=knots_u,
+        horizon=horizon,
+        coarse_candidates=coarse,
+        evaluations=evaluations,
+        stage=stage,
+        notes=tuple(notes),
+        operator_inverse_norm=newton[0],
+        newton_residual=newton[1],
+    )
 
 
 def _coarse_axes(box: np.ndarray, n_points: int) -> list:
@@ -562,8 +587,9 @@ def search_shadowing(
     then one over its best point's cell, each one batched scan of the matching
     objective; the refinement's best point is kept only when strictly better.  A point
     whose orbit leaves the divergence bound scores ``inf`` and every point is one
-    evaluation.  The best candidate must also pass the dense check.  The
-    verdict ``"not_found"`` is explicitly not a proof of non-shadowability.
+    evaluation.  The best candidate must also pass the dense check, over a horizon that
+    grants a head and a tail 3 time units each.  The verdict ``"not_found"`` is
+    explicitly not a proof of non-shadowability.
     """
     _require_positive(epsilon=epsilon)
     budget = budget or SearchBudget()
@@ -578,8 +604,8 @@ def search_shadowing(
     try:
         newton = newton_shadow(spec, po, tol)
     except (RuntimeError, np.linalg.LinAlgError) as err:  # FlowDivergenceError included
-        report = _lattice_search(*search)
-        return replace(report, notes=report.notes + (f"the newton stage failed: {err}",))
+        return _lattice_search(*search, f"the newton stage failed: {err}")
+    numbers = (newton.inverse_norm, newton.residual)
     starts = po.points + newton.corrections
     y = starts[0]
     h, tau = po.durations, po.durations + np.append(newton.shifts, 0.0)
@@ -594,31 +620,24 @@ def search_shadowing(
     else:
         horizon = (0.0, po.total_time)
         reparam = Reparametrization(po.boundary_times, np.append(0.0, np.cumsum(tau)))
-        samples = 4 * budget.eval_samples + 1
         try:
-            dense = shadow_distance(spec, starts, reparam, po, horizon, samples, tol)
+            dense = shadow_distance(spec, starts, reparam, po, horizon, budget.dense_samples, tol)
         except FlowDivergenceError:
             dense, reason = math.inf, "its pieces left the divergence bound"
         else:
             reason = f"its dense distance {dense:.6g} is not below epsilon"
         if dense < epsilon:
-            return ShadowingReport(
-                verdict="shadowed", epsilon=float(epsilon), distance=dense,
-                witness=tuple(y.tolist()), reparam_knots_t=tuple(reparam.knots_t.tolist()),
-                reparam_knots_u=tuple(reparam.knots_u.tolist()), horizon=horizon,
-                coarse_candidates=0, evaluations=0, stage="newton", notes=(),
-                operator_inverse_norm=newton.inverse_norm, newton_residual=newton.residual,
-            )
-    report = _lattice_search(*search)
-    note = f"the newton witness was not kept: {reason}"
-    return replace(report, operator_inverse_norm=newton.inverse_norm,
-                   newton_residual=newton.residual, notes=report.notes + (note,))
+            return _report(epsilon, "shadowed", dense, (y, reparam), horizon, "newton", (),
+                           newton=numbers)
+    return _lattice_search(*search, f"the newton witness was not kept: {reason}", numbers)
 
 
-def _lattice_search(spec, po, epsilon, seed_region, budget, tol=DEFAULT_TOL) -> ShadowingReport:
-    """The lattice stage of :func:`search_shadowing`, on its checked arguments."""
-    lo = -budget.settle if po.head is not None else 0.0
-    hi = po.total_time + (budget.settle if po.tail is not None else 0.0)
+def _lattice_search(spec, po, epsilon, seed_region, budget, tol=DEFAULT_TOL, note=None,
+                    newton=(None, None)) -> ShadowingReport:
+    """The lattice stage of :func:`search_shadowing`, on its checked arguments; the
+    Newton stage's ``note`` follows the stage's own, and ``newton`` goes to :func:`_report`."""
+    lo = -3.0 if po.head is not None else 0.0
+    hi = po.total_time + (3.0 if po.tail is not None else 0.0)
     obj = _MatchObjective(
         spec,
         po,
@@ -657,7 +676,7 @@ def _lattice_search(spec, po, epsilon, seed_region, budget, tol=DEFAULT_TOL) -> 
         achieved = fit.distance
     if achieved < epsilon:
         dense = shadow_distance(
-            spec, fit.y_anchored, fit.h, po, (lo, hi), samples=4 * budget.eval_samples + 1, tol=tol
+            spec, fit.y_anchored, fit.h, po, (lo, hi), samples=budget.dense_samples, tol=tol
         )
         achieved = dense
         if dense < epsilon:
@@ -667,21 +686,11 @@ def _lattice_search(spec, po, epsilon, seed_region, budget, tol=DEFAULT_TOL) -> 
                 f"matched distance {fit.distance:.6g} was below epsilon but the dense "
                 f"verification gave {dense:.6g}"
             )
-    found = (None,) * 3 if fit is None else (fit.y_anchored, fit.h.knots_t, fit.h.knots_u)
-    witness, knots_t, knots_u = (None if a is None else tuple(map(float, a)) for a in found)
-    return ShadowingReport(
-        verdict=verdict,
-        epsilon=float(epsilon),
-        distance=float(achieved),
-        witness=witness,
-        reparam_knots_t=knots_t,
-        reparam_knots_u=knots_u,
-        horizon=(lo, hi),
-        coarse_candidates=coarse,
-        evaluations=obj.evaluations,
-        stage="lattice",
-        notes=tuple(notes),
-    )
+    found = None if fit is None else (fit.y_anchored, fit.h)
+    if note:
+        notes.append(note)
+    return _report(epsilon, verdict, achieved, found, (lo, hi), "lattice", notes, coarse,
+                   obj.evaluations, newton)
 
 
 @dataclass(frozen=True)

@@ -451,6 +451,24 @@ def test_list_scenarios_and_pipelines(capsys):
             "epsilon = 5e-3\n",
             "noise_subspace columns must be linearly independent",
         ),
+        # files the INI parser refuses, each message on one line
+        (
+            "[scenario]\nname = saddle_cycle\nname = saddle_cycle\n\n[pipeline]\nname = classify\n",
+            "[line 3]: option 'name' in section 'scenario' already exists",
+        ),
+        (
+            "name = saddle_cycle\n\n[pipeline]\nname = classify\n",
+            "line: 1 'name = saddle_cycle",
+        ),
+        (
+            "[scenario]\nname = saddle_cycle\n\n[scenario]\nname = saddle_cycle\n\n"
+            "[pipeline]\nname = classify\n",
+            "[line 4]: section 'scenario' already exists",
+        ),
+        (
+            "[scenario]\nname = saddle_cycle\ngarbage line\n\n[pipeline]\nname = classify\n",
+            "[line 3]: 'garbage line",
+        ),
     ],
 )
 def test_bad_configs_exit_one_with_message(tmp_path, capsys, body, fragment):
