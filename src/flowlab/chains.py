@@ -10,6 +10,7 @@ bi-infinite index ranges; their single stored point must itself recur within
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -21,6 +22,7 @@ from .flow import (
     FlowDivergenceError,
     VectorFieldSpec,
     _orbit_points,
+    _orbit_solve,
     _require_count,
     _require_positive,
     coord_difference,
@@ -196,32 +198,19 @@ def _locate(begins, ts):
     return piece, ts - begins[piece]
 
 
-def _read_pieces(orbit, starts, taus, piece, local):
-    """Points ``X_{local[k]}(starts[piece[k]])``.  A local time 0 returns the start
-    itself; the others come from one call ``orbit(rows, times)`` of rows of
-    ``starts``: one row per read piece over its whole duration ``taus``, so a
-    divergence anywhere on such a piece raises, then one row per time."""
-    out = starts[piece]
-    inner = local != 0.0
-    if inner.any():
-        keys = np.unique(piece[inner])
-        times = np.concatenate([taus[keys], local[inner]])
-        out[inner] = orbit(np.concatenate([keys, piece[inner]]), times)[len(keys):]
-    return out
-
-
 class ConcatEvaluator:
     """Evaluate the concatenated trajectory of a chain at arbitrary times.
 
     On ``[S_i, S_{i+1}]`` the value is ``X_{t - S_i}(x_i)``; head and tail
-    times wind through the single constant entry.  A boundary time returns
-    the stored point exactly.  The other times are read in one batched solve
-    (``spec`` must accept ``(N, dim)`` batches): one row per queried time, which
-    ends at it, plus one row per queried segment over its whole duration.  So
-    where a queried segment's orbit crosses ``norm_bound``, even past the
-    queried times, the :class:`~flowlab.flow.FlowDivergenceError` gives the
-    crossing in chain time, and its ``rows`` are chain segments: indices into
-    ``po.points``, with -1 for the head and ``po.size`` for the tail.
+    times wind through the single constant entry (:meth:`locate`).  A boundary
+    time returns the stored point exactly.  The other times are read in one batched
+    dense solve (``spec`` must accept ``(N, dim)`` batches, and :meth:`read` can add
+    other pieces): one row per queried segment over its whole duration, which each
+    of its times is read from.  So where a queried segment's orbit crosses
+    ``norm_bound``, even past the queried times, the
+    :class:`~flowlab.flow.FlowDivergenceError` gives the crossing in chain time,
+    and its ``rows`` are chain segments: indices into ``po.points``, with -1 for
+    the head and ``po.size`` for the tail.
     """
 
     def __init__(
@@ -235,6 +224,11 @@ class ConcatEvaluator:
         return self.at_many([t])[0]
 
     def at_many(self, ts) -> np.ndarray:
+        return self.read(*self.locate(ts))
+
+    def locate(self, ts):
+        """The chain entry of each time in ``ts`` (a row of ``po._starts``, 0 for the
+        head) and the local time in it."""
         ts = np.asarray(ts, dtype=float).ravel()
         if not np.all(np.isfinite(ts)):
             raise ValueError("evaluation times must be finite")
@@ -253,22 +247,52 @@ class ConcatEvaluator:
             entry[after], local[after] = po.size + 1, rest - np.floor(rest / tt) * tt
         elif np.any(late := ts > total + 1e-9 * max(1.0, total)):
             raise ValueError(f"t={ts[late][0]:.6g} is past the chain and there is no tail")
-        return _read_pieces(self._orbit, po._starts, po._taus, entry, local)
+        return entry, local
+
+    def read(self, entry, local, starts=(), taus=()):
+        """Points ``X_{local[k]}(x)``, ``local >= 0``, from the start ``x`` of chain entry
+        ``entry[k]`` or, from ``n = len(po._starts)`` on, of the piece ``starts[entry[k] - n]``
+        of duration ``taus[entry[k] - n]``.  A local time 0 returns the start.  The others
+        are read from their entry's row of one dense solve over ``u`` in ``[0, 1]``, at the
+        speed of its duration or of its latest time if later.  A divergence raises in chain
+        terms where a chain row is at the bound, else at the first piece's local time."""
+        po = self.po
+        starts = np.concatenate([po._starts, np.reshape(starts, (-1, po.spec.dim))])
+        out, inner = starts[entry], local != 0.0
+        if inner.any():
+            rows, row = np.unique(entry[inner], return_inverse=True)
+            span = np.concatenate([po._taus, taus])[rows]
+            np.maximum.at(span, row, local[inner])
+            with self._raised(rows, span, starts):
+                dense = _orbit_solve(po.spec, starts[rows], 1.0, self.tol, self.norm_bound, span,
+                                     dense_output=True).sol
+            out[inner] = dense.rows(local[inner] / span[row], row, len(rows))
+        return out
 
     def _orbit(self, entries, times):
-        """Points ``X_{times[i]}(x)`` from the start ``x`` of chain entry
-        ``entries[i]`` (a row of ``po._starts``), all in one solve.  A divergence
-        is re-raised in chain time, with chain segments as rows."""
+        """Points ``X_{times[i]}(x)`` from the start ``x`` of chain entry ``entries[i]``, all in
+        one solve that keeps only its ends, a divergence raised as in :meth:`read`."""
         po = self.po
-        try:
+        with self._raised(entries, times, po._starts):
             return _orbit_points(
                 po.spec, po._starts[entries], [1.0], self.tol, self.norm_bound, times
             )[:, 0]
+
+    @contextmanager
+    def _raised(self, rows, times, starts):
+        """A divergence of a solve of ``starts[rows]`` at speeds ``times``, raised as
+        :meth:`read` says, with chain segments or pieces as its rows."""
+        try:
+            yield
         except FlowDivergenceError as err:
-            hit = entries[err.rows]
-            t = po._begins[hit[0]] + err.t * times[err.rows[0]]
+            po, n, hit = self.po, len(self.po._starts), rows[err.rows]
+            start, t = starts[hit[0]], err.t * times[err.rows[0]]
+            if hit[0] < n:  # rows run in order, so a chain row at the bound comes first
+                t, hit = t + po._begins[hit[0]], hit[hit < n] - 1
+            else:
+                hit = hit - n
             raise FlowDivergenceError.crossing(
-                po.spec, po._starts[hit[0]], self.norm_bound, t, "integration", hit - 1
+                po.spec, start, self.norm_bound, t, "integration", hit
             ) from None
 
 

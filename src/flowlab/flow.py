@@ -312,22 +312,34 @@ class _DenseSteps:
     """The one reader of a solve's dense steps ``(t_old, h, y_old, F)``, given in time order:
     at times ``t``, ``(dim, len(t))`` from the order-7 sum of Hairer, Nørsett and Wanner, §II.6,
     in scipy's order.  One ``searchsorted`` over the starts picks the earlier step on a shared
-    end, either way, and the first before its start; no time may fall in a gap between steps."""
+    end, either way, and the first before its start; no time may fall in a gap between steps.
+    A reader of one step, as of an event root, picks it without a search.  :meth:`rows` reads
+    one row of a state of equal rows at each time, from that row's entries alone."""
 
     def __init__(self, direction, steps):
         self.t_old, self.h, self.y_old, self.F = (np.array(a) for a in zip(*steps))
         self.direction, self.starts = direction, direction * self.t_old
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        at = np.maximum(np.searchsorted(self.starts, self.direction * t) - 1, 0)
-        x = ((t - self.t_old[at]) / self.h[at])[..., None]
-        y = np.zeros(x.shape[:-1] + self.y_old.shape[1:])
+        return self._sum(np.asarray(t, dtype=float), self.F, self.y_old).T
+
+    def rows(self, t, row, rows):
+        """Row ``row[k]`` of a state of ``rows`` equal rows at the time ``t[k]``, each the same
+        bits as that row's entries of :meth:`__call__`: ``(len(t), dim)``."""
+        n = len(self.h)
+        return self._sum(t, self.F.reshape(n, 7, rows, -1), self.y_old.reshape(n, rows, -1), row)
+
+    def _sum(self, t, F, y_old, *row):  # the entries ``row`` picks of the state at ``t``
+        at = 0 if len(self.h) == 1 else np.maximum(
+            np.searchsorted(self.starts, self.direction * t) - 1, 0)
+        x = (t - self.t_old[at]) / self.h[at]
+        x = x[..., None] if np.ndim(x) else x  # a scalar time stays a scalar
+        y, x1 = np.zeros(np.shape(x)[:-1] + y_old.shape[-1:]), 1 - x
         for r in range(6, -1, -1):
-            y += self.F[at, r]
-            y *= x if r % 2 == 0 else 1 - x
-        y += self.y_old[at]
-        return y.T
+            y += F[(at, r, *row)]
+            y *= x if r % 2 == 0 else x1
+        y += y_old[(at, *row)]
+        return y
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
@@ -573,23 +585,30 @@ def _orbit_points(spec, y, u_values, tol, norm_bound=DEFAULT_NORM_BOUND, scale=N
     y = np.asarray(y, dtype=float)
     u = np.asarray(u_values, dtype=float)
     rows = y.reshape(-1, spec.dim)
+    out = np.empty((len(rows), len(u), spec.dim))
+    out[:, u == 0.0] = rows[:, None]
+    for side, order in ((u > 0, slice(None)), (u < 0, slice(None, None, -1))):
+        if side.any():
+            ts = u[side][order]
+            sol = _orbit_solve(spec, y, ts[-1], tol, norm_bound, scale, t_eval=ts)
+            out[:, side] = sol.y.reshape(len(rows), spec.dim, -1)[..., order].transpose(0, 2, 1)
+    return out.reshape(y.shape[:-1] + out.shape[1:])
+
+
+def _orbit_solve(spec, y, end, tol, norm_bound, scale=None, **options):
+    """One :func:`_solve` over ``[0, end]`` of a point ``(dim,)`` or of rows ``(N, dim)``, which
+    must meet the batch contract, row ``i`` following ``z' = scale_i X(z)``.  With
+    ``dense_output``, :meth:`_DenseSteps.rows` reads a row of its ``sol``."""
     if y.ndim == 2:
-        _check_batch_contract(spec, rows)
+        _check_batch_contract(spec, y)
     tau = None if scale is None else np.reshape(scale, (-1, 1))
 
     def rhs(t, z):
         v = np.asarray(spec.field(z.reshape(y.shape)), dtype=float)
         return (v if tau is None else tau * v).ravel()
 
-    out = np.empty((len(rows), len(u), spec.dim))
-    out[:, u == 0.0] = rows[:, None]
-    for side, order in ((u > 0, slice(None)), (u < 0, slice(None, None, -1))):
-        if side.any():
-            ts = u[side][order]
-            sol = _solve(spec, rhs, (0.0, ts[-1]), y.ravel(), tol, norm_bound, "integration",
-                         rows=len(rows), t_eval=ts)
-            out[:, side] = sol.y.reshape(len(rows), spec.dim, -1)[..., order].transpose(0, 2, 1)
-    return out.reshape(y.shape[:-1] + out.shape[1:])
+    return _solve(spec, rhs, (0.0, end), y.ravel(), tol, norm_bound, "integration",
+                  rows=y.size // spec.dim, **options)
 
 
 def _check_batch_contract(spec: VectorFieldSpec, xs: np.ndarray) -> None:

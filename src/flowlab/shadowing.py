@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
-from .chains import ConcatEvaluator, PseudoOrbit, _locate, _read_pieces
+from .chains import ConcatEvaluator, PseudoOrbit, _locate
 from .flow import (
     DEFAULT_TOL,
     FlowDivergenceError,
@@ -227,31 +227,38 @@ def shadow_distance(
     ``dt/2 * max |h' * X(orbit) - X(chain)|`` at the interval ends, a
     first-order bound on what can happen between samples.
 
-    A point ``y`` is flowed in one solve over the whole horizon.  An ``(m, dim)``
-    array ``y`` holds the starts of pieces instead, one per segment of ``h``:
-    piece ``i`` is the orbit of ``y[i]`` from ``u = h.knots_u[i]``, and times
-    outside the knots fall in the end pieces.  The pieces are read in one batched
-    solve, as :class:`~flowlab.chains.ConcatEvaluator` reads a chain, so no orbit
-    runs longer than one piece.
+    A point ``y`` is flowed in one solve over the whole horizon, and the chain is read
+    as :class:`~flowlab.chains.ConcatEvaluator` reads it.  An ``(m, dim)`` array ``y``
+    holds the starts of pieces instead, one per segment of ``h``: piece ``i`` is the
+    orbit of ``y[i]`` from ``u = h.knots_u[i]``, and times past the last knot fall in the
+    last piece.  The chain's read segments and the read pieces then share one dense
+    solve, and its step control: one row per read segment or piece over its whole
+    duration, each time read from its own row, so no orbit runs longer than one piece.
+    A divergence of a chain row raises in chain terms; of pieces alone, in piece terms.
     """
     _require_count(1, samples=samples)
     y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != spec.dim:
+        raise ValueError(f"y must be a point ({spec.dim},) or pieces (m, {spec.dim}) "
+                         f"(got shape {y.shape})")
     if y.ndim == 2 and len(y) != len(h.knots_u) - 1:
         raise ValueError(f"need one piece per segment of h ({len(h.knots_u) - 1}), got {len(y)}")
     lo, hi = float(horizon[0]), float(horizon[1])
+    if y.ndim == 2 and lo < h.knots_t[0]:
+        raise ValueError(f"pieces start at h's first knot {h.knots_t[0]:.6g} (horizon from {lo})")
     grid = _chain_time_grid(po, (lo, hi), samples)
     knots = h.knots_t
     knots = knots[(knots > lo) & (knots < hi)]
     grid = np.unique(np.concatenate([grid, knots]))
 
-    c_pts = ConcatEvaluator(po, tol=tol).at_many(grid)
-    u = np.asarray(h(grid), dtype=float)
+    chain, u = ConcatEvaluator(po, tol=tol), np.asarray(h(grid), dtype=float)
     if y.ndim == 1:
-        o_pts = _orbit_points(spec, y, u, tol)
+        c_pts, o_pts = chain.at_many(grid), _orbit_points(spec, y, u, tol)
     else:
-        piece, local = _locate(h.knots_u, u)
-        orbit = lambda rows, times: _orbit_points(spec, y[rows], [1.0], tol, scale=times)[:, 0]
-        o_pts = _read_pieces(orbit, y, np.diff(h.knots_u), piece, local)
+        (entry, local), (piece, u_local) = chain.locate(grid), _locate(h.knots_u, u)
+        entry = np.concatenate([entry, len(po._starts) + piece])
+        pts = chain.read(entry, np.concatenate([local, u_local]), y, np.diff(h.knots_u))
+        c_pts, o_pts = np.split(pts, 2)
     d = np.linalg.norm(coord_difference(spec, o_pts, c_pts), axis=-1)
 
     v_orbit = spec.field_at(o_pts)

@@ -302,6 +302,24 @@ def test_concat_eval_raises_on_a_queried_escaping_segment(scenarios):
         assert err.value.t == pytest.approx(-15.0 + math.log(2e5), abs=1e-6)
 
 
+def test_read_stretches_a_piece_row_to_its_latest_time(scenarios):
+    """An extra piece read past its duration gets a row that reaches its latest time, so
+    that time is integrated, not extrapolated from the row's last step.  A divergence of
+    the piece alone is raised at its local time, with the piece as its row."""
+    spec = scenarios["linear_saddle3d"].spec
+    po = PseudoOrbit(spec, np.array([[0.1, 0.0, 0.1], [0.2, 0.1, 0.0]]), np.ones(2), 0.5)
+    ev, x, n = ConcatEvaluator(po, norm_bound=100.0), np.array([0.3, 0.2, 1.0]), len(po._starts)
+    local = np.array([0.5, 1.0, 3.0])
+    got = ev.read(np.full(3, n), local, [x], [1.0])
+    want = CLOSED_FLOWS["linear_saddle3d"](x, local[:, None])
+    assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want)))
+    # z = e^t crosses 100 at t = ln 100 on the piece; the chain's own row stays bounded
+    message = r"\[0\.3 0\.2 1\. \] crossed norm 100 at t=4\.60"
+    with pytest.raises(FlowDivergenceError, match=message) as err:
+        ev.read(np.array([1, n]), np.array([0.5, 5.0]), [x], [1.0])
+    assert list(err.value.rows) == [0]
+
+
 @pytest.mark.parametrize(
     "points, durations, head, begin, t, rows",
     [

@@ -253,6 +253,31 @@ def test_dense_steps_read_the_earlier_step_at_a_step_end():
         assert ours(h).tolist() == [1.0]
 
 
+@pytest.mark.parametrize("end", [3.0, -3.0])
+def test_dense_steps_read_a_row_as_the_full_read_does(scenarios, end):
+    """A per-row read of a 4-row solve is the full read's entries of that row, bit for
+    bit, at times across its steps and at every step end, in either time direction; and
+    a reader of one step, which skips the search, reads that step as the whole solve does."""
+    spec = scenarios["saddle_cycle"].spec
+    rng = np.random.default_rng(4)
+    angle = rng.uniform(0.0, 2 * math.pi, 4)
+    y0 = np.column_stack([np.cos(angle), np.sin(angle), rng.uniform(-0.1, 0.1, 4)])
+    sol = flow.solve_ivp(lambda t, z: spec.field(z.reshape(4, 3)).ravel(), (0.0, end),
+                         y0.ravel(), rtol=1e-9, atol=1e-11, dense_output=True)
+    dense = sol.sol
+    assert len(dense.h) >= 5
+    ts = np.concatenate([end * rng.uniform(0.0, 1.0, 300), sol.t])
+    row = rng.integers(0, 4, len(ts))
+    full = dense(ts).T.reshape(len(ts), 4, 3)[np.arange(len(ts)), row]
+    assert dense.rows(ts, row, 4).tobytes() == full.tobytes()
+    for k in (0, 2, len(dense.h) - 1):
+        step = (dense.t_old[k], dense.h[k], dense.y_old[k], dense.F[k])
+        inside = dense.t_old[k] + dense.h[k] * np.linspace(0.0, 1.0, 9)
+        one = flow._DenseSteps(np.sign(end), [step])
+        assert one(inside).tobytes() == dense(inside).tobytes()
+        assert one(inside[3]).tobytes() == dense(inside[3]).tobytes()
+
+
 def test_armed_terminal_event_matches_scipy_until_it_stops(scenarios):
     """A terminal event armed at ``after`` records its roots before ``after``
     and stops the solve at its first root at or after it, with scipy's steps,

@@ -25,7 +25,7 @@ from flowlab import (
     shadow_distance,
 )
 from flowlab import flow, shadowing
-from oracles import brute_frechet, brute_frechet_pairs, sample_box_points
+from oracles import brute_frechet, brute_frechet_pairs, linear_saddle_flow, sample_box_points
 
 
 @pytest.fixture(scope="module")
@@ -670,10 +670,11 @@ def test_escaping_rows_cost_one_solve_per_escape_time(scenarios, monkeypatch):
 def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
     """Criterion 3's lattice stage (seed 101) solves the chain samples, the
     9-point lattice, the 24-point refinement, the final fit and the dense
-    verification's chain and orbit: 6 solves in all.  A chain read has one
-    row per queried segment over its whole duration plus one per queried time:
-    1 segment and 1 time for the chain samples, 200 segments and 1,029 times for
-    the dense verification."""
+    verification's chain and orbit: 6 solves in all.  A chain read is one dense
+    solve of one row per queried segment over its whole duration, and reads each
+    time from its segment's row: 1 segment for the chain samples and all 201
+    for the dense verification.  When a read also took one row per time off a
+    boundary, ending at it, these were 2 rows and 1,229 (201 and 1,028 times)."""
     spec = scenarios["linear_saddle3d"].spec
     po = generate_noisy(
         spec,
@@ -696,7 +697,7 @@ def test_criterion_3_search_solves_once_per_round(scenarios, monkeypatch):
     report = shadowing._lattice_search(spec, po, 5e-3, region, budget)
     assert report.verdict == "shadowed"
     assert (report.coarse_candidates, report.evaluations) == (9, 34)
-    assert rows == [2, 9, 24, 1, 1229, 1]
+    assert rows == [1, 9, 24, 1, 201, 1]
 
 
 def test_search_distance_independent_of_epsilon(noisy_saddle_chain):
@@ -887,20 +888,22 @@ def test_search_falls_back_when_newton_diverges(noisy_saddle_chain, monkeypatch)
 
 
 def test_search_falls_back_when_the_pieces_diverge(noisy_saddle_chain, monkeypatch):
-    """A divergence in the dense read of the corrected pieces refuses the Newton
+    """A divergence of a witness piece in the Newton stage's dense read refuses the
     witness with a note, and the lattice runs as it does on its own.  A divergence
-    of the chain's own read is no fault of the witness: the lattice stage reads
-    the chain too, and it raises there."""
+    of a chain row in that read is no fault of the witness: the lattice stage reads
+    the chain too, and it raises there, in chain terms."""
     spec, po = noisy_saddle_chain
     newton = shadowing.newton_shadow(spec, po)
-    orbit_points = shadowing._orbit_points
+    solve = flow._solve
+    escaping = [lambda rows: rows - 1 if rows == 2 * po.size else None]  # the last piece
 
-    def diverging(*args, scale=None, **kwargs):  # only the pieces read passes a scale
-        if scale is not None:
-            raise FlowDivergenceError("orbit escaped")
-        return orbit_points(*args, **kwargs)
+    def diverging(*args, **kwargs):  # the dense reads raise at the row escaping[0] names
+        row = escaping[0](kwargs.get("rows", 1)) if kwargs.get("dense_output") else None
+        if row is not None:
+            raise FlowDivergenceError("escaped", np.array([row]), 0.5)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(shadowing, "_orbit_points", diverging)
+    monkeypatch.setattr(flow, "_solve", diverging)
     budget = SearchBudget(candidates=30, refine_evals=10, eval_samples=33)
     region = np.array([[0.899, 0.901], [0.899, 0.901], [0.0, 0.0]])
     report = search_shadowing(spec, po, 2e-3, region, budget=budget)
@@ -914,19 +917,19 @@ def test_search_falls_back_when_the_pieces_diverge(noisy_saddle_chain, monkeypat
         notes=alone.notes + report.notes[-1:],
     )
 
-    class Escaping(shadowing.ConcatEvaluator):
-        def at_many(self, ts):
-            raise FlowDivergenceError("chain escaped")
-
-    monkeypatch.setattr(shadowing, "ConcatEvaluator", Escaping)
-    with pytest.raises(FlowDivergenceError, match="^chain escaped$"):
+    escaping[0] = lambda rows: 0  # the first chain segment that a read holds
+    with pytest.raises(FlowDivergenceError, match=r" crossed norm 1e\+06 at t=\S+ during ") as err:
         search_shadowing(spec, po, 2e-3, region, budget=budget)
+    (k,) = err.value.rows.tolist()
+    assert err.value.t == po.boundary_times[k] + 0.5 * po.durations[k]
 
 
 def test_shadow_distance_reads_pieces_as_the_chain_is_read(noisy_saddle_chain, monkeypatch):
-    """Pieces are read as ConcatEvaluator reads a chain, in one solve: the chain's
-    own points as pieces on the identity time change lie at distance 0 from it,
-    and moved pieces read each time along their own piece."""
+    """The chain and its pieces are read in one dense solve, one row per segment and
+    per piece: the chain's own points as pieces on the identity time change lie within
+    rounding of it (a row's bits depend on its place in the batch), and moved pieces
+    read each time along their own piece.  A divergence of pieces alone is raised in
+    piece terms, and a ``y`` of the wrong shape or piece count is refused by name."""
     spec, po = noisy_saddle_chain
     identity = Reparametrization(po.boundary_times, po.boundary_times)
     horizon = (0.0, po.total_time)
@@ -935,18 +938,71 @@ def test_shadow_distance_reads_pieces_as_the_chain_is_read(noisy_saddle_chain, m
 
     def counted_solve(*args, **kwargs):
         rows.append(kwargs.get("rows", 1))
+        if kwargs.get("dense_output") and rows[0] == -1:
+            raise FlowDivergenceError("escaped", np.array([rows[-1] - 1]), 0.5)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(flow, "_solve", counted_solve)
-    assert shadow_distance(spec, po.points, identity, po, horizon, samples=33) == 0.0
-    assert len(rows) == 2 and rows[0] == rows[1]  # the chain's read, then the pieces'
+    assert shadow_distance(spec, po.points, identity, po, horizon, samples=33) < 1e-20  # 4.96e-21
+    assert rows == [2 * po.size]  # the chain's segments, then the pieces
 
     starts = po.points + 1e-5
     h = Reparametrization(po.boundary_times, np.append(0.0, np.cumsum(po.durations * 1.01)))
     moved = shadow_distance(spec, starts, h, po, horizon, samples=33)
     assert 1e-5 < moved < 2e-2
+    rows[:] = [-1]
+    with pytest.raises(FlowDivergenceError, match=r"crossed norm 1e\+06 at t=0\.505 ") as err:
+        shadow_distance(spec, starts, h, po, horizon, samples=33)
+    assert err.value.rows.tolist() == [po.size - 1]
+    assert str(starts[-1]) in str(err.value)
     with pytest.raises(ValueError, match=r"^need one piece per segment of h \(11\), got 10$"):
         shadow_distance(spec, po.points[:-1], identity, po, horizon)
+    for shape in [(1, 11, 3), (2,), (11, 2)]:
+        got = re.escape(str(shape))
+        message = rf"^y must be a point \(3,\) or pieces \(m, 3\) \(got shape {got}\)$"
+        with pytest.raises(ValueError, match=message):
+            shadow_distance(spec, np.zeros(shape), identity, po, horizon)
+    with pytest.raises(ValueError, match=r"^pieces start at h's first knot 0 \(horizon from -1"):
+        shadow_distance(spec, po.points, identity, po, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+def test_newton_dense_check_reads_in_one_solve_on_the_closed_form(scenarios, monkeypatch, seed):
+    """Criterion 3's Newton-stage dense check (1029 sample times and the knots) makes
+    one solve, of one row per chain segment and one per corrected piece: ``2 m`` rows.
+    Every chain point and piece point it reads lies within ``1e-9 (1 + |x|)`` of the
+    closed-form flow from that segment's or piece's start."""
+    spec = scenarios["linear_saddle3d"].spec
+    po = generate_noisy(spec, np.array([0.9, 0.9, 0.0]), 200, 1e-4,
+                        rng=np.random.default_rng(seed), noise_subspace=np.eye(3)[:, :2])
+    rows, reads = [], []
+    solve, read, check = flow._solve, shadowing.ConcatEvaluator.read, shadowing.shadow_distance
+
+    def counted_solve(*args, **kwargs):
+        rows.append(kwargs.get("rows", 1))
+        return solve(*args, **kwargs)
+
+    def recorded_read(self, entry, local, starts=(), taus=()):
+        points = read(self, entry, local, starts, taus)
+        reads.append((np.vstack([self.po._starts, starts])[entry], local, points))
+        return points
+
+    def dense_check(*args, **kwargs):
+        rows.clear()
+        monkeypatch.setattr(flow, "_solve", counted_solve)
+        monkeypatch.setattr(shadowing.ConcatEvaluator, "read", recorded_read)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(shadowing, "shadow_distance", dense_check)
+    region = np.array([[0.898, 0.902], [0.898, 0.902], [0.0, 0.0]])
+    report = search_shadowing(spec, po, 5e-3, region, SearchBudget(candidates=50, refine_evals=40))
+    assert (report.stage, report.verdict) == ("newton", "shadowed")
+    assert rows == [2 * po.size] and len(reads) == 1
+    x, local, points = reads[0]
+    assert len(points) == 2 * (1029 + 200)  # the samples and the 200 inner boundary times
+    exact = linear_saddle_flow(x, local[:, None])
+    error = np.linalg.norm(points - exact, axis=1) / (1 + np.linalg.norm(exact, axis=1))
+    assert error.max() <= 1e-9
 
 
 @pytest.mark.parametrize("count", [40, 60])
