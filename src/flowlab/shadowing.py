@@ -408,14 +408,15 @@ def best_reparam(
     return obj.fit(y)
 
 
-# Newton steps newton_shadow takes at most; criterion 3's chains converge in 1.
-_NEWTON_STEPS = 8
+# Chord steps newton_shadow takes at most: 1 on criterion 3's chains, and up to 6 at
+# noise 0.1 and 11 at noise 0.3 on 5- to 65-point chains of the built-in flows.
+_NEWTON_STEPS = 12
 
 
 @dataclass(frozen=True)
 class NewtonShadow:
     """:func:`newton_shadow`'s last iterate: ``corrections`` ``(m, dim)``, ``shifts``
-    ``(m - 1,)``, largest gap ``residual``, Newton steps taken and ``|J^+|`` there."""
+    ``(m - 1,)``, largest gap ``residual``, chord steps taken and ``|J^+|`` at the chain."""
 
     corrections: np.ndarray
     shifts: np.ndarray
@@ -425,42 +426,47 @@ class NewtonShadow:
 
 
 def newton_shadow(spec: VectorFieldSpec, po: PseudoOrbit, tol: float = DEFAULT_TOL) -> NewtonShadow:
-    """Newton shadowing with time shifts on a chain of ``m >= 2`` points without ends.
+    """Chord Newton shadowing with time shifts on a chain of ``m >= 2`` points without ends.
 
     ``F_i = X_{h_i+s_i}(x_i+c_i) - (x_{i+1}+c_{i+1})`` (angles wrapped) is solved for
-    corrections ``c_i`` and shifts ``s_0 .. s_{m-2}``.  Row ``i`` of its Jacobian is
-    ``[A_i | -I | X(end_i)]``, all ``A_i`` from one batched variational solve; each
-    step is the least-norm ``-J^T (J J^T)^{-1} F`` through a banded Cholesky factor
-    of the block-tridiagonal ``J J^T``, until every gap ``|F_i| <= tol`` or for
-    ``_NEWTON_STEPS`` steps.  ``inverse_norm`` is ``lambda_min(J J^T)^{-1/2}`` at the
-    last iterate (LAPACK's banded eigensolver); with the shifts absorbing the flow
-    direction it stays bounded as a chain in a hyperbolic set grows.  A divergence,
-    a failed solve or an overflowing ``J J^T`` raises.
+    corrections ``c_i`` and shifts ``s_0 .. s_{m-2}``.  Its Jacobian ``J``, row ``i``
+    ``[A_i | -I | X(end_i)]``, is taken once at the chain (``c = 0``, ``s = 0``) from one
+    batched variational solve.  Each chord step is the least-norm ``-J^T (J J^T)^{-1} F``
+    through one banded Cholesky factor of the block-tridiagonal ``J J^T``, and the next
+    gaps come from one orbit-only solve of the corrected pieces, until every gap
+    ``|F_i| <= tol`` or for ``_NEWTON_STEPS`` steps, which ``iterations`` counts.
+    ``inverse_norm`` is ``lambda_min(J J^T)^{-1/2}`` at the chain (LAPACK's banded
+    eigensolver), the ``K`` of an a posteriori bound; with the shifts absorbing the
+    flow direction it stays bounded as a chain in a hyperbolic set grows.  A
+    divergence, a failed solve or an overflowing ``J J^T`` raises.
     """
     if po.head is not None or po.tail is not None or po.size < 2:
         raise ValueError("newton_shadow needs a chain of at least 2 points without head or tail")
-    (m, n), h = po.points.shape, po.durations
+    (m, n), h = po.points.shape, po.durations[:-1]
     c, s = np.zeros((m, n)), np.zeros(m - 1)
     (a, b), (p, q) = np.triu_indices(n), np.indices((n, n)).reshape(2, -1)
+    ends, A = tangent_flow(spec, po.points[:-1], 1.0, tol, scale=h)
+    v = spec.field_at(ends)
+    # J J^T in upper banded storage, entry (i, j) at [2n - 1 + i - j, j]
+    diag = A @ A.transpose(0, 2, 1) + np.eye(n) + v[:, :, None] * v[:, None, :]
+    band = np.zeros((2 * n, m - 1, n))
+    band[2 * n - 1 + a - b, :, b] = diag[:, a, b].T
+    band[n - 1 + p - q, 1:, q] = -A[1:, q, p].T
+    band = band.reshape(2 * n, -1)
+    if not np.all(np.isfinite(band)):
+        raise np.linalg.LinAlgError("J J^T of the chain overflows")
+    factor = None
     for step in range(_NEWTON_STEPS + 1):
-        ends, A = tangent_flow(spec, po.points[:-1] + c[:-1], 1.0, tol, scale=h[:-1] + s)
         gaps = coord_difference(spec, ends, po.points[1:] + c[1:])
-        v = spec.field_at(ends)
-        # J J^T in upper banded storage, entry (i, j) at [2n - 1 + i - j, j]
-        diag = A @ A.transpose(0, 2, 1) + np.eye(n) + v[:, :, None] * v[:, None, :]
-        band = np.zeros((2 * n, m - 1, n))
-        band[2 * n - 1 + a - b, :, b] = diag[:, a, b].T
-        band[n - 1 + p - q, 1:, q] = -A[1:, q, p].T
-        band = band.reshape(2 * n, -1)
-        if not np.all(np.isfinite(band)):
-            raise np.linalg.LinAlgError("J J^T of the chain overflows")
         residual = float(np.linalg.norm(gaps, axis=1).max())
         if residual <= tol or step == _NEWTON_STEPS:
             break
-        w = cho_solve_banded((cholesky_banded(band), False), gaps.ravel()).reshape(gaps.shape)
+        factor = cholesky_banded(band) if factor is None else factor
+        w = cho_solve_banded((factor, False), gaps.ravel()).reshape(gaps.shape)
         c[:-1] -= np.einsum("kji,kj->ki", A, w)
         c[1:] += w
         s -= np.einsum("ki,ki->k", v, w)
+        ends = _orbit_points(spec, po.points[:-1] + c[:-1], [1.0], tol, scale=h + s)[:, 0]
     smallest = eig_banded(band, eigvals_only=True, select="i", select_range=(0, 0))[0]
     return NewtonShadow(c, s, residual, step, float(smallest**-0.5))
 
@@ -503,7 +509,7 @@ class SearchBudget:
 class ShadowingReport:
     """Result of :func:`search_shadowing`.  ``stage`` is ``"newton"`` or ``"lattice"``;
     ``operator_inverse_norm`` and ``newton_residual`` are :func:`newton_shadow`'s
-    ``inverse_norm`` and ``residual``, ``None`` when it did not run."""
+    ``inverse_norm`` (``|J^+|`` at the chain) and ``residual``, ``None`` when it did not run."""
 
     verdict: str
     epsilon: float
@@ -585,13 +591,13 @@ def search_shadowing(
     ``(h_i + s_i) / h_i`` lies within the slope bounds ``[0.1, 10]`` and the dense
     bound of :func:`shadow_distance` along the corrected pieces is below ``epsilon``.
     Piece ``i`` is the orbit of ``x_i + c_i`` for ``h_i + s_i``; the pieces join within
-    ``newton_residual``, and to first order one orbit lies within ``|J^+|`` times that
-    of them, which the distance leaves out.  No orbit runs longer than one piece,
-    where the witness's own orbit would magnify round-off along the whole of a long
-    hyperbolic chain.  Where that read leaves the divergence bound, or any check
-    fails, a note says why, and the lattice stage runs, as on every chain with a
-    head or tail: a centered lattice over the seed box,
-    then one over its best point's cell, each one batched scan of the matching
+    ``newton_residual``, and to first order one orbit lies within ``|J^+|`` (at the
+    chain) times that of them, which the distance leaves out.  No orbit runs longer
+    than one piece, where the witness's own orbit would magnify round-off along the
+    whole of a long hyperbolic chain.  Where that read leaves the divergence bound,
+    or any check fails, a note says why, and the lattice stage runs, as on every
+    chain with a head or tail: a centered lattice over the seed box, then one over
+    its best point's cell, each one batched scan of the matching
     objective; the refinement's best point is kept only when strictly better.  A point
     whose orbit leaves the divergence bound scores ``inf`` and every point is one
     evaluation.  The best candidate must also pass the dense check, over a horizon that

@@ -144,6 +144,9 @@ def test_criterion_3_noisy_saddle_chains_shadowed(scenarios):
             assert report.verdict == "shadowed"
             assert report.stage == "newton"
             assert report.distance <= 5e-3
+            # |J^+| at the chain: above 1.5, at most the saddle's 1/(1 - e^-1)
+            assert report.newton_residual <= 1e-9
+            assert 1.5 < report.operator_inverse_norm <= 1.0 / (1.0 - math.exp(-1.0))
 
             # the corrected chain is an exact orbit of the diagonal flow
             green = po.points + linear_chain_correction(

@@ -762,15 +762,14 @@ def test_operator_inverse_norm_closed_forms(scenarios, name, m):
 
 def test_operator_inverse_norm_matches_a_dense_svd(scenarios):
     """On a 26-point saddle_cycle chain the banded eigenvalue gives 1/sigma_min
-    of the dense Jacobian [A_i | -I | X(end_i)], each A_i from a solo tangent_flow."""
+    of the dense Jacobian [A_i | -I | X(end_i)] at the chain itself (no corrections,
+    no shifts), each A_i from a solo tangent_flow."""
     spec, po = newton_chain(scenarios, "saddle_cycle", 26)
     newton = shadowing.newton_shadow(spec, po)
     m, n = po.points.shape
     jac = np.zeros(((m - 1) * n, m * n + m - 1))
     for i in range(m - 1):
-        end, a = flow.tangent_flow(
-            spec, po.points[i] + newton.corrections[i], po.durations[i] + newton.shifts[i]
-        )
+        end, a = flow.tangent_flow(spec, po.points[i], po.durations[i])
         rows = slice(i * n, (i + 1) * n)
         jac[rows, i * n : (i + 1) * n] = a
         jac[rows, (i + 1) * n : (i + 2) * n] = -np.eye(n)
@@ -790,9 +789,9 @@ def test_newton_shadow_validation(scenarios):
 
 
 def test_newton_shadow_solves_through_tangent_flow(noisy_saddle_chain, monkeypatch):
-    """Each Newton step's batched variational solve is a call of the public
-    ``tangent_flow``, so a wrapper on that name sees all of them: one for the
-    step and one at the converged iterate."""
+    """The chord iteration's one batched variational solve, at the chain itself, is
+    a call of the public ``tangent_flow``, so a wrapper on that name sees it: one
+    batch of ``m - 1`` rows, and none at the converged iterate."""
     spec, po = noisy_saddle_chain
     batches = []
     tangent = shadowing.tangent_flow
@@ -804,7 +803,64 @@ def test_newton_shadow_solves_through_tangent_flow(noisy_saddle_chain, monkeypat
     monkeypatch.setattr(shadowing, "tangent_flow", counted)
     newton = shadowing.newton_shadow(spec, po)
     assert newton.iterations == 1
-    assert batches == [po.size - 1] * 2
+    assert batches == [po.size - 1]
+
+
+def test_newton_stage_takes_one_variational_solve(scenarios, monkeypatch):
+    """Criterion 3's seed-101 Newton stage makes three solves: the chain's variational
+    solve (200 rows of ``dim + dim^2``), the orbit-only check of the corrected pieces
+    (200 rows of ``dim``, output at their ends only) and the dense read (402 rows)."""
+    spec = scenarios["linear_saddle3d"].spec
+    po = generate_noisy(spec, np.array([0.9, 0.9, 0.0]), 200, 1e-4,
+                        rng=np.random.default_rng(101), noise_subspace=np.eye(3)[:, :2])
+    solves = []
+    solve = flow._solve
+
+    def counted_solve(spec, rhs, t_span, y0, *args, **kwargs):
+        rows, t_eval = kwargs.get("rows", 1), kwargs.get("t_eval")
+        solves.append((rows, len(y0) // rows, bool(kwargs.get("dense_output")),
+                       None if t_eval is None else list(t_eval)))
+        return solve(spec, rhs, t_span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_solve", counted_solve)
+    region = np.array([[0.898, 0.902], [0.898, 0.902], [0.0, 0.0]])
+    report = search_shadowing(spec, po, 5e-3, region, SearchBudget(candidates=50, refine_evals=40))
+    assert (report.stage, report.verdict) == ("newton", "shadowed")
+    assert solves == [(200, 12, False, None), (200, 3, False, [1.0]), (402, 3, True, None)]
+
+
+@pytest.mark.parametrize("m, noise, fewest, limit", [
+    (21, 1e-2, 2, 1.0 / (1.0 - math.exp(-2.0))),
+    (65, 0.2, 9, math.inf),
+])
+def test_newton_chord_steps_join_a_noisy_saddle_cycle_chain(scenarios, monkeypatch, m, noise,
+                                                           fewest, limit):
+    """An m-point saddle_cycle chain with noise in the xy-plane takes ``fewest`` chord
+    steps or more on the chain's own factor, within ``_NEWTON_STEPS``: 9 at noise 0.2.
+    The factor is formed once.
+    Every corrected piece, flowed alone, ends within 1e-9 of the next piece's start.
+    At noise 1e-2 ``|J^+|`` at the chain stays below the contraction bound
+    1/(1 - e^-2); at 0.2 the chain lies too far from the cycle for that bound."""
+    spec = scenarios["saddle_cycle"].spec
+    po = generate_noisy(spec, np.array([1.0, 0.0, 0.0]), m - 1, noise,
+                        rng=np.random.default_rng(3), noise_subspace=np.eye(3)[:, :2])
+    factors = []
+    cholesky = shadowing.cholesky_banded
+
+    def counted(band):
+        factors.append(band.shape)
+        return cholesky(band)
+
+    monkeypatch.setattr(shadowing, "cholesky_banded", counted)
+    newton = shadowing.newton_shadow(spec, po)
+    assert fewest <= newton.iterations <= shadowing._NEWTON_STEPS
+    assert factors == [(6, 3 * (m - 1))]
+    assert newton.residual <= 1e-9
+    starts = po.points + newton.corrections
+    tau = po.durations[:-1] + newton.shifts
+    for i in range(po.size - 1):
+        assert distance(spec, flow_at(spec, starts[i], tau[i]), starts[i + 1]) <= 1e-9
+    assert newton.inverse_norm < limit
 
 
 def test_search_takes_the_newton_stage(noisy_saddle_chain, monkeypatch):
