@@ -130,6 +130,13 @@ class PseudoOrbit:
     def total_time(self) -> float:
         return float(self._begins[-1])
 
+    @property
+    def entries(self):
+        """The entries present, in chain order, as copies: their indices (-1 for the
+        head, ``size`` for the tail), start points and the chain times they begin at."""
+        k = self._entries
+        return k - 1, self._starts[k], self._begins[k]
+
 
 def accumulated_time(po: PseudoOrbit, i: int) -> float:
     """The time ``S_i`` at which index ``i`` begins.
@@ -249,14 +256,17 @@ class ConcatEvaluator:
             raise ValueError(f"t={ts[late][0]:.6g} is past the chain and there is no tail")
         return entry, local
 
-    def read(self, entry, local, starts=(), taus=()):
+    def read(self, entry, local, starts=(), taus=(), piece=(), piece_local=()):
         """Points ``X_{local[k]}(x)``, ``local >= 0``, from the start ``x`` of chain entry
-        ``entry[k]`` or, from ``n = len(po._starts)`` on, of the piece ``starts[entry[k] - n]``
-        of duration ``taus[entry[k] - n]``.  A local time 0 returns the start.  The others
-        are read from their entry's row of one dense solve over ``u`` in ``[0, 1]``, at the
-        speed of its duration or of its latest time if later.  A divergence raises in chain
-        terms where a chain row is at the bound, else at the first piece's local time."""
+        ``entry[k]`` (as :meth:`locate` gives it), then points ``X_{piece_local[k]}`` from
+        the start of piece ``piece[k]``, of ``starts`` and durations ``taus``.  A local time 0
+        returns the start.  The others are read from their entry's or piece's row of one
+        dense solve over ``u`` in ``[0, 1]``, at the speed of its duration or of its latest
+        time if later.  A divergence raises in chain terms where a chain row is at the
+        bound, else at the first piece's local time."""
         po = self.po
+        entry = np.concatenate([entry, len(po._starts) + np.asarray(piece, dtype=int)])
+        local = np.concatenate([local, piece_local])
         starts = np.concatenate([po._starts, np.reshape(starts, (-1, po.spec.dim))])
         out, inner = starts[entry], local != 0.0
         if inner.any():

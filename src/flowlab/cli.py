@@ -234,9 +234,7 @@ def _checked_chain(scenario, params, pipeline, seed):
 def _run_shadow_search(scenario, params, seed, outdir):
     spec = scenario.spec
     po, chain, rows = _checked_chain(scenario, params, "shadow-search", seed)
-    budget = SearchBudget(
-        **_given(params, "candidates", "refine_evals", "chain_samples", "orbit_samples")
-    )
+    budget = SearchBudget(**_given(params, "candidates", "refine_evals"))
     half = float(params.get("seed_halfwidth", 0.1))
     center = po.points[0]
     seed_region = np.column_stack([center - half, center + half])
@@ -257,9 +255,8 @@ def _run_refute(scenario, params, seed, outdir):
         "refuted": cert is not None,
         "certificate": cert.to_dict() if cert is not None else None,
     }
-    for k in po._entries:
-        value = float(spec.conserved.func(po._starts[k]))
-        rows.append(("conserved", int(k) - 1, float(po._begins[k]), value))
+    for i, x, begin in zip(*po.entries):
+        rows.append(("conserved", int(i), float(begin), float(spec.conserved.func(x))))
     return (2 if cert is not None else 0), result, rows
 
 
@@ -401,8 +398,6 @@ PIPELINES = {
             "candidates": ("int", 1, 10_000_000),
             "refine_evals": ("int", 0, 10_000_000),
             "seed_halfwidth": ("float", 1e-12, 100.0),
-            "chain_samples": ("int", 3, 1_000_000),
-            "orbit_samples": ("int", 3, 1_000_000),
         },
         _run_shadow_search,
     ),

@@ -255,10 +255,8 @@ def shadow_distance(
     if y.ndim == 1:
         c_pts, o_pts = chain.at_many(grid), _orbit_points(spec, y, u, tol)
     else:
-        (entry, local), (piece, u_local) = chain.locate(grid), _locate(h.knots_u, u)
-        entry = np.concatenate([entry, len(po._starts) + piece])
-        pts = chain.read(entry, np.concatenate([local, u_local]), y, np.diff(h.knots_u))
-        c_pts, o_pts = np.split(pts, 2)
+        pieces = _locate(h.knots_u, u)
+        c_pts, o_pts = np.split(chain.read(*chain.locate(grid), y, np.diff(h.knots_u), *pieces), 2)
     d = np.linalg.norm(coord_difference(spec, o_pts, c_pts), axis=-1)
 
     v_orbit = spec.field_at(o_pts)
@@ -287,58 +285,42 @@ class ReparamFit:
     shift: float
 
 
-# A scan's memory is flat in the lattice size: a solve holds at most _SCAN_ENTRIES orbit
-# entries N * len(u) * dim (each scratch array of the distance kernel at most that many or
-# one m * k matrix), and a matched stack at most _SKEW_ENTRIES skew entries, (m + k - 1) *
-# (m + 1) per row.  A 202-sample chain takes 81,809 entries (654 KB) a row, so stacks of 3:
-# the tracemalloc peak of a criterion-3 search is 2.84 MB, against 3.02 MB when each row was
-# matched alone through a (m, k, dim) difference array; stacks of 4 would peak at 3.5 MB.
+# A scan's memory is flat in the lattice size: on an m-point grid a solve holds at most
+# _SCAN_ENTRIES orbit entries N * m * dim (each distance-kernel scratch array at most that
+# many or one m * m matrix), and a matched stack at most _SKEW_ENTRIES skew entries,
+# (2m - 1) * (m + 1) per row.  A 202-sample chain takes 81,809 entries (654 KB) a row, so
+# stacks of 3: a criterion-3 search's tracemalloc peak is 2.84 MB, against 3.02 MB when
+# each row was matched alone through an (m, m, dim) difference array; 4 would peak at 3.5 MB.
 _SCAN_ENTRIES = 1 << 16
 _SKEW_ENTRIES = 1 << 18
 
 
 class _MatchObjective:
-    """Chain-side samples are precomputed once; each call matches one orbit."""
+    """The chain and each candidate orbit are sampled on one ``grid``: the chain's
+    boundary times within the horizon and the horizon's ends, so the identity coupling
+    is always among the candidates.  The chain's points are read once; each call
+    matches one orbit."""
 
-    def __init__(
-        self,
-        spec,
-        po,
-        horizon,
-        chain_samples=None,
-        orbit_samples=None,
-        tol=DEFAULT_TOL,
-    ):
-        given = {"chain_samples": chain_samples, "orbit_samples": orbit_samples}
-        _require_count(1, **{name: v for name, v in given.items() if v is not None})
+    def __init__(self, spec, po, horizon, tol=DEFAULT_TOL):
         self.spec = spec
-        self.po = po
-        self.horizon = (float(horizon[0]), float(horizon[1]))
         self.tol = tol
-        self.t_grid = _chain_time_grid(po, self.horizon, chain_samples)
-        anchor = int(np.argmin(np.abs(self.t_grid)))
-        if abs(self.t_grid[anchor]) > 1e-9:
+        self.grid = _chain_time_grid(po, horizon)
+        anchor = int(np.argmin(np.abs(self.grid)))
+        if abs(self.grid[anchor]) > 1e-9:
             raise ValueError("the horizon must contain t = 0")
         self.anchor = anchor
-        self.c_pts = ConcatEvaluator(po, tol=tol).at_many(self.t_grid)
-        if orbit_samples is None:
-            self.u_grid = self.t_grid.copy()
-        else:
-            self.u_grid = np.linspace(self.horizon[0], self.horizon[1], orbit_samples)
+        self.c_pts = ConcatEvaluator(po, tol=tol).at_many(self.grid)
         self.evaluations = 0
 
     def fit(self, y) -> ReparamFit:
         self.evaluations += 1
         y = np.asarray(y, dtype=float)
-        o_pts = _orbit_points(self.spec, y, self.u_grid, self.tol)
+        o_pts = _orbit_points(self.spec, y, self.grid, self.tol)
         value, pairs = frechet_match(pairwise_distances(self.spec, self.c_pts, o_pts))
 
-        sums = np.bincount(
-            pairs[:, 0], weights=self.u_grid[pairs[:, 1]], minlength=len(self.t_grid)
-        )
-        counts = np.bincount(pairs[:, 0], minlength=len(self.t_grid))
-        ku = sums / counts
-        kt = self.t_grid
+        # the coupling visits every chain sample, so each row has a mean matched clock
+        kt = self.grid
+        ku = np.bincount(pairs[:, 0], weights=kt[pairs[:, 1]]) / np.bincount(pairs[:, 0])
         shift = float(ku[self.anchor])
         ku = ku - shift
         lo_s, hi_s = _SLOPE_BOUNDS
@@ -361,16 +343,16 @@ class _MatchObjective:
         the rows at the divergence bound score ``inf`` and the rest of the block
         is solved again as one batch."""
         lattice = iter(lattice)
-        block = max(1, _SCAN_ENTRIES // (len(self.u_grid) * self.spec.dim))
-        m, k = len(self.t_grid), len(self.u_grid)
-        stack = max(1, _SKEW_ENTRIES // ((m + k - 1) * (m + 1)))
+        m = len(self.grid)
+        block = max(1, _SCAN_ENTRIES // (m * self.spec.dim))
+        stack = max(1, _SKEW_ENTRIES // ((2 * m - 1) * (m + 1)))
         while len(ys := np.array(list(itertools.islice(lattice, block)), dtype=float)):
             self.evaluations += len(ys)
             values = np.full(len(ys), np.inf)
             live, o_pts = np.arange(len(ys)), None
             while o_pts is None and len(live):
                 try:
-                    o_pts = _orbit_points(self.spec, ys[live], self.u_grid, self.tol)
+                    o_pts = _orbit_points(self.spec, ys[live], self.grid, self.tol)
                 except FlowDivergenceError as err:
                     live = np.delete(live, err.rows)
             for i in range(0, len(live), stack):
@@ -381,31 +363,17 @@ class _MatchObjective:
 
 
 def best_reparam(
-    spec: VectorFieldSpec,
-    y,
-    po: PseudoOrbit,
-    horizon,
-    chain_samples: Optional[int] = None,
-    orbit_samples: Optional[int] = None,
-    tol: float = DEFAULT_TOL,
+    spec: VectorFieldSpec, y, po: PseudoOrbit, horizon, tol: float = DEFAULT_TOL
 ) -> ReparamFit:
     """Best monotone matching of the orbit of ``y`` against the chain.
 
-    Chain samples default to the chain's own segment boundaries within the
-    horizon; orbit samples default to the same times, so the identity
-    coupling is always among the candidates.  The induced piecewise-linear
-    reparametrization is slope-clamped and anchored at ``(0, 0)``; the
-    returned candidate ``y_anchored`` absorbs the anchoring time shift.
+    Both are sampled at the chain's own segment boundaries within the horizon
+    (and the horizon's ends), so the identity coupling is always among the
+    candidates.  The induced piecewise-linear reparametrization is slope-clamped
+    and anchored at ``(0, 0)``; the returned candidate ``y_anchored`` absorbs the
+    anchoring time shift.
     """
-    obj = _MatchObjective(
-        spec,
-        po,
-        horizon,
-        chain_samples=chain_samples,
-        orbit_samples=orbit_samples,
-        tol=tol,
-    )
-    return obj.fit(y)
+    return _MatchObjective(spec, po, horizon, tol=tol).fit(y)
 
 
 # Chord steps newton_shadow takes at most: 1 on criterion 3's chains, and up to 6 at
@@ -478,20 +446,18 @@ class SearchBudget:
     ``candidates`` caps the lattice and refinement evaluations (the final fit
     adds one); ``refine_evals < candidates`` of them cap the refinement: a
     lattice of the largest odd ``k`` points per live axis with ``k**n <=
-    refine_evals``, so with 3 live axes a budget below 27 refines nothing.  ``eval_samples``
-    controls the final dense verification grid, of ``dense_samples`` points.
+    refine_evals``, so with 3 live axes a budget below 27 refines nothing.  Each
+    evaluation samples the chain and the orbit at the chain's boundary times within
+    the horizon.  ``eval_samples`` controls the final dense verification grid, of
+    ``dense_samples`` points.
     """
 
     candidates: int = 1000
     refine_evals: int = 200
-    chain_samples: Optional[int] = None
-    orbit_samples: Optional[int] = None
     eval_samples: int = 257
 
     def __post_init__(self) -> None:
-        given = {"chain_samples": self.chain_samples, "orbit_samples": self.orbit_samples}
-        _require_count(1, candidates=self.candidates, eval_samples=self.eval_samples,
-                       **{name: v for name, v in given.items() if v is not None})
+        _require_count(1, candidates=self.candidates, eval_samples=self.eval_samples)
         _require_count(0, refine_evals=self.refine_evals)
         if not 0 <= self.refine_evals < self.candidates:
             raise ValueError(
@@ -651,14 +617,7 @@ def _lattice_search(spec, po, epsilon, seed_region, budget, tol=DEFAULT_TOL, not
     Newton stage's ``note`` follows the stage's own, and ``newton`` goes to :func:`_report`."""
     lo = -3.0 if po.head is not None else 0.0
     hi = po.total_time + (3.0 if po.tail is not None else 0.0)
-    obj = _MatchObjective(
-        spec,
-        po,
-        (lo, hi),
-        chain_samples=budget.chain_samples,
-        orbit_samples=budget.orbit_samples,
-        tol=tol,
-    )
+    obj = _MatchObjective(spec, po, (lo, hi), tol=tol)
 
     axes = _coarse_axes(seed_region, budget.candidates - budget.refine_evals)
     coarse = math.prod(len(a) for a in axes)
@@ -739,7 +698,7 @@ def refute_by_conservation(
     if spec.conserved is None:
         raise ValueError(f"{spec.name} declares no conserved quantity to refute with")
     _require_positive(epsilon=epsilon)
-    pts = po._starts[po._entries]
+    pts = po.entries[1]
     values = [float(spec.conserved.func(p)) for p in pts]
     q_min, q_max = min(values), max(values)
     bound = (q_max - q_min) / (2.0 * spec.conserved.lipschitz)

@@ -558,7 +558,8 @@ def uniform_periodic_estimates(
     ``2 * eta`` (slack ``slack_rate_gap``), and that the ``t_min``-step
     partition of one period (the whole period as one step when ``t_min``
     exceeds it) has averaged stable log-norms at most ``-eta`` and averaged
-    unstable log-conorms at least ``eta``.
+    unstable log-conorms at least ``eta``.  An empty ``reports`` raises
+    ``ValueError``, as there is no orbit to give a verdict on.
 
     The cocycle is built over one period from ``rep.point``, with ``dt``
     snapped to ``period / round(period / dt)``, and indexed periodically to
@@ -574,6 +575,9 @@ def uniform_periodic_estimates(
     nothing.
     """
     _require_positive(t_min=t_min, eta=eta)
+    _require_positive(dt=dt, window_time=window_time)
+    if not len(reports):
+        raise ValueError("reports must hold at least one periodic orbit (got none)")
     results = []
     ok = True
     for rep in reports:
@@ -588,7 +592,6 @@ def uniform_periodic_estimates(
             raise ValueError(f"t_min={t_min:.6g} exceeds three periods of the orbit")
         if not 1 <= rep.index <= spec.dim - 2:
             raise ValueError("orbit must have nontrivial stable and unstable parts")
-        _require_positive(dt=dt, window_time=window_time)
         m_p = max(1, round(period / dt))
         key = (period / m_p, window_time, tol)
         built = rep._builds.get(key)

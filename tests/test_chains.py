@@ -94,6 +94,40 @@ def test_boundary_and_accumulated_times(scenarios):
         accumulated_time(bare, 4)
 
 
+def test_entries_are_the_present_entries_in_chain_order(scenarios):
+    """Head, body and tail as far as present, each with its start and begin time;
+    the arrays are copies, so writing to them leaves the chain as it was."""
+    spec = scenarios["linear_saddle3d"].spec
+    pts = np.arange(9.0).reshape(3, 3)
+    ends = {"head": (-np.ones(3), 2.0), "tail": (np.full(3, 9.0), 3.0)}
+    for given, index, starts, begins in (
+        (ends, [-1, 0, 1, 2, 3], [-np.ones(3), *pts, np.full(3, 9.0)], [-2.0, 0.0, 1.0, 3.0, 7.0]),
+        ({}, [0, 1, 2], pts, [0.0, 1.0, 3.0]),
+    ):
+        po = PseudoOrbit(spec, pts, np.array([1.0, 2.0, 4.0]), 0.1, **given)
+        got = po.entries
+        assert got[0].tolist() == index
+        assert np.array_equal(got[1], starts) and got[2].tolist() == begins
+        for array in got:
+            array[...] = 0
+        assert np.array_equal(po.entries[1], starts) and po.entries[2].tolist() == begins
+
+
+@pytest.mark.parametrize(
+    "end, index, begins",
+    [("head", [-1, 0, 1, 2], [-2.0, 0.0, 1.0, 3.0]), ("tail", [0, 1, 2, 3], [0.0, 1.0, 3.0, 7.0])],
+)
+def test_entries_with_one_end(scenarios, end, index, begins):
+    """A chain with one end lists that end beside its body, and no other."""
+    spec = scenarios["linear_saddle3d"].spec
+    pts, x = np.arange(9.0).reshape(3, 3), np.full(3, -1.0)
+    po = PseudoOrbit(spec, pts, np.array([1.0, 2.0, 4.0]), 0.1, **{end: (x, 2.0)})
+    got_index, starts, got_begins = po.entries
+    assert got_index.tolist() == index and got_begins.tolist() == begins
+    want = [x, *pts] if end == "head" else [*pts, x]
+    assert np.array_equal(starts, want)
+
+
 @pytest.mark.parametrize(
     "name,x0",
     [
@@ -308,15 +342,15 @@ def test_read_stretches_a_piece_row_to_its_latest_time(scenarios):
     the piece alone is raised at its local time, with the piece as its row."""
     spec = scenarios["linear_saddle3d"].spec
     po = PseudoOrbit(spec, np.array([[0.1, 0.0, 0.1], [0.2, 0.1, 0.0]]), np.ones(2), 0.5)
-    ev, x, n = ConcatEvaluator(po, norm_bound=100.0), np.array([0.3, 0.2, 1.0]), len(po._starts)
+    ev, x = ConcatEvaluator(po, norm_bound=100.0), np.array([0.3, 0.2, 1.0])
     local = np.array([0.5, 1.0, 3.0])
-    got = ev.read(np.full(3, n), local, [x], [1.0])
+    got = ev.read(np.zeros(0, dtype=int), [], [x], [1.0], np.zeros(3, dtype=int), local)
     want = CLOSED_FLOWS["linear_saddle3d"](x, local[:, None])
     assert np.all(np.abs(got - want) <= 1e-8 * (1.0 + np.abs(want)))
     # z = e^t crosses 100 at t = ln 100 on the piece; the chain's own row stays bounded
     message = r"\[0\.3 0\.2 1\. \] crossed norm 100 at t=4\.60"
     with pytest.raises(FlowDivergenceError, match=message) as err:
-        ev.read(np.array([1, n]), np.array([0.5, 5.0]), [x], [1.0])
+        ev.read([1], [0.5], [x], [1.0], [0], [5.0])
     assert list(err.value.rows) == [0]
 
 

@@ -451,6 +451,19 @@ def test_list_scenarios_and_pipelines(capsys):
             "epsilon = 5e-3\n",
             "noise_subspace columns must be linearly independent",
         ),
+        # the lattice samples the chain and the orbit on one grid, which no key sets
+        (
+            "[scenario]\nname = linear_saddle3d\n\n[pipeline]\nname = shadow-search\n"
+            "chain = noisy\nx0 = 0.9 0.9 0.0\ncount = 5\nnoise = 1e-4\nepsilon = 5e-3\n"
+            "chain_samples = 41\n",
+            "unknown key 'chain_samples' for shadow-search",
+        ),
+        (
+            "[scenario]\nname = linear_saddle3d\n\n[pipeline]\nname = shadow-search\n"
+            "chain = noisy\nx0 = 0.9 0.9 0.0\ncount = 5\nnoise = 1e-4\nepsilon = 5e-3\n"
+            "orbit_samples = 41\n",
+            "unknown key 'orbit_samples' for shadow-search",
+        ),
         # files the INI parser refuses, each message on one line
         (
             "[scenario]\nname = saddle_cycle\nname = saddle_cycle\n\n[pipeline]\nname = classify\n",

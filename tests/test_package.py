@@ -1,6 +1,7 @@
 """Package-wide rules: the namespace and the argument check."""
 
 import ast
+import dataclasses
 import functools
 import importlib
 import math
@@ -129,18 +130,6 @@ def _certificate(tau):
                      r"\(got samples=nan\)", id="shadow_distance-samples"),
         pytest.param(lambda tmp: fl.SearchBudget(eval_samples=NAN),
                      r"\(got eval_samples=nan\)", id="SearchBudget-eval_samples"),
-        pytest.param(lambda tmp: fl.SearchBudget(chain_samples=NAN),
-                     r"^chain_samples must be at least 1, as an integer \(got chain_samples=nan\)$",
-                     id="SearchBudget-chain_samples"),
-        pytest.param(lambda tmp: fl.SearchBudget(orbit_samples=NAN),
-                     r"^orbit_samples must be at least 1, as an integer \(got orbit_samples=nan\)$",
-                     id="SearchBudget-orbit_samples"),
-        pytest.param(lambda tmp: fl.best_reparam(SADDLE, P, ONE_POINT, (0.0, 1.0), chain_samples=NAN),
-                     r"^chain_samples must be at least 1, as an integer \(got chain_samples=nan\)$",
-                     id="best_reparam-chain_samples"),
-        pytest.param(lambda tmp: fl.best_reparam(SADDLE, P, ONE_POINT, (0.0, 1.0), orbit_samples=NAN),
-                     r"^orbit_samples must be at least 1, as an integer \(got orbit_samples=nan\)$",
-                     id="best_reparam-orbit_samples"),
         pytest.param(lambda tmp: _certificate(NAN),
                      r"^tau must be positive and finite \(got tau=nan\)$",
                      id="check_quasi_hyperbolic-tau"),
@@ -169,6 +158,15 @@ def _certificate(tau):
                      r"^dt and window_time must be positive and finite "
                      r"\(got dt=0.05, window_time=nan\)$",
                      id="uniform_periodic_estimates-window_time"),
+        # checked before the reports, so an empty family cannot pass a NaN through
+        pytest.param(lambda tmp: fl.uniform_periodic_estimates(CYCLE, [], 1.0, 0.5, dt=NAN),
+                     r"^dt and window_time must be positive and finite "
+                     r"\(got dt=nan, window_time=3.0\)$",
+                     id="uniform_periodic_estimates-dt"),
+        pytest.param(lambda tmp: fl.uniform_periodic_estimates(CYCLE, [], 1.0, 0.5,
+                                                               window_time=NAN),
+                     r"\(got dt=0.05, window_time=nan\)$",
+                     id="uniform_periodic_estimates-window_time-empty"),
         # a NaN step must not read as a perfect match, 0.0
         pytest.param(lambda tmp: fl.validate_jacobian(SADDLE, [P], step=NAN),
                      r"\(got step=nan\)", id="validate_jacobian-step"),
@@ -200,11 +198,7 @@ COUNTS = [
         SADDLE, P, IDENTITY, ONE_POINT, (0.0, 1.0), samples=v), id="shadow_distance"),
     *(pytest.param(name, least, lambda v, name=name: fl.SearchBudget(**{name: v}),
                    id=f"SearchBudget-{name}")
-      for name, least in (("candidates", 1), ("refine_evals", 0), ("eval_samples", 1),
-                          ("chain_samples", 1), ("orbit_samples", 1))),
-    *(pytest.param(name, 1, lambda v, name=name: fl.best_reparam(
-        SADDLE, P, ONE_POINT, (0.0, 1.0), **{name: v}), id=f"best_reparam-{name}")
-      for name in ("chain_samples", "orbit_samples")),
+      for name, least in (("candidates", 1), ("refine_evals", 0), ("eval_samples", 1))),
     pytest.param("max_iter", 1, lambda v: fl.find_periodic_newton(CYCLE, P, TWO_PI, max_iter=v),
                  id="find_periodic_newton"),
     pytest.param("dim", 1, lambda v: fl.VectorFieldSpec("still", v, np.negative, np.negative),
@@ -221,6 +215,37 @@ def test_counts_must_be_integers_of_at_least_their_least(name, least, call, valu
     got = re.escape(f"(got {name}={value})")
     with pytest.raises(ValueError, match=f"^{name} must be at least {least}, as an integer {got}$"):
         call(value)
+
+
+def test_search_budget_holds_three_settings():
+    assert [f.name for f in dataclasses.fields(fl.SearchBudget)] == [
+        "candidates", "refine_evals", "eval_samples"]
+
+
+@pytest.mark.parametrize("name", ["chain_samples", "orbit_samples"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda **kw: fl.SearchBudget(**kw), id="SearchBudget"),
+    pytest.param(lambda **kw: fl.best_reparam(SADDLE, P, ONE_POINT, (0.0, 1.0), **kw),
+                 id="best_reparam"),
+])
+def test_lattice_sampling_takes_no_setting(call, name):
+    """The lattice samples the chain and the orbit on the chain's own grid, so a
+    sample count for either side is an unknown argument, not a setting."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        call(**{name: 41})
+
+
+ENTRY_TABLE = ("_starts", "_entries", "_begins", "_taus")
+SOURCES = sorted((pathlib.Path(fl.__file__).parent).glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_only_chains_reads_the_entry_table(path):
+    """A chain's entry table is chains' own: other modules read its entries
+    through ``PseudoOrbit.entries`` and its pieces through ``ConcatEvaluator.read``."""
+    reads = sorted({node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and node.attr in ENTRY_TABLE})
+    assert reads == (sorted(ENTRY_TABLE) if path.stem == "chains" else [])
 
 
 def _readme_blocks():

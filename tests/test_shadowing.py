@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from flowlab import (
+    ConcatEvaluator,
     FlowDivergenceError,
     PseudoOrbit,
     Reparametrization,
@@ -253,6 +254,28 @@ def test_lattice_scan_matches_per_candidate_objective(scenarios, monkeypatch):
     assert search_shadowing(spec, po, 0.05, region, budget=SearchBudget()) == report
 
 
+@pytest.mark.parametrize(
+    "chain, horizon, want",
+    [
+        ("cycle", (0.0, 2.5), [0.0, 1.0, 2.0, 2.5]),
+        ("cycle", (0.0, 4.0), [0.0, 1.0, 2.0, 3.0, 4.0]),
+        ("segment", (-3.0, 9.0), [-3.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 9.0]),
+    ],
+)
+def test_match_objective_samples_on_the_chain_grid(scenarios, cycle_chain, chain, horizon, want):
+    """The chain and the orbit share one grid: the horizon's ends and the chain's
+    boundary times between them, anchored at t = 0, with the chain read there."""
+    if chain == "cycle":
+        spec, po = cycle_chain
+    else:
+        spec = scenarios["neutral_line"].spec
+        po = equilibrium_segment_chain(spec, 0.4, 0.05)
+    obj = shadowing._MatchObjective(spec, po, horizon)
+    assert obj.grid.tolist() == want
+    assert obj.grid[obj.anchor] == 0.0
+    assert np.array_equal(obj.c_pts, ConcatEvaluator(po).at_many(obj.grid))
+
+
 def test_lattice_scan_across_blocks(scenarios, monkeypatch):
     """Blocks are sized by orbit entries (9 times x 2 coordinates per row) and
     matched in stacks of at most ``_SKEW_ENTRIES`` skew entries (17 x 10 per row)."""
@@ -260,7 +283,7 @@ def test_lattice_scan_across_blocks(scenarios, monkeypatch):
     po = equilibrium_segment_chain(spec, 0.4, 0.05)
     region = np.array([[-0.1, 0.3], [-0.1, 0.1]])
     obj = shadowing._MatchObjective(spec, po, (-3.0, po.total_time + 3.0))
-    assert (len(obj.t_grid), len(obj.u_grid), spec.dim) == (9, 9, 2)
+    assert (len(obj.grid), spec.dim) == (9, 2)
     stacks = []
     frechet = shadowing._frechet_values
 
@@ -302,7 +325,7 @@ def test_scan_stacks_stay_within_the_skew_cap_and_match_exactly(scenarios, monke
         rng=np.random.default_rng(101), noise_subspace=np.eye(3)[:, :2],
     )
     obj = shadowing._MatchObjective(spec, po, (0.0, po.total_time))
-    assert len(obj.t_grid) == len(obj.u_grid) == 202
+    assert len(obj.grid) == 202
     solved, stacks = [], []
     orbit_points, frechet = shadowing._orbit_points, shadowing._frechet_values
 
@@ -407,34 +430,34 @@ def test_shadow_distance_rejects_empty_horizon(cycle_chain):
 
 def test_best_reparam_identity_on_exact_chain(cycle_chain):
     spec, po = cycle_chain
-    for kwargs in ({}, {"chain_samples": 41, "orbit_samples": 41}):
-        fit = best_reparam(spec, po.points[0], po, (0.0, po.total_time), **kwargs)
-        assert fit.distance <= 1e-8
-        assert fit.shift == 0.0
-        assert np.array_equal(fit.y_anchored, po.points[0])
-        ts = np.linspace(0.0, po.total_time, 101)
-        assert np.max(np.abs(fit.h(ts) - ts)) <= 1e-8
+    fit = best_reparam(spec, po.points[0], po, (0.0, po.total_time))
+    assert fit.distance <= 1e-8
+    assert fit.shift == 0.0
+    assert np.array_equal(fit.y_anchored, po.points[0])
+    ts = np.linspace(0.0, po.total_time, 101)
+    assert np.max(np.abs(fit.h(ts) - ts)) <= 1e-8
 
 
-def test_best_reparam_shift_anchors_candidate(cycle_chain):
-    """Averaged matched clocks shift the candidate so that h(0) = 0."""
-    spec, po = cycle_chain
-    fit = best_reparam(spec, po.points[0], po, (0.0, po.total_time), orbit_samples=81)
-    # each sparse chain knot collects a range of orbit clocks, so the
-    # anchor row's mean is strictly positive and absorbed into the shift
-    assert 0.05 <= fit.shift <= 0.5
+def test_best_reparam_shift_anchors_candidate(scenarios):
+    """Averaged matched clocks shift the candidate so that h(0) = 0.  A seeded draw
+    from criterion 1's seed box, at x = 0.056 beside the segment chain of equilibria
+    from 0 to 0.2, matches the chain's anchor time 0 to the orbit's clock 3, and the
+    shift absorbs it; the coupling then costs the chain's far end, 0.2 - x."""
+    spec = scenarios["neutral_line"].spec
+    po = equilibrium_segment_chain(spec, 0.4, 0.05)
+    y = np.random.default_rng(3).uniform([-0.1, -0.1], [0.3, 0.1], size=(6, 2))[5]
+    fit = best_reparam(spec, y, po, (-3.0, po.total_time + 3.0))
+    assert fit.shift == 3.0
     assert fit.h(0.0) == 0.0
-    assert distance(spec, fit.y_anchored, flow_at(spec, po.points[0], fit.shift)) <= 1e-9
-    assert fit.distance <= 0.7
+    assert distance(spec, fit.y_anchored, flow_at(spec, y, fit.shift)) <= 1e-9
+    assert fit.distance == pytest.approx(0.2 - y[0], abs=1e-6)
 
 
 def test_best_reparam_on_time_shifted_candidate(cycle_chain):
     """A pure time shift costs about shift x speed at the pinned corners."""
     spec, po = cycle_chain
     y = flow_at(spec, po.points[0], -0.3)
-    fit = best_reparam(
-        spec, y, po, (0.0, po.total_time), chain_samples=81, orbit_samples=81
-    )
+    fit = best_reparam(spec, y, po, (0.0, po.total_time))
     assert 0.15 <= fit.distance <= 0.5
     assert fit.h(0.0) == 0.0
     assert distance(spec, fit.y_anchored, flow_at(spec, y, fit.shift)) <= 1e-9
@@ -1038,9 +1061,10 @@ def test_newton_dense_check_reads_in_one_solve_on_the_closed_form(scenarios, mon
         rows.append(kwargs.get("rows", 1))
         return solve(*args, **kwargs)
 
-    def recorded_read(self, entry, local, starts=(), taus=()):
-        points = read(self, entry, local, starts, taus)
-        reads.append((np.vstack([self.po._starts, starts])[entry], local, points))
+    def recorded_read(self, entry, local, starts=(), taus=(), piece=(), piece_local=()):
+        points = read(self, entry, local, starts, taus, piece, piece_local)
+        x = np.vstack([self.po._starts[entry], np.reshape(starts, (-1, 3))[piece]])
+        reads.append((x, np.concatenate([local, piece_local]), points))
         return points
 
     def dense_check(*args, **kwargs):

@@ -1164,8 +1164,15 @@ def test_uniform_estimates_validation(scenarios, cycle_report):
     sing = classify_singularity(scenarios["linear_saddle3d"].spec, np.zeros(3))
     with pytest.raises(ValueError, match="periodic-orbit reports only"):
         uniform_periodic_estimates(spec, [sing], t_min=1.0, eta=0.5)
-    out = uniform_periodic_estimates(spec, [], t_min=1.0, eta=0.5)
-    assert out.ok and out.orbits == ()
+
+
+def test_uniform_estimates_refuse_an_empty_family(scenarios):
+    """No orbit gives no verdict, and the arguments are checked before the family is."""
+    spec = scenarios["saddle_cycle"].spec
+    with pytest.raises(ValueError, match=r"^reports must hold at least one periodic orbit"):
+        uniform_periodic_estimates(spec, [], t_min=1.0, eta=0.5)
+    with pytest.raises(ValueError, match=r"\(got dt=nan, window_time=-1\)$"):
+        uniform_periodic_estimates(spec, [], 1.0, 0.5, dt=math.nan, window_time=-1)
 
 
 @pytest.mark.parametrize("eta", [0.5, 1.0])
