@@ -1,4 +1,4 @@
-"""Pseudo-orbits: construction, verification, evaluation, serialization.
+"""Pseudo-orbits: construction, verification and evaluation.
 
 A pseudo-orbit is a finite list of (point, duration) pairs where each
 duration is at least 1 and consecutive flow images land within ``delta`` of
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .flow import (
     _require_positive,
     coord_difference,
     distance,
-    flow_at,
     wrap_point,
 )
 from .poincare import _cross_plane, _section_at, linear_poincare, normal_frame, section_map
@@ -42,8 +41,6 @@ __all__ = [
     "generate_noisy",
     "equilibrium_segment_chain",
     "periodic_family_chain",
-    "save_chain",
-    "load_chain",
 ]
 
 
@@ -327,8 +324,12 @@ def generate_noisy(
     points.  Perturbations are drawn uniformly from the ball of radius
     ``noise``, restricted to the column span of ``noise_subspace`` when one
     is given (its columns must be linearly independent and are orthonormalized
-    first).  A step whose orbit crosses ``DEFAULT_NORM_BOUND`` raises.  The chain's
-    ``delta`` is ``noise + 10 * tol`` to absorb integration error in later verification.
+    first).  Every kick is drawn first, then the chain flows in one solve that
+    lands on each ``i * step`` and adds ``xi_i`` there (:func:`flowlab.flow.solve_ivp`'s
+    ``kicks``), on the universal cover: only the recorded points are wrapped.  A
+    transition whose orbit crosses ``DEFAULT_NORM_BOUND``, or starts at or beyond it,
+    raises naming its start and its own time.  The chain's ``delta`` is
+    ``noise + 10 * tol`` to absorb integration error in later verification.
     """
     _require_count(1, count=count)
     _require_positive(noise=noise)
@@ -345,15 +346,23 @@ def generate_noisy(
         if r.shape[0] < r.shape[1] or diag.min() <= 1e-12 * diag.max():
             raise ValueError("noise_subspace columns must be linearly independent")
     k = spec.dim if basis is None else basis.shape[1]
-    pts = np.empty((count + 1, spec.dim))
-    pts[0] = wrap_point(spec, np.asarray(x0, dtype=float))
+    xis = np.empty((count, spec.dim))
     for i in range(count):
-        base = flow_at(spec, pts[i], step, tol=tol)
         g = rng.standard_normal(k)
         norm = np.linalg.norm(g)
         xi_local = g / norm * noise * rng.random() ** (1.0 / k) if norm else np.zeros(k)
-        xi = xi_local if basis is None else basis @ xi_local
-        pts[i + 1] = wrap_point(spec, base + xi)
+        xis[i] = xi_local if basis is None else basis @ xi_local
+    pts = np.empty((count + 1, spec.dim))
+    pts[0] = wrap_point(spec, np.asarray(x0, dtype=float))
+    times = step * np.arange(1.0, count + 1)
+    sol = _orbit_solve(spec, pts[0], times[-1], tol, DEFAULT_NORM_BOUND, t_eval=times,
+                       on_escape="truncate", kicks=(times[:-1], xis[:-1]))
+    reached = len(sol.t)  # the transitions that ended before any escape
+    pts[1 : reached + 1] = wrap_point(spec, sol.y.T + xis[:reached])
+    if len(sol.t_events[0]):
+        raise FlowDivergenceError.crossing(spec, pts[reached], DEFAULT_NORM_BOUND,
+                                           sol.t_events[0][0] - reached * step, "integration",
+                                           np.array([0]))
     return PseudoOrbit(
         spec=spec,
         points=pts,
@@ -470,61 +479,4 @@ def periodic_family_chain(
         delta=float(delta),
         head=(wrap_point(spec, p), period),
         tail=(tail_point, tail_tau),
-    )
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def save_chain(po: PseudoOrbit, path) -> None:
-    """Write a chain as text: header ``dim delta has_head has_tail``, then
-    one ``index duration coords...`` row per entry (head at index -1, tail
-    at index m).  Floats are written with full round-trip precision, so a
-    load followed by a save is byte-identical.
-    """
-    lines = [
-        f"{po.spec.dim} {_fmt(po.delta)} {int(po.head is not None)} {int(po.tail is not None)}"
-    ]
-    for k in po._entries:
-        lines.append(
-            " ".join([str(k - 1), _fmt(po._taus[k])] + [_fmt(c) for c in po._starts[k]])
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_chain(spec: VectorFieldSpec, path) -> PseudoOrbit:
-    """Read a chain written by :func:`save_chain` for the given field."""
-    with open(path) as fh:
-        rows = [line.split() for line in fh if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: empty chain file")
-    header = rows[0]
-    if len(header) != 4:
-        raise ValueError(f"{path}: header must be 'dim delta has_head has_tail'")
-    dim = int(header[0])
-    if dim != spec.dim:
-        raise ValueError(f"{path}: chain dimension {dim} does not match spec {spec.dim}")
-    delta = float(header[1])
-    has_head, has_tail = int(header[2]), int(header[3])
-    if not {has_head, has_tail} <= {0, 1}:
-        raise ValueError(
-            f"{path}: header flags has_head has_tail must be 0 or 1 "
-            f"(got {header[2]} {header[3]})"
-        )
-    m = len(rows) - 1 - has_head - has_tail
-    if m < 1:
-        raise ValueError(f"{path}: no body rows")
-    entries = {}  # index -> (point, duration)
-    for want_index, row in zip(range(-has_head, m + has_tail), rows[1:]):
-        if len(row) != 2 + dim:
-            raise ValueError(f"{path}: row has {len(row)} fields, expected {2 + dim}")
-        if int(row[0]) != want_index:
-            raise ValueError(f"{path}: row index {row[0]}, expected {want_index}")
-        entries[want_index] = (np.array([float(c) for c in row[2:]]), float(row[1]))
-    pts, durs = zip(*(entries[i] for i in range(m)))
-    return PseudoOrbit(
-        spec=spec, points=np.array(pts), durations=np.array(durs), delta=delta,
-        head=entries.get(-1), tail=entries.get(m),
     )

@@ -3,9 +3,11 @@
 Integration is flowlab's own DOP853 on scipy's tableau, :func:`solve_ivp`, with scipy's bits.
 A step builds its dense stages only when read inside, and ``_DenseSteps`` alone reads them: at
 output times, at event roots, and as :func:`integrate`'s :class:`Trajectory`, which alone keeps
-its steps.  An armed terminal event ends ``poincare``'s section search at its crossing.
-Angle coordinates are integrated on the universal cover (never wrapped mid-integration);
-wrapping happens only in :func:`distance`, :func:`coord_difference`, and :func:`wrap_point`.
+its steps.  An armed terminal event ends ``poincare``'s section search at its crossing, and
+kicks, jumps that a step lands on, make ``chains.generate_noisy``'s chain one solve.
+Angle coordinates are integrated on the universal cover (never wrapped mid-integration, a
+kick included); wrapping happens only in :func:`distance`, :func:`coord_difference`, and
+:func:`wrap_point`.
 
 Two rules hold across the package.  A length, time, rate, radius or count
 argument that is NaN, infinite or out of range raises ``ValueError`` naming
@@ -355,7 +357,8 @@ def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol):
     return min(100 * h0, max(1e-6, h0 * 1e-3) if flat else (0.01 / max(d1, d2)) ** (1 / 8), span)
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, events=()):
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, events=(),
+              kicks=((), ())):
     """flowlab's DOP853 on scipy's tableau, not scipy's ``solve_ivp``, whose
     ``solve_ivp(..., method="DOP853")`` it equals bit for bit in ``t``, ``y``, ``sol``,
     ``t_events``, ``y_events`` and ``status``: the same steps, step control, event roots
@@ -368,7 +371,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
     one step, ``sol``'s kept steps, and the pending steps of output times, several at a time,
     with no state kept per step.  ``rtol`` must be at least ``100 eps``.  A terminal
     event armed at ``after`` records its roots before ``after`` without stopping, so the
-    section search in ``poincare`` stops at the first crossing at or after ``t/3``, or at ``2t``."""
+    section search in ``poincare`` stops at the first crossing at or after ``t/3``, or at ``2t``.
+
+    ``kicks=(times, jumps)``, times strictly inside the span in its order, makes a solve of a
+    chain of jumps, which scipy has no form of.  The loop clips its step to land on each time,
+    records that step's events and outputs there, then adds the time's jump to ``y``.  It
+    evaluates ``fun`` once at the kicked state and re-reads the events there: an event that
+    the jump carries across zero in its direction has a root at the kick, which stops a
+    terminal one, as a fresh solve's start check would.  The step size goes on unchanged."""
     t, t_bound = float(t_span[0]), float(t_span[1])
     if t == t_bound:
         raise ValueError("t_span must have nonzero length")
@@ -400,6 +410,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
             pending.clear()
 
     directions, terminal = ([getattr(ev, k, 0) for ev in events] for k in ("direction", "terminal"))
+    stops, jumps = iter([*kicks[0], t_bound]), iter(kicks[1])  # the kick times, then the end
+    stop = next(stops)
+
+    def crossed(g_new):  # the events that change sign from g to g_new in their direction
+        return [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
+                if (a <= 0 <= b and d >= 0) or (b <= 0 <= a and d <= 0)]
+
     armed = [direction * getattr(ev, "after", t) for ev in events]
     g = [ev(t, y) for ev in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
@@ -418,8 +435,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
                 status, message = -1, "Required step size is less than spacing between numbers."
                 break
             t = t_old + h_abs * direction
-            if direction * (t - t_bound) > 0:
-                t = t_bound
+            if direction * (t - stop) > 0:
+                t = stop
             h = t - t_old
             h_abs = np.abs(h)
             stage(1, 12, t_old, y_old, h)
@@ -442,9 +459,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
         status = 0 if direction * (t - t_bound) >= 0 else None
         step = dense() if dense_output else None
         g_new = [ev(t, y) for ev in events]
-        active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
-                  if (a <= 0 <= b and d >= 0) or (b <= 0 <= a and d <= 0)]
-        g = g_new
+        active, g = crossed(g_new), g_new
         if active:
             step = step or dense()
             point = _DenseSteps(direction, [step])  # point(s): its state at the time s
@@ -473,6 +488,16 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, dense_output=False, even
             reached = hi
             if 8 * len(pending) >= len(key):  # F and y_old: 8 rows a step
                 flush()
+        if t == stop and status is None:  # a kick, after the step's events and outputs
+            y, stop = y + next(jumps), next(stops)
+            K[12] = fun(t, y)
+            nfev += 1
+            g_new = [ev(t, y) for ev in events]
+            active, g = crossed(g_new), g_new
+            for i in active:
+                t_events[i].append(t)
+                y_events[i].append(y)
+            status = 1 if any(terminal[i] and direction * t >= armed[i] for i in active) else None
         K[0] = K[12]  # the next step starts from this one's end derivative
     flush()
     return SimpleNamespace(
@@ -495,7 +520,7 @@ def _row_tol(tol, rows):
 
 
 def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, rows=1,
-           t_eval=None, on_escape="raise", events=()):
+           t_eval=None, on_escape="raise", events=(), **kicks):
     """DOP853 solve through :func:`solve_ivp`, with the divergence guard.
 
     ``y0`` holds ``rows`` equal problems, solved at :func:`_row_tol`.  An orbit
@@ -503,7 +528,9 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     naming the start of the first row at the bound, unless it crosses with
     ``on_escape="truncate"``: then the solution stops there, the crossing in
     ``t_events[0]``.  The caller's ``events`` follow the escape event, so their
-    hits are ``t_events[1:]``, and a terminal one among them is no escape."""
+    hits are ``t_events[1:]``, and a terminal one among them is no escape.  ``kicks``, given
+    as ``kicks=(times, jumps)``, go to :func:`solve_ivp`, whose escape event stops at a kick
+    that lands at or beyond the bound; a solve without them passes scipy's options alone."""
     _require_positive(tol=tol, norm_bound=norm_bound)
     rtol, atol = _row_tol(tol, rows)
     escape = _escape_event(norm_bound, spec.dim, rows)
@@ -520,7 +547,7 @@ def _solve(spec, rhs, t_span, y0, tol, norm_bound, what, dense_output=False, row
     if escape(t_span[0], y0) <= 0:
         raise diverged(t_span[0], y0)
     sol = solve_ivp(rhs, t_span, y0, rtol=rtol, atol=atol, t_eval=t_eval,
-                    dense_output=dense_output, events=[escape, *events])
+                    dense_output=dense_output, events=[escape, *events], **kicks)
     if sol.status == -1:
         raise RuntimeError(f"{what} failed: {sol.message}")
     if len(sol.t_events[0]) and on_escape == "raise":

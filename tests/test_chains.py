@@ -15,9 +15,7 @@ from flowlab import (
     flow_at,
     generate_noisy,
     integrate,
-    load_chain,
     periodic_family_chain,
-    save_chain,
     verify_chain,
 )
 from flowlab import flow, poincare
@@ -433,6 +431,114 @@ def test_generate_noisy_validation(scenarios):
         )
 
 
+def _kicks(seed, count, noise, dim, subspace=None):
+    """The kicks ``xi_0 .. xi_{count-1}`` of ``generate_noisy`` at ``rng=seed``, drawn in its
+    order: per transition ``standard_normal``, then ``random``."""
+    rng = np.random.default_rng(seed)
+    basis = None if subspace is None else np.linalg.qr(subspace)[0]
+    k = dim if basis is None else basis.shape[1]
+    xis = []
+    for _ in range(count):
+        g = rng.standard_normal(k)
+        xi = g / np.linalg.norm(g) * noise * rng.random() ** (1.0 / k)
+        xis.append(xi if basis is None else basis @ xi)
+    return np.array(xis)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = flow.solve_ivp
+    monkeypatch.setattr(flow, "solve_ivp", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    return calls
+
+
+def test_generate_noisy_takes_one_solve_with_the_same_draws(scenarios, monkeypatch):
+    """shadow_search.cfg's chain: one solve for all 40 transitions, each point the flow of
+    the one before plus that transition's kick, drawn as a per-transition solve drew it,
+    and within 10 tol of the chain that per-transition solves build."""
+    spec, tol, axes = scenarios["linear_saddle3d"].spec, 1e-9, np.eye(3)[:, [0, 1]]
+    calls = _count_solves(monkeypatch)
+    po = generate_noisy(spec, (0.9, 0.9, 0.0), 40, 1e-4, rng=0, noise_subspace=axes)
+    assert len(calls) == 1
+    xis, pts = _kicks(0, 40, 1e-4, 3, axes), po.points
+    assert xis.shape == (40, 3) and np.all(xis[:, 2] == 0.0)
+    images = np.array([flow_at(spec, p, 1.0) for p in pts[:-1]])
+    assert np.abs(pts[1:] - xis - images).max() <= 10 * tol
+    one_by_one = [pts[0]]
+    for xi in xis:
+        one_by_one.append(flow_at(spec, one_by_one[-1], 1.0) + xi)
+    assert np.abs(pts - one_by_one).max() <= 10 * tol
+
+
+def test_generate_noisy_wraps_only_the_recorded_points(scenarios, monkeypatch):
+    """On center_cycle, whose theta is an angle, the chain flows on the universal cover past
+    several turns in one solve; each recorded point is wrapped, and each transition lands
+    within noise + 10 tol of the flow of the point before."""
+    spec, tol, noise = scenarios["center_cycle"].spec, 1e-9, 1e-3
+    calls = _count_solves(monkeypatch)
+    po = generate_noisy(spec, (6.0, 0.2, 0.3), 30, noise, rng=4)
+    assert len(calls) == 1
+    theta = po.points[:, 0]
+    assert np.all((0.0 <= theta) & (theta < TWO_PI))
+    assert theta.min() < 1.0 and theta.max() > 5.0
+    for i in range(po.size - 1):
+        gap = flow.coord_difference(spec, po.points[i + 1], flow_at(spec, po.points[i], 1.0))
+        assert np.linalg.norm(gap) <= noise + 10 * tol
+    assert verify_chain(po).ok
+
+
+def test_generate_noisy_names_the_escaping_transition(scenarios):
+    """A transition whose orbit crosses the divergence bound raises naming its own start
+    and its own time, as a solve per transition did: z = e^t passes 1e6 in transition 13,
+    from z = 4.4e5, at its local time ln(1e6 / 4.4e5)."""
+    spec = scenarios["linear_saddle3d"].spec
+    with pytest.raises(FlowDivergenceError) as err:
+        generate_noisy(spec, (0, 0, 1), 20, 1e-3, rng=0)
+    start = [5.07451829328456e-04, 3.6458699903751084e-04, 4.424986918228932e+05]
+    assert err.value.rows.tolist() == [0]
+    assert err.value.t == pytest.approx(0.8153177708756, abs=1e-6)
+    assert str(err.value) == (
+        "linear_saddle3d: orbit from [5.07451829e-04 3.64586999e-04 4.42498692e+05] "
+        "crossed norm 1e+06 at t=0.815318 during integration")
+    chain = generate_noisy(spec, (0, 0, 1), 13, 1e-3, rng=0)
+    assert np.allclose(chain.points[-1], start, rtol=1e-9, atol=0.0)
+
+
+def test_generate_noisy_kick_past_the_bound_raises_as_a_start_check(scenarios):
+    """A kick that lands at or beyond the divergence bound raises as a solve from the
+    kicked point raises at its start: that point, at time 0.  Seed 8's first kick along
+    the z axis is +0.987, so a flow that ends 0.49 below the bound is kicked past it."""
+    spec, axis = scenarios["linear_saddle3d"].spec, np.eye(3)[:, [2]]
+    kick = _kicks(8, 1, 1.0, 3, axis)[0, 2]
+    assert kick > 0.9
+    x0 = (0.0, 0.0, (1e6 - kick / 2) / math.e)
+    with pytest.raises(FlowDivergenceError, match=(
+            r"^linear_saddle3d: orbit from \[ +0\. +0\. +1000000\.4935\d*\] crossed norm "
+            r"1e\+06 at t=0 during integration$")) as err:
+        generate_noisy(spec, x0, 2, 1.0, rng=8, noise_subspace=axis)
+    assert err.value.rows.tolist() == [0] and err.value.t == 0.0
+    # the last kick starts no transition, so it is not checked
+    assert generate_noisy(spec, x0, 1, 1.0, rng=8, noise_subspace=axis).points[1, 2] > 1e6
+
+
+def test_step_loop_lands_and_stops_at_a_kick():
+    """A kick through the step loop: the outputs there read the state before the jump,
+    the next steps start from after it, and an event the jump carries across zero has its
+    root at the kick, which a terminal one stops at."""
+    decay = lambda t, y: -y
+    sol = flow.solve_ivp(decay, (0.0, 2.0), [1.0], 1e-10, 1e-12, t_eval=[1.0, 2.0],
+                         kicks=([1.0], [[3.0]]))
+    assert sol.y[0] == pytest.approx([math.exp(-1.0), (math.exp(-1.0) + 3.0) * math.exp(-1.0)],
+                                     rel=1e-8)
+    bound = lambda t, y: 2.0 - y[0]
+    bound.terminal, bound.direction = True, -1
+    sol = flow.solve_ivp(decay, (0.0, 2.0), [1.0], 1e-10, 1e-12, events=[bound],
+                         kicks=([1.0], [[3.0]]))
+    assert sol.status == 1 and sol.t[-1] == 1.0
+    assert sol.t_events[0].tolist() == [1.0]
+    assert sol.y_events[0][0] == pytest.approx([math.exp(-1.0) + 3.0], rel=1e-8)
+
+
 def test_equilibrium_segment_chain_spacing(scenarios):
     scen = scenarios["neutral_line"]
     po = equilibrium_segment_chain(scen.spec, 0.4, 0.05)
@@ -513,78 +619,3 @@ def test_periodic_family_chain_validation(scenarios):
     cyc = scenarios["saddle_cycle"]
     with pytest.raises(ValueError, match="modulus-one"):
         periodic_family_chain(cyc.spec, (1.0, 0.0, 0.0), (0.1, 0.0, 0.0), 5, TWO_PI)
-
-
-@pytest.mark.parametrize(
-    "has_head, has_tail",
-    [(0, 0), (1, 1), (0, 1), (1, 0)],
-    ids=["no-ends", "both-ends", "tail-only", "head-only"],
-)
-def test_save_load_roundtrip(tmp_path, scenarios, has_head, has_tail):
-    scen = scenarios["linear_saddle3d"]
-    po = generate_noisy(scen.spec, (0.3, -0.4, 0.1), count=12, noise=2e-3, rng=11)
-    po = PseudoOrbit(
-        spec=scen.spec,
-        points=po.points,
-        durations=po.durations,
-        delta=po.delta,
-        head=(po.points[0], 1.25) if has_head else None,
-        tail=(po.points[-1], 2.5) if has_tail else None,
-    )
-    path = tmp_path / "chain.txt"
-    save_chain(po, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].split()[2:] == [str(has_head), str(has_tail)]
-    assert [line.split()[0] for line in lines[1:]] == [
-        str(i) for i in range(-has_head, po.size + has_tail)
-    ]
-    back = load_chain(scen.spec, path)
-    assert np.array_equal(back.points, po.points)
-    assert np.array_equal(back.durations, po.durations)
-    assert back.delta == po.delta
-    if has_head:
-        assert np.array_equal(back.head[0], po.head[0]) and back.head[1] == 1.25
-    else:
-        assert back.head is None
-    if has_tail:
-        assert np.array_equal(back.tail[0], po.tail[0]) and back.tail[1] == 2.5
-    else:
-        assert back.tail is None
-    path2 = tmp_path / "chain2.txt"
-    save_chain(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_load_chain_rejects_malformed(tmp_path, scenarios):
-    spec = scenarios["linear_saddle3d"].spec
-    p = tmp_path / "bad.txt"
-
-    p.write_text("")
-    with pytest.raises(ValueError, match="empty chain"):
-        load_chain(spec, p)
-
-    p.write_text("3 0.1\n")
-    with pytest.raises(ValueError, match="header"):
-        load_chain(spec, p)
-
-    p.write_text("2 0.1 0 0\n0 1.0 0.0 0.0\n")
-    with pytest.raises(ValueError, match="does not match spec"):
-        load_chain(spec, p)
-
-    p.write_text("3 0.1 1 1\n-1 1.0 0.0 0.0 0.0\n3 1.0 0.0 0.0 0.0\n")
-    with pytest.raises(ValueError, match="no body rows"):
-        load_chain(spec, p)
-
-    p.write_text("3 0.1 0 0\n0 1.0 0.0 0.0\n")
-    with pytest.raises(ValueError, match="fields"):
-        load_chain(spec, p)
-
-    p.write_text("3 0.1 0 0\n1 1.0 0.0 0.0 0.0\n")
-    with pytest.raises(ValueError, match="row index"):
-        load_chain(spec, p)
-
-    # a flag other than 0 or 1 would misplace or drop rows
-    rows = "".join(f"{i} 1.0 0.0 0.0 0.0\n" for i in (-1, 0, 1, 2))
-    p.write_text("3 0.1 2 0\n" + rows)
-    with pytest.raises(ValueError, match="header flags .* must be 0 or 1"):
-        load_chain(spec, p)

@@ -31,12 +31,6 @@ def test_namespace_is_the_modules_all_lists():
             assert getattr(fl, name) is getattr(module, name)
 
 
-def _nan_head_chain(tmp_path):
-    path = tmp_path / "nan_head.txt"
-    path.write_text("3 0.1 1 0\n-1 nan 0.0 0.0 0.0\n0 1.0 0.0 0.0 0.0\n")
-    return fl.load_chain(fl.builtin("linear_saddle3d").spec, path)
-
-
 def _segment():
     spec = fl.builtin("neutral_line").spec
     return spec, fl.equilibrium_segment_chain(spec, 0.4, 0.05)
@@ -69,115 +63,115 @@ def _certificate(tau):
 @pytest.mark.parametrize(
     "call, message",
     [
-        pytest.param(lambda tmp: fl.refute_by_conservation(*_segment(), NAN),
+        pytest.param(lambda: fl.refute_by_conservation(*_segment(), NAN),
                      r"\(got epsilon=nan\)", id="refute_by_conservation-epsilon"),
-        pytest.param(lambda tmp: fl.search_shadowing(*_segment(), NAN, BOX[:2]),
+        pytest.param(lambda: fl.search_shadowing(*_segment(), NAN, BOX[:2]),
                      r"\(got epsilon=nan\)", id="search_shadowing-epsilon"),
-        pytest.param(lambda tmp: fl.build_cocycle(CYCLE, P, 2.0, NAN),
+        pytest.param(lambda: fl.build_cocycle(CYCLE, P, 2.0, NAN),
                      r"\(got dt=nan, t_total=2.0\)", id="build_cocycle-dt"),
-        pytest.param(lambda tmp: fl.build_cocycle(CYCLE, P, NAN, 0.1),
+        pytest.param(lambda: fl.build_cocycle(CYCLE, P, NAN, 0.1),
                      r"\(got dt=0.1, t_total=nan\)", id="build_cocycle-t_total"),
-        pytest.param(lambda tmp: fl.build_cocycle(CYCLE, P, 2.0, 0.1, t_start=NAN),
+        pytest.param(lambda: fl.build_cocycle(CYCLE, P, 2.0, 0.1, t_start=NAN),
                      r"^t_start must be finite \(got t_start=nan\)$", id="build_cocycle-t_start"),
-        pytest.param(lambda tmp: fl.section_map(CYCLE, P, P, NAN),
+        pytest.param(lambda: fl.section_map(CYCLE, P, P, NAN),
                      r"t must be positive .* \(got t=nan\)", id="section_map-t"),
-        pytest.param(lambda tmp: fl.bump_function(NAN),
+        pytest.param(lambda: fl.bump_function(NAN),
                      r"\(got epsilon=nan\)", id="bump_function-epsilon"),
-        pytest.param(lambda tmp: sc.neutral_line(epsilon=NAN),
+        pytest.param(lambda: sc.neutral_line(epsilon=NAN),
                      r"\(got epsilon=nan\)", id="neutral_line-epsilon"),
-        pytest.param(lambda tmp: sc.neutral_line(b_rate=NAN),
+        pytest.param(lambda: sc.neutral_line(b_rate=NAN),
                      r"b_rate must be negative .*=nan\)", id="neutral_line-b_rate"),
-        pytest.param(lambda tmp: sc.neutral_rotation(omega=NAN),
+        pytest.param(lambda: sc.neutral_rotation(omega=NAN),
                      r"omega must be nonzero .*=nan\)", id="neutral_rotation-omega"),
-        pytest.param(lambda tmp: sc.neutral_rotation(epsilon=NAN),
+        pytest.param(lambda: sc.neutral_rotation(epsilon=NAN),
                      r"\(got epsilon=nan\)", id="neutral_rotation-epsilon"),
-        pytest.param(lambda tmp: fl.generate_noisy(SADDLE, P, 1, 1e-3, step=NAN),
+        pytest.param(lambda: fl.generate_noisy(SADDLE, P, 1, 1e-3, step=NAN),
                      r"\(got step=nan\)", id="generate_noisy-step"),
-        pytest.param(lambda tmp: fl.generate_noisy(SADDLE, P, 1, NAN),
+        pytest.param(lambda: fl.generate_noisy(SADDLE, P, 1, NAN),
                      r"\(got noise=nan\)", id="generate_noisy-noise"),
-        pytest.param(lambda tmp: fl.generate_noisy(SADDLE, P, NAN, 1e-3),
+        pytest.param(lambda: fl.generate_noisy(SADDLE, P, NAN, 1e-3),
                      "count must be at least 1", id="generate_noisy-count"),
-        pytest.param(lambda tmp: fl.periodic_family_chain(CYCLE, P, P, NAN, 6.0),
+        pytest.param(lambda: fl.periodic_family_chain(CYCLE, P, P, NAN, 6.0),
                      "n_points must be at least 2", id="periodic_family_chain-n_points"),
-        pytest.param(lambda tmp: fl.periodic_family_chain(CYCLE, P, P, 50, NAN),
+        pytest.param(lambda: fl.periodic_family_chain(CYCLE, P, P, 50, NAN),
                      r"^period_hint must be positive and finite \(got period_hint=nan\)$",
                      id="periodic_family_chain-period_hint"),
-        pytest.param(lambda tmp: fl.equilibrium_segment_chain(SADDLE, 0.4, NAN),
+        pytest.param(lambda: fl.equilibrium_segment_chain(SADDLE, 0.4, NAN),
                      r"\(got epsilon=0.4, delta=nan\)", id="equilibrium_segment_chain-delta"),
-        pytest.param(_nan_head_chain,
-                     r"head duration must be >= 1 and finite \(got nan\)", id="load_chain-head"),
-        pytest.param(lambda tmp: fl.flow_at(SADDLE, P, NAN),
+        pytest.param(lambda: fl.PseudoOrbit(SADDLE, [P], [1.0], 0.1, head=(P, NAN)),
+                     r"head duration must be >= 1 and finite \(got nan\)", id="PseudoOrbit-head"),
+        pytest.param(lambda: fl.flow_at(SADDLE, P, NAN),
                      r"t must be finite \(got t=nan\)", id="flow_at-t"),
         # a NaN tol must not hang a solver, nor a NaN norm_bound switch off the divergence guard
-        pytest.param(lambda tmp: fl.integrate(SADDLE, P, (0.0, 1.0), tol=NAN),
+        pytest.param(lambda: fl.integrate(SADDLE, P, (0.0, 1.0), tol=NAN),
                      r"\(got tol=nan, norm_bound=1000000.0\)", id="integrate-tol"),
-        pytest.param(lambda tmp: fl.integrate(SADDLE, P, (0.0, 1.0), norm_bound=NAN),
+        pytest.param(lambda: fl.integrate(SADDLE, P, (0.0, 1.0), norm_bound=NAN),
                      r"\(got tol=1e-09, norm_bound=nan\)", id="integrate-norm_bound"),
-        pytest.param(lambda tmp: fl.flow_at(SADDLE, P, 1.0, tol=NAN),
+        pytest.param(lambda: fl.flow_at(SADDLE, P, 1.0, tol=NAN),
                      r"\(got tol=nan, norm_bound=1000000.0\)", id="flow_at-tol"),
-        pytest.param(lambda tmp: fl.tangent_flow(SADDLE, P, 1.0, tol=NAN),
+        pytest.param(lambda: fl.tangent_flow(SADDLE, P, 1.0, tol=NAN),
                      r"\(got tol=nan, norm_bound=1000000.0\)", id="tangent_flow-tol"),
-        pytest.param(lambda tmp: fl.build_chain_graph(SADDLE, GRAPH_REGION, 1.0, 0.5, 2.0, tol=NAN),
+        pytest.param(lambda: fl.build_chain_graph(SADDLE, GRAPH_REGION, 1.0, 0.5, 2.0, tol=NAN),
                      r"^tol must be positive and finite \(got tol=nan\)$",
                      id="build_chain_graph-tol"),
-        pytest.param(lambda tmp: fl.build_chain_graph(SADDLE, GRAPH_REGION, 1.0, 0.5, 2.0,
-                                                      norm_bound=NAN),
+        pytest.param(lambda: fl.build_chain_graph(SADDLE, GRAPH_REGION, 1.0, 0.5, 2.0,
+                                                  norm_bound=NAN),
                      r"^norm_bound must be positive and finite \(got norm_bound=nan\)$",
                      id="build_chain_graph-norm_bound"),
         # a NaN sample count must not shrink the dense gate to the boundary times
-        pytest.param(lambda tmp: fl.shadow_distance(SADDLE, P, IDENTITY, ONE_POINT, (0.0, 1.0),
-                                                    samples=NAN),
+        pytest.param(lambda: fl.shadow_distance(SADDLE, P, IDENTITY, ONE_POINT, (0.0, 1.0),
+                                                samples=NAN),
                      r"\(got samples=nan\)", id="shadow_distance-samples"),
-        pytest.param(lambda tmp: fl.SearchBudget(eval_samples=NAN),
+        pytest.param(lambda: fl.SearchBudget(eval_samples=NAN),
                      r"\(got eval_samples=nan\)", id="SearchBudget-eval_samples"),
-        pytest.param(lambda tmp: _certificate(NAN),
+        pytest.param(lambda: _certificate(NAN),
                      r"^tau must be positive and finite \(got tau=nan\)$",
                      id="check_quasi_hyperbolic-tau"),
-        pytest.param(lambda tmp: _certificate(math.inf),
+        pytest.param(lambda: _certificate(math.inf),
                      r"^tau must be positive and finite \(got tau=inf\)$",
                      id="check_quasi_hyperbolic-tau-inf"),
         # a NaN delta must not switch off the arc's closing-gap precondition
-        pytest.param(lambda tmp: fl.arc_to_periodic_orbit(CYCLE, ARC_START, TWO_PI,
-                                                          _certificate(TWO_PI), NAN),
+        pytest.param(lambda: fl.arc_to_periodic_orbit(CYCLE, ARC_START, TWO_PI,
+                                                      _certificate(TWO_PI), NAN),
                      r"\(got tau=6.28\d*, delta=nan\)$", id="arc_to_periodic_orbit-delta"),
-        pytest.param(lambda tmp: fl.arc_to_periodic_orbit(CYCLE, ARC_START, TWO_PI,
-                                                          _certificate(TWO_PI), 0.01, samples=NAN),
+        pytest.param(lambda: fl.arc_to_periodic_orbit(CYCLE, ARC_START, TWO_PI,
+                                                      _certificate(TWO_PI), 0.01, samples=NAN),
                      r"^samples must be at least 2, as an integer \(got samples=nan\)$",
                      id="arc_to_periodic_orbit-samples"),
         # a NaN radius must not switch off the section disc check
-        pytest.param(lambda tmp: fl.section_map(CYCLE, P, P, TWO_PI, radius=NAN),
+        pytest.param(lambda: fl.section_map(CYCLE, P, P, TWO_PI, radius=NAN),
                      r"^radius must be positive and finite \(got radius=nan\)$",
                      id="section_map-radius"),
-        pytest.param(lambda tmp: fl.find_periodic_newton(CYCLE, P, TWO_PI, residual_tol=NAN),
+        pytest.param(lambda: fl.find_periodic_newton(CYCLE, P, TWO_PI, residual_tol=NAN),
                      r"^residual_tol must be positive and finite \(got residual_tol=nan\)$",
                      id="find_periodic_newton-residual_tol"),
         # the window pads the periodic cocycle before the splitting estimate checks it
-        pytest.param(lambda tmp: fl.uniform_periodic_estimates(
+        pytest.param(lambda: fl.uniform_periodic_estimates(
                          CYCLE, [fl.classify_periodic(CYCLE, P, TWO_PI)], 1.0, 0.5,
                          window_time=NAN),
                      r"^dt and window_time must be positive and finite "
                      r"\(got dt=0.05, window_time=nan\)$",
                      id="uniform_periodic_estimates-window_time"),
         # checked before the reports, so an empty family cannot pass a NaN through
-        pytest.param(lambda tmp: fl.uniform_periodic_estimates(CYCLE, [], 1.0, 0.5, dt=NAN),
+        pytest.param(lambda: fl.uniform_periodic_estimates(CYCLE, [], 1.0, 0.5, dt=NAN),
                      r"^dt and window_time must be positive and finite "
                      r"\(got dt=nan, window_time=3.0\)$",
                      id="uniform_periodic_estimates-dt"),
-        pytest.param(lambda tmp: fl.uniform_periodic_estimates(CYCLE, [], 1.0, 0.5,
-                                                               window_time=NAN),
+        pytest.param(lambda: fl.uniform_periodic_estimates(CYCLE, [], 1.0, 0.5,
+                                                           window_time=NAN),
                      r"\(got dt=0.05, window_time=nan\)$",
                      id="uniform_periodic_estimates-window_time-empty"),
         # a NaN step must not read as a perfect match, 0.0
-        pytest.param(lambda tmp: fl.validate_jacobian(SADDLE, [P], step=NAN),
+        pytest.param(lambda: fl.validate_jacobian(SADDLE, [P], step=NAN),
                      r"\(got step=nan\)", id="validate_jacobian-step"),
     ],
 )
-def test_nan_arguments_raise_value_error_naming_them(call, message, tmp_path):
+def test_nan_arguments_raise_value_error_naming_them(call, message):
     """A NaN length, time, rate, radius or count fails at once with a ValueError
     that names the argument; none of these may hang, return a verdict, or
     fail later in the solver."""
     with pytest.raises(ValueError, match=message):
-        call(tmp_path)
+        call()
 
 
 # each count argument, its least value, and a call that passes it
