@@ -10,6 +10,7 @@ steps, never inverted across long spans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -100,10 +101,13 @@ class CriticalElementReport:
     count the flow direction inside the stable set, and equals ``index``
     for a singularity.
 
-    ``_builds`` holds the one-period cocycle and splitting estimate that
-    :func:`~flowlab.splitting.uniform_periodic_estimates` builds from the
-    report, by build key, so a later call reuses them; it is private, left
-    out of comparisons and ``repr``, and empty in a copy made by
+    ``_builds`` holds a periodic orbit's builds, each for the ``spec`` object
+    it was made with: the one-period cocycle that :func:`classify_periodic`
+    reads its multipliers from, keyed by the snapped grid step and ``tol``, and
+    the padded cocycle and splitting estimate that
+    :func:`~flowlab.splitting.uniform_periodic_estimates` forms from it, keyed
+    by those and the window time; so a later call reuses them.  It is private,
+    left out of comparisons and ``repr``, and empty in a copy made by
     ``dataclasses.replace``.
     """
 
@@ -175,14 +179,9 @@ def linear_poincare(
     flow-direction transport ``DX_t X(x) = X(X_t x)`` is verified to 1e-5
     relative accuracy as a guard against integration drift.
     """
-    return _compress_to_frames(spec, x, t, *tangent_flow(spec, x, t, tol=tol))
-
-
-def _compress_to_frames(spec, x, t, x_end, deriv) -> np.ndarray:
-    """:func:`linear_poincare` from the solved endpoint and derivative."""
+    x_end, deriv = tangent_flow(spec, x, t, tol=tol)
     _check_transport(spec, x, x_end, deriv, f"over t={t:.6g}; tighten tol or shorten the span")
-    f0 = normal_frame(spec, x)
-    return normal_frame(spec, x_end).T @ deriv @ f0
+    return normal_frame(spec, x_end).T @ deriv @ normal_frame(spec, x)
 
 
 class NormalCocycle:
@@ -238,22 +237,25 @@ def build_cocycle(
     """Sample the normal cocycle along the orbit of ``x`` on a uniform grid.
 
     The orbit segment covers ``[t_start, t_start + t_total]`` (``t_start``
-    may be negative to pad backward).  One orbit integration gives the samples,
-    and one batched solve of all ``m`` steps from them, in a working set of about
-    ``16 m (n + n^2)`` floats in dimension ``n``, gives the derivatives compressed
-    between consecutive frames.  Each step must transport the flow direction and
-    land on the next sample, both to 1e-5 relative accuracy.
+    may be negative to pad backward).  The samples are read from ``x`` itself,
+    in one orbit solve per time direction, so the padding is integrated once
+    and a sample at time 0 is ``x``.  One batched solve of all ``m`` steps from
+    them, in a working set of about ``16 m (n + n^2)`` floats in dimension
+    ``n``, gives the derivatives compressed between consecutive frames.  Each
+    step must transport the flow direction and land on the next sample, both
+    to 1e-5 relative accuracy.
     """
     _require_positive(dt=dt, t_total=t_total)
     _require_finite(t_start=t_start)
     m = int(round(t_total / dt))
     if m < 2:
-        raise ValueError("the sampled span must contain at least two steps")
+        raise ValueError(
+            f"the sampled span t_total={t_total:.6g} must contain at least two steps"
+            f" of dt={dt:.6g}"
+        )
     dt = t_total / m
-    start = flow_at(spec, x, t_start, tol=tol)
-
-    offsets = dt * np.arange(m + 1)
-    points = _orbit_points(spec, start, offsets, tol)
+    times = t_start + dt * np.arange(m + 1)
+    points = _orbit_points(spec, x, times, tol)
     ends, derivs = tangent_flow(spec, points[:-1], dt, tol=tol)
     _check_transport(spec, points[:-1], ends, derivs, "at step {}")
     gap = np.linalg.norm(ends - points[1:], axis=1) / (1.0 + np.linalg.norm(points[1:], axis=1))
@@ -262,24 +264,41 @@ def build_cocycle(
         raise ConsistencyError(f"step {k} ends {gap[k]:.3g} off the base orbit's next sample")
     frames = normal_frame(spec, points)
     trans = np.swapaxes(frames[1:], 1, 2) @ derivs @ frames[:-1]
-    return NormalCocycle(spec, t_start + offsets, points, frames, trans, tol)
+    return NormalCocycle(spec, times, points, frames, trans, tol)
 
 
-def _periodic_cocycle(spec, x, period, m_p, window_time, tol) -> NormalCocycle:
-    """The normal cocycle of the periodic orbit through ``x`` over
-    ``[-w dt, 4 period + w dt]``, at ``dt = period / m_p`` and with
-    ``w = round(window_time / dt)``, built over one period and indexed
-    periodically (the linearised flow along a periodic orbit is periodic).
-    The period's end must land on ``x`` to 1e-5 relative accuracy, or the glue
-    would join two points that do not match.
+# The grid step of a periodic orbit's one-period cocycle, which
+# classify_periodic builds and uniform_periodic_estimates reads by default.
+_PERIOD_DT = 0.05
+
+
+def _period_step(period: float, dt: float) -> float:
+    """``dt`` snapped to ``period / m``, with ``m`` the nearest step count but
+    at least the two steps a cocycle needs."""
+    return period / max(2, round(period / dt))
+
+
+def _periodic_cocycle(spec, rep: CriticalElementReport, dt: float, window_time: float,
+                      tol: float) -> NormalCocycle:
+    """The normal cocycle of a periodic report's orbit over
+    ``[-w dt, 4 period + w dt]``, with ``w = round(window_time / dt)``, indexed
+    periodically (the linearised flow along a periodic orbit is periodic) from
+    its one-period cocycle at the snapped step ``dt``.  That is the one kept on
+    ``rep._builds`` under ``(dt, tol)`` for this ``spec`` object, or else one
+    built from ``rep.point`` and kept; its period's end must land on its start
+    to 1e-5 relative accuracy, or the glue would join two points that do not
+    match.
     """
-    dt = period / m_p
-    one = build_cocycle(spec, x, period, dt, tol=tol)
-    gap = distance(spec, one.points[-1], one.points[0]) / (1.0 + np.linalg.norm(one.points[0]))
-    if gap > 1e-5:
-        raise ConsistencyError(
-            f"orbit ends {gap:.3g} off its start after period {period:.6g}; not periodic"
-        )
+    one = rep._builds.get((dt, tol))
+    if one is None or one.spec is not spec:
+        one = build_cocycle(spec, rep.point, rep.period, dt, tol=tol)
+        gap = distance(spec, one.points[-1], one.points[0]) / (1.0 + np.linalg.norm(one.points[0]))
+        if gap > 1e-5:
+            raise ConsistencyError(
+                f"orbit ends {gap:.3g} off its start after period {rep.period:.6g}; not periodic"
+            )
+        rep._builds[(dt, tol)] = one
+    m_p = one.steps
     w = max(1, round(window_time / dt))
     steps = np.arange(4 * m_p + 2 * w + 1) - w
     k = steps % m_p
@@ -475,11 +494,16 @@ def classify_periodic(
 ) -> CriticalElementReport:
     """Report the normal multipliers of a periodic point known to precision.
 
-    One variational solve over ``period`` gives the return derivative; its
-    endpoint must meet ``p`` within 1e-8 (see :func:`find_periodic_newton`).
+    One :func:`build_cocycle` over ``period``, on the grid step nearest 0.05
+    that gives at least two steps, samples the orbit and its normal steps, so
+    ``spec`` must meet the batch contract.  The last sample must meet ``p``
+    within 1e-8 (see :func:`find_periodic_newton`).  The multipliers are the
+    eigenvalues of the product of the period's steps, which is
+    ``F(p)^T DX_T F(p)``: the normal projections between steps cancel.
     Margins are the distances of the multiplier moduli from 1; hyperbolicity
     requires all of them above 1e-6.  ``index`` counts multipliers inside
-    the unit circle; ``index_with_flow`` adds the flow direction.
+    the unit circle; ``index_with_flow`` adds the flow direction.  The report
+    keeps the cocycle for :func:`~flowlab.splitting.uniform_periodic_estimates`.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (spec.dim,):
@@ -488,12 +512,15 @@ def classify_periodic(
     period = float(period)
     if period <= 0.0:
         raise ValueError(f"period must be positive (got period={period})")
-    p_end, deriv = tangent_flow(spec, p, period, tol=tol)
-    closure = distance(spec, p_end, p)
+    dt = _period_step(period, _PERIOD_DT)
+    one = build_cocycle(spec, wrap_point(spec, p), period, dt, tol=tol)
+    closure = distance(spec, one.points[-1], p)
     if closure > 1e-8 * max(1.0, float(np.linalg.norm(p))):
         raise ValueError(f"point is not {period:.6g}-periodic (closure gap {closure:.3g})")
-    mult = np.linalg.eigvals(_compress_to_frames(spec, p, period, p_end, deriv))
+    mult = np.linalg.eigvals(reduce(lambda prod, step: step @ prod, one.trans))
     order = np.lexsort((np.angle(mult), np.abs(mult)))
     mult = mult[order]
     index = int(np.sum(np.abs(mult) < 1.0))
-    return _element_report(spec, "periodic", p, period, mult, np.abs(np.abs(mult) - 1.0), index)
+    rep = _element_report(spec, "periodic", p, period, mult, np.abs(np.abs(mult) - 1.0), index)
+    rep._builds[(dt, tol)] = one
+    return rep

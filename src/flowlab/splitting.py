@@ -34,7 +34,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .flow import (DEFAULT_TOL, VectorFieldSpec, _orbit_points, _require_count,
                    _require_positive, distance)
-from .poincare import CriticalElementReport, NormalCocycle, _periodic_cocycle, find_periodic_newton
+from .poincare import (_PERIOD_DT, CriticalElementReport, NormalCocycle, _period_step,
+                       _periodic_cocycle, find_periodic_newton)
 from .shadowing import frechet_match, pairwise_distances
 
 __all__ = [
@@ -546,7 +547,7 @@ def uniform_periodic_estimates(
     reports: Sequence[CriticalElementReport],
     t_min: float,
     eta: float,
-    dt: float = 0.05,
+    dt: float = _PERIOD_DT,
     window_time: float = 3.0,
     tol: float = DEFAULT_TOL,
 ) -> UniformEstimates:
@@ -561,18 +562,21 @@ def uniform_periodic_estimates(
     unstable log-conorms at least ``eta``.  An empty ``reports`` raises
     ``ValueError``, as there is no orbit to give a verdict on.
 
-    The cocycle is built over one period from ``rep.point``, with ``dt``
-    snapped to ``period / round(period / dt)``, and indexed periodically to
+    The cocycle covers one period from ``rep.point``, with ``dt`` snapped to
+    ``period / max(2, round(period / dt))``, and is indexed periodically to
     pad the four periods and two windows the scan needs; so a point slightly
-    off the orbit cannot drift along its unstable direction.  Raises
+    off the orbit cannot drift along its unstable direction.  At the default
+    ``dt`` the one-period cocycle is the one
+    :func:`~flowlab.poincare.classify_periodic` built and kept on the report,
+    so the call integrates nothing.  A report without it builds it and raises
     :class:`~flowlab.poincare.ConsistencyError` when the period's end misses
     its start by more than 1e-5 relative, which a wrong period does.
 
-    The cocycle and its splitting estimate are kept on the report, keyed by
-    the snapped ``dt``, ``window_time``, ``tol`` and the ``spec`` object (by
-    identity), so a later call on the same report with the same key, at
-    another ``eta`` or ``t_min``, reuses them; a build that raises keeps
-    nothing.
+    The one-period cocycle and the splitting estimate are kept on the report,
+    keyed by the snapped ``dt``, ``tol``, ``window_time`` (the estimate only)
+    and the ``spec`` object (by identity), so a later call on the same report
+    with the same key, at another ``eta`` or ``t_min``, reuses them; a period
+    that does not close keeps nothing.
     """
     _require_positive(t_min=t_min, eta=eta)
     _require_positive(dt=dt, window_time=window_time)
@@ -592,11 +596,11 @@ def uniform_periodic_estimates(
             raise ValueError(f"t_min={t_min:.6g} exceeds three periods of the orbit")
         if not 1 <= rep.index <= spec.dim - 2:
             raise ValueError("orbit must have nontrivial stable and unstable parts")
-        m_p = max(1, round(period / dt))
-        key = (period / m_p, window_time, tol)
+        step = _period_step(period, dt)
+        key = (step, tol, window_time)
         built = rep._builds.get(key)
         if built is None or built[0].spec is not spec:
-            cocycle = _periodic_cocycle(spec, rep.point, period, m_p, window_time, tol)
+            cocycle = _periodic_cocycle(spec, rep, step, window_time, tol)
             built = (cocycle, estimate_splitting(cocycle, rep.index, window_time))
             rep._builds[key] = built
         cocycle, est = built

@@ -25,6 +25,7 @@ from flowlab import (
     search_shadowing,
     section_map,
     tangent_flow,
+    uniform_periodic_estimates,
     verify_chain,
 )
 from flowlab import flow, poincare
@@ -214,7 +215,7 @@ def test_build_cocycle_validation(scenarios):
     p = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="positive"):
         build_cocycle(spec, p, t_total=2.0, dt=0.0)
-    with pytest.raises(ValueError, match="two steps"):
+    with pytest.raises(ValueError, match=r"t_total=0\.001 must .* two steps of dt=0\.001"):
         build_cocycle(spec, p, t_total=0.001, dt=0.001)
     with pytest.raises(ConsistencyError, match="at step"):
         build_cocycle(broken_jacobian_spec(), np.array([0.3, 0.3, 1.0]), 2.0, 0.5)
@@ -380,14 +381,17 @@ def test_classify_singularity_requires_equilibrium(scenarios):
         classify_singularity(scenarios["center_cycle"].spec, (0.3, 0.1, 0.2))
 
 
-def test_classify_periodic_hyperbolic_cycle(scenarios):
+@pytest.mark.parametrize("theta", [0.0, 2.5])
+def test_classify_periodic_hyperbolic_cycle(scenarios, theta):
+    """The product of the period's normal steps gives both multipliers of the
+    saddle cycle, e^{-4 pi} and e^{2 pi}, from any anchor on it."""
     spec = scenarios["saddle_cycle"].spec
-    rep = classify_periodic(spec, (1.0, 0.0, 0.0), TWO_PI)
+    rep = classify_periodic(spec, (math.cos(theta), math.sin(theta), 0.0), TWO_PI)
     assert rep.kind == "periodic"
     assert rep.period == TWO_PI
     mods = np.abs(rep.spectrum)
-    assert abs(mods[0] - math.exp(-4.0 * math.pi)) <= 1e-6
-    assert abs(mods[1] - math.exp(2.0 * math.pi)) / math.exp(2.0 * math.pi) <= 1e-5
+    assert abs(mods[0] - math.exp(-4.0 * math.pi)) <= 1e-8 * math.exp(-4.0 * math.pi)
+    assert abs(mods[1] - math.exp(2.0 * math.pi)) <= 1e-12 * math.exp(2.0 * math.pi)
     assert rep.hyperbolic
     assert rep.index == 1 and rep.index_with_flow == 2
 
@@ -427,10 +431,8 @@ def test_classify_periodic_names_its_arguments(scenarios, p, period, message):
         classify_periodic(scenarios["saddle_cycle"].spec, p, period)
 
 
-def test_classify_periodic_takes_one_solve(scenarios, monkeypatch):
-    """The closure check reads the endpoint of the variational solve that
-    gives the return derivative, so one classification is one solve."""
-    spec = scenarios["saddle_cycle"].spec
+def _count_solves(monkeypatch):
+    """The arguments of every ``_solve`` call from here on."""
     solves = []
     solve = flow._solve
 
@@ -440,6 +442,72 @@ def test_classify_periodic_takes_one_solve(scenarios, monkeypatch):
 
     monkeypatch.setattr(flow, "_solve", counted_solve)
     monkeypatch.setattr(poincare, "_solve", counted_solve)
+    return solves
+
+
+def test_classify_periodic_takes_the_cocycles_two_solves(scenarios, monkeypatch):
+    """A classification builds the one-period cocycle, one orbit solve and one
+    variational solve, and reads its closure and multipliers from it; the
+    report keeps it, so uniform estimates at the default dt take no solve."""
+    spec = scenarios["saddle_cycle"].spec
+    solves = _count_solves(monkeypatch)
     rep = classify_periodic(spec, (1.0, 0.0, 0.0), TWO_PI)
-    assert len(solves) == 1
+    assert len(solves) == 2
     assert rep.hyperbolic and rep.index == 1
+    assert uniform_periodic_estimates(spec, [rep], 1.0, 0.5).ok
+    assert len(solves) == 2
+
+
+def test_classify_periodic_needs_a_batched_field():
+    """The one-period cocycle solves its steps in one batch, so a field that
+    reads only single points is refused, never given a wrong spectrum."""
+
+    def field(x):
+        r2 = x[0] ** 2 + x[1] ** 2
+        return np.array([x[0] * (1 - r2) - x[1], x[1] * (1 - r2) + x[0], x[2]])
+
+    def jacobian(x):
+        r2 = x[0] ** 2 + x[1] ** 2
+        return np.array(
+            [
+                [1 - r2 - 2 * x[0] ** 2, -2 * x[0] * x[1] - 1, 0.0],
+                [-2 * x[0] * x[1] + 1, 1 - r2 - 2 * x[1] ** 2, 0.0],
+                [0.0, 0.0, 1.0],
+            ]
+        )
+
+    spec = VectorFieldSpec(name="point_only_cycle", dim=3, field=field, jacobian=jacobian)
+    with pytest.raises(ValueError, match=r"^point_only_cycle: .* must accept \(N, 3\) batches"):
+        classify_periodic(spec, (1.0, 0.0, 0.0), TWO_PI)
+
+
+@pytest.mark.parametrize(
+    "x, t_total, t_start",
+    [((1.0, 0.0, 0.0), 16.0, -3.0), ((1.001, 0.0, 1e-5), 10.8, -2.0)],
+)
+def test_padded_cocycle_samples_from_its_anchor(scenarios, monkeypatch, x, t_total, t_start):
+    """A backward-padded cocycle reads its samples from ``x`` itself, one orbit
+    solve per time direction and then the variational solve, with no flow to
+    ``t_start`` first: its time-0 sample is ``x`` bit for bit, and its steps
+    match the construction from ``X_{t_start}(x)`` forward to 1e-8."""
+    spec = scenarios["saddle_cycle"].spec
+    x = np.array(x)
+
+    def no_flow_at(*args, **kwargs):
+        raise AssertionError("build_cocycle called flow_at")
+
+    monkeypatch.setattr(poincare, "flow_at", no_flow_at)
+    solves = _count_solves(monkeypatch)
+    coc = build_cocycle(spec, x, t_total, 0.05, t_start=t_start)
+    assert [args[2] for args in solves[:2]] == [(0.0, coc.times[-1]), (0.0, coc.times[0])]
+    assert len(solves) == 3 and solves[2][3].size == coc.steps * 12
+    assert np.array_equal(coc.points[coc.index_of_time(0.0)], x)
+    monkeypatch.undo()
+
+    start = flow_at(spec, x, t_start)
+    dt = t_total / coc.steps
+    points = flow._orbit_points(spec, start, dt * np.arange(coc.steps + 1), flow.DEFAULT_TOL)
+    _, derivs = tangent_flow(spec, points[:-1], dt)
+    frames = normal_frame(spec, points)
+    trans = np.swapaxes(frames[1:], 1, 2) @ derivs @ frames[:-1]
+    assert np.max(np.abs(coc.trans - trans)) <= 1e-8

@@ -1196,11 +1196,11 @@ def test_uniform_estimates_reject_a_wrong_period(scenarios, cycle_report):
 
 
 def test_uniform_estimates_reuse_the_reports_build(scenarios, monkeypatch):
-    """A classification and three eta calls on its report take 3 solves: the
-    classification's, and one one-period cocycle's orbit and tangent.  Each
-    result equals the call on a fresh report.  A report with another point,
-    or a call with another spec object, builds afresh; a wrong period
-    raises on every call and keeps nothing."""
+    """A classification and three eta calls on its report take 2 solves: the
+    one-period cocycle's orbit and tangent, which the classification builds
+    and keeps.  Each result equals the call on a fresh report.  A report with
+    another point, or a call with another spec object, builds afresh; a wrong
+    period raises on every call and keeps nothing."""
     spec = scenarios["saddle_cycle"].spec
     solves = []
     solve = flow._solve
@@ -1214,20 +1214,20 @@ def test_uniform_estimates_reuse_the_reports_build(scenarios, monkeypatch):
     rep = classify_periodic(spec, np.array([1.0, 0.0, 0.0]), 2.0 * math.pi)
     etas = (0.5, 1.0, 1.6)
     outs = [uniform_periodic_estimates(spec, [rep], 1.0, eta) for eta in etas]
-    assert len(solves) == 3
+    assert len(solves) == 2
     for eta, out in zip(etas, outs):
         assert out == uniform_periodic_estimates(spec, [dataclasses.replace(rep)], 1.0, eta)
-    assert len(solves) == 3 + 2 * len(etas)
+    assert len(solves) == 2 + 2 * len(etas)
 
     moved = dataclasses.replace(rep, point=rep.point + np.array([0.0, 0.0, 1e-9]))
     assert not moved._builds
     uniform_periodic_estimates(spec, [moved], 1.0, 0.5)
-    assert len(solves) == 11
+    assert len(solves) == 10
     other = dataclasses.replace(spec)
     assert uniform_periodic_estimates(other, [rep], 1.0, 0.5) == outs[0]
-    assert len(solves) == 13
-    ((cocycle, _),) = rep._builds.values()
-    assert cocycle.spec is other
+    assert len(solves) == 12
+    one, (cocycle, _) = rep._builds.values()
+    assert one.spec is other and cocycle.spec is other
 
     wrong = dataclasses.replace(rep, period=1.01 * rep.period)
     for _ in range(2):
@@ -1256,26 +1256,49 @@ def test_uniform_estimates_reject_nonhyperbolic(scenarios):
 def test_uniform_estimates_need_both_bundles():
     # attracting cycle: r' = r (1 - r^2), theta' = 1, z' = -z; index 2 of 2
     def field(x):
-        r2 = x[0] ** 2 + x[1] ** 2
-        return np.array(
-            [x[0] * (1 - r2) - x[1], x[1] * (1 - r2) + x[0], -x[2]]
-        )
+        x0, x1, x2 = x.T
+        r2 = x0 * x0 + x1 * x1
+        return np.array([x0 * (1 - r2) - x1, x1 * (1 - r2) + x0, -x2]).T
 
     def jacobian(x):
-        r2 = x[0] ** 2 + x[1] ** 2
-        return np.array(
-            [
-                [1 - r2 - 2 * x[0] ** 2, -2 * x[0] * x[1] - 1, 0.0],
-                [-2 * x[0] * x[1] + 1, 1 - r2 - 2 * x[1] ** 2, 0.0],
-                [0.0, 0.0, -1.0],
-            ]
-        )
+        x0, x1, _ = x.T
+        r2 = x0 * x0 + x1 * x1
+        out = np.zeros(x.shape + (3,))
+        out[..., 0, 0] = 1 - r2 - 2 * x0 * x0
+        out[..., 0, 1] = -2 * x0 * x1 - 1
+        out[..., 1, 0] = -2 * x0 * x1 + 1
+        out[..., 1, 1] = 1 - r2 - 2 * x1 * x1
+        out[..., 2, 2] = -1.0
+        return out
 
     sink = VectorFieldSpec(name="cycle_sink", dim=3, field=field, jacobian=jacobian)
     rep = classify_periodic(sink, np.array([1.0, 0.0, 0.0]), 2.0 * math.pi)
     assert rep.hyperbolic and rep.index == 2
     with pytest.raises(ValueError, match="nontrivial stable and unstable parts"):
         uniform_periodic_estimates(sink, [rep], t_min=1.0, eta=0.1)
+
+
+def test_periodic_estimates_on_a_cycle_shorter_than_dt(scenarios):
+    """saddle_cycle sped up 200 times has period 2 pi / 200, under 1.5 dt at
+    the default dt = 0.05, so its one-period cocycle snaps to two steps.  The
+    multipliers keep their closed forms, and the uniform estimates at the
+    default dt read the normal rates -400 and 200 (windows scaled the same)."""
+    base = scenarios["saddle_cycle"].spec
+    fast = VectorFieldSpec(name="fast_cycle", dim=3, field=lambda x: 200.0 * base.field(x),
+                           jacobian=lambda x: 200.0 * base.jacobian(x))
+    period = 2.0 * math.pi / 200.0
+    rep = classify_periodic(fast, np.array([1.0, 0.0, 0.0]), period)
+    assert rep.hyperbolic and rep.index == 1
+    mods = np.abs(rep.spectrum)
+    assert abs(mods[0] - math.exp(-4.0 * math.pi)) <= 1e-7 * math.exp(-4.0 * math.pi)
+    assert abs(mods[1] - math.exp(2.0 * math.pi)) <= 1e-10 * math.exp(2.0 * math.pi)
+    out = uniform_periodic_estimates(fast, [rep], t_min=period / 2.0, eta=50.0,
+                                     window_time=3.0 / 200.0)
+    assert out.ok
+    orbit = out.orbits[0]
+    assert orbit["slack_rate_gap"] == pytest.approx(600.0 - 100.0, rel=1e-6)
+    assert orbit["slack_stable_sum"] == pytest.approx(400.0 - 50.0, rel=1e-6)
+    assert orbit["slack_unstable_sum"] == pytest.approx(200.0 - 50.0, rel=1e-6)
 
 
 def test_arc_to_periodic_orbit_closes_arc(scenarios):
